@@ -18,14 +18,12 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-n", type=int, default=3)
     ap.add_argument("--max-mod", type=int, default=2)
-    ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
     failed = False
     for name in verify.SUITES:
         start = time.time()
-        (rep,) = verify.run_suite(name, args.max_n, args.max_mod,
-                                  workers=args.workers)
+        (rep,) = verify.run_suite(name, args.max_n, args.max_mod)
         status = "pass" if rep.ok else "FAIL"
         print(f"[{status}] {rep.suite}: {rep.checked} checks "
               f"({time.time() - start:.1f}s)")

@@ -14,11 +14,9 @@ from .algebra import (
     divided_difference,
     elementary_symmetric,
     elementary_symmetric_at,
-    poly_arith,
     scalar_canonicalize,
     specialized,
     subst_t_power,
-    substitute,
 )
 from .comb import (
     Composition,

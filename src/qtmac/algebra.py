@@ -18,6 +18,7 @@ exponent vectors to scalars (:class:`ZPolynomial`), optionally Laurent.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -134,11 +135,39 @@ def scalar_eval(x, qval: Fraction, tval: Fraction) -> Fraction:
     return ev(x.numer) / den
 
 
+def memo(normalize):
+    """Decorator memoising a function on its normalised arguments.
+
+    ``normalize`` maps the arguments of a call to the tuple of positional
+    arguments the function then runs with; that tuple is also the key, so
+    one value spelt two ways (a list or a tuple label) shares one entry.
+    The wrapper is a plain function made with ``functools.wraps``, so tools
+    that look functions up by name and signature still find it.
+    """
+    def decorate(fn):
+        table = {}
+
+        @functools.wraps(fn)
+        def cached(*args, **kwargs):
+            key = normalize(*args, **kwargs)
+            try:
+                return table[key]
+            except KeyError:
+                return table.setdefault(key, fn(*key))
+
+        return cached
+
+    return decorate
+
+
+@memo(lambda a, b: (a, b))
+def _generic_monomial(a: int, b: int):
+    return _Q ** a * _T ** b
+
+
 # ---------------------------------------------------------------------------
 # scalar contexts
 # ---------------------------------------------------------------------------
-
-_MONOMIAL_CACHE: dict[tuple[int, int], object] = {}
 
 
 @dataclass(frozen=True)
@@ -172,12 +201,7 @@ class ScalarContext:
     def monomial(self, a: int, b: int):
         """The scalar q^a * t^b (a, b may be negative)."""
         if self.generic:
-            try:
-                return _MONOMIAL_CACHE[(a, b)]
-            except KeyError:
-                v = _Q ** a * _T ** b
-                _MONOMIAL_CACHE[(a, b)] = v
-                return v
+            return _generic_monomial(a, b)
         return self.qval ** a * self.tval ** b
 
     def from_int(self, k: int):
@@ -217,8 +241,6 @@ class ScalarContext:
         np = f"({num})" if (" + " in num or " - " in num) else num
         dp = f"({den})" if (" + " in den or " - " in den) else den
         return f"{np}/{dp}"
-
-    inline_text = text
 
     def params_label(self) -> str:
         if self.generic:
@@ -429,7 +451,7 @@ class ZPolynomial:
                 (f"z{i + 1}" if k == 1 else f"z{i + 1}^{k}")
                 for i, k in enumerate(e) if k
             )
-            ct = ctx.inline_text(c)
+            ct = ctx.text(c)
             if not mono:
                 body = ct
             elif ct == "1":
@@ -446,28 +468,6 @@ class ZPolynomial:
             else:
                 chunks.append(" + " + body)
         return "".join(chunks)
-
-
-def poly_arith(a: ZPolynomial, b: ZPolynomial, kind: str) -> ZPolynomial:
-    """Exact ring arithmetic dispatch: kind in {add, sub, mul}."""
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    raise AlgebraError(f"unknown arithmetic kind {kind!r}")
-
-
-def substitute(p: ZPolynomial, mode: str, point=None, ctx: ScalarContext = GENERIC):
-    """Dispatch for the substitution family: invert-params | invert-vars | at-point."""
-    if mode == "invert-params":
-        return p.invert_params(ctx)
-    if mode == "invert-vars":
-        return p.invert_vars()
-    if mode == "at-point":
-        return p.at_point(point, ctx)
-    raise AlgebraError(f"unknown substitution mode {mode!r}")
 
 
 def elementary_symmetric(n: int, r: int, ctx: ScalarContext = GENERIC) -> ZPolynomial:
@@ -527,3 +527,19 @@ def divided_difference(p: ZPolynomial, i: int) -> ZPolynomial:
                 le[i - 1], le[i] = a + k, b - 1 - k
                 bump(tuple(le), c)
     return ZPolynomial(p.nvars, acc, p.laurent)
+
+
+def demazure_lustig(i: int, p: ZPolynomial, a, b,
+                    ctx: ScalarContext = GENERIC) -> ZPolynomial:
+    """t p + (a z_i + b z_{i+1}) * (s_i p - p)/(z_i - z_{i+1}).
+
+    The Demazure-Lustig operator T_i takes (a, b) = (t, -1) and the Hecke
+    operator H_i of the interpolation polynomials takes (1, -t).
+    """
+    if not 1 <= i <= p.nvars - 1:
+        raise AlgebraError(f"operator index {i} out of range for n={p.nvars}")
+    mult = ZPolynomial(p.nvars, {
+        tuple(1 if j == i - 1 else 0 for j in range(p.nvars)): a,
+        tuple(1 if j == i else 0 for j in range(p.nvars)): b,
+    }, p.laurent)
+    return p.scale(ctx.t) + mult * divided_difference(p, i)

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
@@ -23,7 +23,6 @@ from .algebra import (
     ScalarContext,
     SpecializationError,
     specialized,
-    subst_t_power,
 )
 from . import comb, ctnorm, emac, istar, pieri, verify
 
@@ -162,14 +161,46 @@ def _need(args, name: str):
     return value
 
 
-def compute_document(args) -> ResultDocument:
+def parse_request(args) -> tuple[str, int, dict, ScalarContext]:
+    """The validated request (kind, n, inputs, ctx) of a compute subcommand.
+
+    ``inputs`` holds each input in canonical text, as the result document
+    and the cache key carry it.
+    """
     ctx = _context(args)
     kind = args.kind
     eta = comb.parse_comp(_need(args, "eta"))
     n = len(eta)
     inputs: dict = {"eta": comb.comp_str(eta)}
-    params = ctx.params_label()
+    if kind == "pieri":
+        r = _need(args, "r")
+        if not 1 <= r <= n:
+            raise UsageError(f"--r must lie in 1..{n}")
+        inputs["r"] = r
+    elif kind in ("binom", "innerprod"):
+        nu = comb.parse_comp(_need(args, "nu"))
+        if len(nu) != n:
+            raise UsageError("--eta and --nu must have the same length")
+        inputs["nu"] = comb.comp_str(nu)
+        if kind == "innerprod":
+            k = _need(args, "k")
+            if k < 0:
+                raise UsageError("--k must be a nonnegative integer")
+            if not ctx.generic:
+                raise UsageError("innerprod runs symbolically; drop --params")
+            inputs["k"] = k
+    elif kind == "psi":
+        lam = comb.parse_comp(_need(args, "lam"))
+        inputs["lam"] = comb.comp_str(lam)
+        n = max(n, len(lam))
+    elif kind not in ("e", "estar", "norm"):
+        raise UsageError(f"unknown compute kind {kind!r}")
+    return kind, n, inputs, ctx
 
+
+def compute_document(kind: str, n: int, inputs: dict,
+                     ctx: ScalarContext) -> ResultDocument:
+    eta = comb.parse_comp(inputs["eta"])
     if kind == "e":
         payload = emac.generate_E(eta, ctx).poly.text(ctx)
     elif kind == "estar":
@@ -177,64 +208,36 @@ def compute_document(args) -> ResultDocument:
     elif kind == "norm":
         payload = _coeff_obj(emac.norm_N(eta, ctx), ctx)
     elif kind == "pieri":
-        r = _need(args, "r")
-        if not 1 <= r <= n:
-            raise UsageError(f"--r must lie in 1..{n}")
-        inputs["r"] = r
         payload = _table_payload(
-            pieri.pieri_homogeneous(eta, r, ctx, workers=args.workers), ctx)
+            pieri.pieri_homogeneous(eta, inputs["r"], ctx), ctx)
     elif kind == "binom":
-        nu = comb.parse_comp(_need(args, "nu"))
-        if len(nu) != n:
-            raise UsageError("--eta and --nu must have the same length")
-        inputs["nu"] = comb.comp_str(nu)
+        nu = comb.parse_comp(inputs["nu"])
         payload = _coeff_obj(istar.binomial_direct(eta, nu, ctx), ctx)
     elif kind == "psi":
-        lam = comb.parse_comp(_need(args, "lam"))
-        inputs["lam"] = comb.comp_str(lam)
-        n = max(n, len(lam))
+        lam = comb.parse_comp(inputs["lam"])
         try:
             payload = _coeff_obj(emac.psi_coefficient(eta, lam, n, ctx), ctx)
         except AlgebraError as exc:
             raise UsageError(str(exc)) from exc
-    elif kind == "innerprod":
-        nu = comb.parse_comp(_need(args, "nu"))
-        if len(nu) != n:
-            raise UsageError("--eta and --nu must have the same length")
-        k = _need(args, "k")
-        if k < 0:
-            raise UsageError("--k must be a nonnegative integer")
-        if not ctx.generic:
-            raise UsageError("innerprod runs symbolically; drop --params")
-        inputs["nu"] = comb.comp_str(nu)
-        inputs["k"] = k
+    else:  # innerprod; parse_request rejected every other kind
+        nu = comb.parse_comp(inputs["nu"])
+        k = inputs["k"]
         w = ctnorm.specialized_weight(n, k, ctx)
         value = ctnorm.ct_inner_product(
             ctnorm.specialize_E(eta, k, ctx), ctnorm.specialize_E(nu, k, ctx),
             w, ctx)
         payload = _coeff_obj(value, ctx)
-    else:
-        raise UsageError(f"unknown compute kind {kind!r}")
-    return ResultDocument(kind=kind, n=n, inputs=inputs, params=params,
-                          payload=payload)
+    return ResultDocument(kind=kind, n=n, inputs=inputs,
+                          params=ctx.params_label(), payload=payload)
 
 
 def cmd_compute(args) -> int:
+    kind, n, inputs, ctx = parse_request(args)
     doc = None
     if args.cache_dir:
-        ctx = _context(args)
-        eta = comb.parse_comp(_need(args, "eta"))
-        inputs = {"eta": comb.comp_str(eta)}
-        for name in ("nu", "lam"):
-            if getattr(args, name, None):
-                inputs[name] = comb.comp_str(comb.parse_comp(getattr(args, name)))
-        for name in ("r", "k"):
-            if getattr(args, name, None) is not None:
-                inputs[name] = getattr(args, name)
-        doc = cache_load(args.kind, len(eta), inputs, ctx.params_label(),
-                         args.cache_dir)
+        doc = cache_load(kind, n, inputs, ctx.params_label(), args.cache_dir)
     if doc is None:
-        doc = compute_document(args)
+        doc = compute_document(kind, n, inputs, ctx)
         if args.cache_dir:
             cache_store(doc, args.cache_dir)
     if args.format == "json":
@@ -265,15 +268,24 @@ def format_text(doc: ResultDocument) -> str:
 
 
 def cmd_verify(args) -> int:
+    """Print one line per suite; exit 2 if any check failed, else 1 if a
+    suite checked nothing at these bounds, else 0."""
     ctx = _context(args)
+    if not ctx.generic and args.suite in ("norms", "all"):
+        raise UsageError("the norms suite runs symbolically; drop --params")
     ks = (args.k,) if args.k is not None else (1, 2)
     try:
         reports = verify.run_suite(args.suite, args.max_n, args.max_mod,
-                                   ctx=ctx, workers=args.workers, ks=ks)
+                                   ctx=ctx, ks=ks)
     except KeyError as exc:
         raise UsageError(f"unknown suite {args.suite!r}") from exc
-    failed = False
+    failed = empty = False
     for report in reports:
+        if not report.checked:
+            sys.stderr.write(
+                f"error: suite {report.suite} checks nothing at these bounds\n")
+            empty = True
+            continue
         status = "pass" if report.ok else "FAIL"
         sys.stdout.write(
             f"[{status}] {report.suite}: {report.checked} checks"
@@ -281,7 +293,9 @@ def cmd_verify(args) -> int:
         for msg in report.failures[:5]:
             sys.stdout.write(f"    counterexample: {msg}\n")
         failed = failed or not report.ok
-    return 2 if failed else 0
+    if failed:
+        return 2
+    return 1 if empty else 0
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +328,6 @@ def build_parser() -> _Parser:
                        help="force symbolic coefficients (default)")
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--cache-dir", dest="cache_dir")
-        p.add_argument("--workers", type=int, default=1)
         p.set_defaults(func=cmd_compute, kind=name)
         return p
 
@@ -334,7 +347,6 @@ def build_parser() -> _Parser:
     v.add_argument("--max-mod", dest="max_mod", type=int, default=2)
     v.add_argument("--k", type=int, help="restrict the norms suite to one k")
     v.add_argument("--params", help="q=NUM/DEN,t=NUM/DEN rational point")
-    v.add_argument("--workers", type=int, default=1)
     v.set_defaults(func=cmd_verify)
     return parser
 

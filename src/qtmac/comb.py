@@ -24,6 +24,11 @@ def as_composition(parts) -> Composition:
     return eta
 
 
+def label_args(eta, ctx: ScalarContext = GENERIC):
+    """(normalised label, ctx): the memo key of a generator of one label."""
+    return as_composition(eta), ctx
+
+
 def modulus(eta: Composition) -> int:
     return sum(eta)
 
@@ -95,6 +100,26 @@ def prec(mu: Composition, eta: Composition) -> bool:
     return dominance_lt(mp, ep)
 
 
+def expand_triangular(p, basis) -> dict:
+    """Expand p over a monic basis triangular for prec: {label: coefficient}.
+
+    Repeatedly takes the prec-maximal monomial z^lam of what is left, records
+    its coefficient c and subtracts c * basis(lam).
+    """
+    coeffs = {}
+    work = p
+    while not work.is_zero:
+        support = list(work.terms)
+        lam = support[0]
+        for mu in support[1:]:
+            if prec(lam, mu):
+                lam = mu
+        c = work.terms[lam]
+        coeffs[lam] = c
+        work = work - basis(lam).scale(c)
+    return coeffs
+
+
 # ---------------------------------------------------------------------------
 # statistics and spectral data
 # ---------------------------------------------------------------------------
@@ -107,6 +132,12 @@ def leg_colength_vector(eta: Composition) -> tuple[int, ...]:
         + sum(1 for j in range(i + 1, n) if eta[j] > eta[i])
         for i in range(n)
     )
+
+
+def delta_ratio(eta: Composition, i: int, ctx: ScalarContext = GENERIC):
+    """The spectral ratio at position i: entry i over entry i+1."""
+    lp = leg_colength_vector(eta)
+    return ctx.monomial(eta[i - 1] - eta[i], lp[i] - lp[i - 1])
 
 
 def spectral_vector(eta: Composition, ctx: ScalarContext = GENERIC):
@@ -132,12 +163,25 @@ class HookTable:
     e_prime: object
 
 
+def hook_nodes(eta: Composition):
+    """Yield (i, j, arm, leg) for every node (i, j) of the diagram, 1-based.
+
+    Node (i,j) has arm eta_i - j and
+    leg #{k<i: j <= eta_k + 1 <= eta_i} + #{k>i: j <= eta_k <= eta_i}.
+    """
+    n = len(eta)
+    for i in range(1, n + 1):
+        for j in range(1, eta[i - 1] + 1):
+            leg = sum(1 for k in range(1, i) if j <= eta[k - 1] + 1 <= eta[i - 1]) \
+                + sum(1 for k in range(i + 1, n + 1) if j <= eta[k - 1] <= eta[i - 1])
+            yield i, j, eta[i - 1] - j, leg
+
+
 def hook_products(eta: Composition, ctx: ScalarContext = GENERIC) -> HookTable:
     """Arm/leg statistics per node and the aggregate products d, d', e, e'.
 
-    Node (i,j) of the diagram has arm eta_i - j, arm colength j - 1,
-    leg #{k<i: j <= eta_k + 1 <= eta_i} + #{k>i: j <= eta_k <= eta_i},
-    and leg colength equal to the row statistic l'(i).
+    Node (i,j) of the diagram has the arm and leg of :func:`hook_nodes`, arm
+    colength j - 1, and leg colength equal to the row statistic l'(i).
     """
     n = len(eta)
     lp = leg_colength_vector(eta)
@@ -146,31 +190,22 @@ def hook_products(eta: Composition, ctx: ScalarContext = GENERIC) -> HookTable:
     d_prime = ctx.one
     e = ctx.one
     e_prime = ctx.one
-    for i in range(1, n + 1):
-        for j in range(1, eta[i - 1] + 1):
-            arm = eta[i - 1] - j
-            arm_co = j - 1
-            leg = sum(1 for k in range(1, i) if j <= eta[k - 1] + 1 <= eta[i - 1]) \
-                + sum(1 for k in range(i + 1, n + 1) if j <= eta[k - 1] <= eta[i - 1])
-            leg_co = lp[i - 1]
-            nodes[(i, j)] = (arm, arm_co, leg, leg_co)
-            d = d * (ctx.one - ctx.monomial(arm + 1, leg + 1))
-            d_prime = d_prime * (ctx.one - ctx.monomial(arm + 1, leg))
-            e = e * (ctx.one - ctx.monomial(arm_co + 1, n - leg_co))
-            e_prime = e_prime * (ctx.one - ctx.monomial(arm_co + 1, n - 1 - leg_co))
+    for i, j, arm, leg in hook_nodes(eta):
+        arm_co = j - 1
+        leg_co = lp[i - 1]
+        nodes[(i, j)] = (arm, arm_co, leg, leg_co)
+        d = d * (ctx.one - ctx.monomial(arm + 1, leg + 1))
+        d_prime = d_prime * (ctx.one - ctx.monomial(arm + 1, leg))
+        e = e * (ctx.one - ctx.monomial(arm_co + 1, n - leg_co))
+        e_prime = e_prime * (ctx.one - ctx.monomial(arm_co + 1, n - 1 - leg_co))
     return HookTable(eta, nodes, d, d_prime, e, e_prime)
 
 
 def hook_d_prime_inverted(eta: Composition, ctx: ScalarContext = GENERIC):
     """d' evaluated at reciprocal parameters, built directly."""
-    n = len(eta)
     val = ctx.one
-    for i in range(1, n + 1):
-        for j in range(1, eta[i - 1] + 1):
-            arm = eta[i - 1] - j
-            leg = sum(1 for k in range(1, i) if j <= eta[k - 1] + 1 <= eta[i - 1]) \
-                + sum(1 for k in range(i + 1, n + 1) if j <= eta[k - 1] <= eta[i - 1])
-            val = val * (ctx.one - ctx.monomial(-(arm + 1), -leg))
+    for _, _, arm, leg in hook_nodes(eta):
+        val = val * (ctx.one - ctx.monomial(-(arm + 1), -leg))
     return val
 
 
@@ -289,6 +324,48 @@ def swap_entries(eta: Composition, i: int) -> Composition:
     le = list(eta)
     le[i - 1], le[i] = le[i], le[i - 1]
     return tuple(le)
+
+
+def generation_step(eta: Composition):
+    """The last step of the recursive generation of E_eta and Estar_eta.
+
+    None for the zero composition, whose polynomial is 1.  Otherwise
+    (mu, i): when eta_n >= 1, i is None and eta = phi_shift(mu) is raised
+    from mu = (eta_n - 1, eta_1, ..., eta_{n-1}); when eta_n = 0, i is the
+    last descent of eta and eta is switched from mu = s_i eta.  Either step
+    strictly reduces (modulus, inversions), so the recursion ends at zero.
+    """
+    if eta[-1] >= 1:
+        return (eta[-1] - 1,) + eta[:-1], None
+    descents = [j for j in range(1, len(eta)) if eta[j - 1] > eta[j]]
+    if not descents:
+        return None
+    i = descents[-1]
+    return swap_entries(eta, i), i
+
+
+def basis_action(i: int, eta: Composition, up,
+                 ctx: ScalarContext = GENERIC) -> dict:
+    """Expansion of a Hecke operator on a spectral basis vector over
+    {eta, s_i eta}: T_i on E_eta with up = t, H_i on Estar_eta with up = 1.
+
+    The coefficient of eta is diag = (t - 1)/(1 - delta^-1), with delta the
+    spectral ratio at i.  The coefficient of s_i eta is up when
+    eta_i < eta_{i+1}, and (1 - t delta)(t - delta)/(up (1 - delta)^2)
+    when eta_i > eta_{i+1}; the latter is computed as the equal
+    (t - diag)(1 + diag)/up, which takes fewer field operations.
+    """
+    n = len(eta)
+    if not 1 <= i <= n - 1:
+        raise AlgebraError(f"operator index {i} out of range for n={n}")
+    if eta[i - 1] == eta[i]:
+        return {eta: ctx.t}
+    delta = delta_ratio(eta, i, ctx)
+    diag = (ctx.t - ctx.one) / (ctx.one - delta ** -1)
+    flip = swap_entries(eta, i)
+    if eta[i - 1] < eta[i]:
+        return {eta: diag, flip: up}
+    return {eta: diag, flip: (ctx.t - diag) * (ctx.one + diag) / up}
 
 
 def c_I_operator_word(eta: Composition, index_set) -> list[Composition]:

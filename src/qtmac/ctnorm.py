@@ -91,8 +91,7 @@ class OrthogonalityReport:
 
 
 def verify_orthogonality_norms(n: int, k: int, maxmod: int,
-                               ctx: ScalarContext = GENERIC,
-                               workers: int = 1) -> OrthogonalityReport:
+                               ctx: ScalarContext = GENERIC) -> OrthogonalityReport:
     """Check <E_eta, E_nu> = delta * N_eta <1,1> for all labels up to maxmod.
 
     The norm side uses the closed hook-product formula restricted to t = q^k;

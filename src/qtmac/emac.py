@@ -19,8 +19,9 @@ from .algebra import (
     AlgebraError,
     ScalarContext,
     ZPolynomial,
-    divided_difference,
+    demazure_lustig,
     elementary_symmetric,
+    memo,
 )
 from . import comb
 from .comb import Composition
@@ -32,13 +33,7 @@ from .comb import Composition
 
 def apply_T(i: int, p: ZPolynomial, ctx: ScalarContext = GENERIC) -> ZPolynomial:
     """T_i p = t p + (t z_i - z_{i+1}) * (s_i p - p)/(z_i - z_{i+1})."""
-    if not 1 <= i <= p.nvars - 1:
-        raise AlgebraError(f"operator index {i} out of range for n={p.nvars}")
-    mult = ZPolynomial(p.nvars, {
-        tuple(1 if j == i - 1 else 0 for j in range(p.nvars)): ctx.t,
-        tuple(1 if j == i else 0 for j in range(p.nvars)): -ctx.one,
-    }, p.laurent)
-    return p.scale(ctx.t) + mult * divided_difference(p, i)
+    return demazure_lustig(i, p, ctx.t, -ctx.one, ctx)
 
 
 def apply_T_inverse(i: int, p: ZPolynomial, ctx: ScalarContext = GENERIC) -> ZPolynomial:
@@ -58,27 +53,9 @@ def apply_phi_q_poly(p: ZPolynomial, ctx: ScalarContext = GENERIC) -> ZPolynomia
     return zn * out
 
 
-def delta_ratio(eta: Composition, i: int, ctx: ScalarContext = GENERIC):
-    """The spectral ratio at position i: entry i over entry i+1."""
-    lp = comb.leg_colength_vector(eta)
-    return ctx.monomial(eta[i - 1] - eta[i], lp[i] - lp[i - 1])
-
-
 def act_T_basis(i: int, eta: Composition, ctx: ScalarContext = GENERIC) -> dict:
     """Expansion of T_i E_eta over {eta, s_i eta}."""
-    n = len(eta)
-    if not 1 <= i <= n - 1:
-        raise AlgebraError(f"operator index {i} out of range for n={n}")
-    if eta[i - 1] == eta[i]:
-        return {eta: ctx.t}
-    delta = delta_ratio(eta, i, ctx)
-    diag = (ctx.t - ctx.one) / (ctx.one - delta ** -1)
-    flip = comb.swap_entries(eta, i)
-    if eta[i - 1] < eta[i]:
-        return {eta: diag, flip: ctx.t}
-    off = ((ctx.one - ctx.t * delta) * (ctx.one - ctx.monomial(0, -1) * delta)
-           / (ctx.one - delta) ** 2)
-    return {eta: diag, flip: off}
+    return comb.basis_action(i, eta, ctx.t, ctx)
 
 
 def apply_phi_q(eta: Composition, ctx: ScalarContext = GENERIC):
@@ -98,56 +75,34 @@ class MacExpansion:
     params: str
 
 
-_E_CACHE: dict = {}
-
-
+@memo(comb.label_args)
 def generate_E(eta: Composition, ctx: ScalarContext = GENERIC) -> MacExpansion:
-    """The monic polynomial E_eta, generated recursively and cached.
-
-    Path: strip the last box through the raising step when eta_n >= 1,
-    otherwise undo the last descent through the switching step.  Either step
-    strictly reduces (modulus, inversions), so the recursion terminates at
-    the zero composition.
-    """
-    eta = comb.as_composition(eta)
-    key = (ctx, eta)
-    hit = _E_CACHE.get(key)
-    if hit is not None:
-        return hit
-    n = len(eta)
-    if all(x == 0 for x in eta):
-        poly = ZPolynomial.constant(n, ctx.one)
-    elif eta[-1] >= 1:
-        mu = (eta[-1] - 1,) + eta[:-1]
-        scalar, raised = apply_phi_q(mu, ctx)
-        assert raised == eta
-        poly = apply_phi_q_poly(generate_E(mu, ctx).poly, ctx).scale(scalar ** -1)
+    """The monic polynomial E_eta, generated recursively along
+    :func:`comb.generation_step` and memoised."""
+    step = comb.generation_step(eta)
+    if step is None:
+        poly = ZPolynomial.constant(len(eta), ctx.one)
     else:
-        i = max(j for j in range(1, n) if eta[j - 1] > eta[j])
-        mu = comb.swap_entries(eta, i)
-        table = act_T_basis(i, mu, ctx)
+        mu, i = step
         p_mu = generate_E(mu, ctx).poly
-        poly = (apply_T(i, p_mu, ctx) - p_mu.scale(table[mu])).scale(
-            table[eta] ** -1)
-    result = MacExpansion(eta, poly, ctx.params_label())
-    _E_CACHE.setdefault(key, result)
-    return result
+        if i is None:
+            scalar, _ = apply_phi_q(mu, ctx)
+            poly = apply_phi_q_poly(p_mu, ctx).scale(scalar ** -1)
+        else:
+            table = act_T_basis(i, mu, ctx)
+            poly = (apply_T(i, p_mu, ctx) - p_mu.scale(table[mu])).scale(
+                table[eta] ** -1)
+    return MacExpansion(eta, poly, ctx.params_label())
 
 
+@memo(comb.label_args)
 def generate_E_inverted(eta: Composition, ctx: ScalarContext = GENERIC) -> MacExpansion:
-    """E_eta at reciprocal parameters (q,t) -> (1/q, 1/t)."""
-    eta = comb.as_composition(eta)
-    key = ("inv", ctx, eta)
-    hit = _E_CACHE.get(key)
-    if hit is not None:
-        return hit
+    """E_eta at reciprocal parameters (q,t) -> (1/q, 1/t), memoised."""
     if ctx.generic:
         poly = generate_E(eta, ctx).poly.invert_params(ctx)
     else:
         poly = generate_E(eta, ctx.inverted()).poly
-    result = MacExpansion(eta, poly, "inverted:" + ctx.params_label())
-    _E_CACHE.setdefault(key, result)
-    return result
+    return MacExpansion(eta, poly, "inverted:" + ctx.params_label())
 
 
 def norm_N(eta: Composition, ctx: ScalarContext = GENERIC):
@@ -184,13 +139,7 @@ def hecke_symmetrize(p: ZPolynomial, ctx: ScalarContext = GENERIC) -> ZPolynomia
         frontier = nxt
 
 
-def symmetrize_P(kappa, n: int | None = None,
-                 ctx: ScalarContext = GENERIC) -> ZPolynomial:
-    """The symmetric Macdonald polynomial P_kappa in n variables.
-
-    Hecke-symmetrizes E_kappa and rescales so the coefficient of the
-    dominant monomial z^kappa is one.
-    """
+def _partition_args(kappa, n: int | None = None, ctx: ScalarContext = GENERIC):
     kappa = tuple(int(x) for x in kappa)
     if n is None:
         n = len(kappa)
@@ -199,17 +148,22 @@ def symmetrize_P(kappa, n: int | None = None,
     kappa = kappa + (0,) * (n - len(kappa))
     if not comb.is_partition(kappa):
         raise AlgebraError(f"{kappa} is not weakly decreasing")
-    key = ("P", ctx, kappa)
-    hit = _E_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return kappa, n, ctx
+
+
+@memo(_partition_args)
+def symmetrize_P(kappa, n: int | None = None,
+                 ctx: ScalarContext = GENERIC) -> ZPolynomial:
+    """The symmetric Macdonald polynomial P_kappa in n variables, memoised.
+
+    Hecke-symmetrizes E_kappa and rescales so the coefficient of the
+    dominant monomial z^kappa is one.
+    """
     sym = hecke_symmetrize(generate_E(kappa, ctx).poly, ctx)
     lead = sym.coefficient(kappa)
     if not lead:
         raise AlgebraError("symmetrization lost the dominant monomial")
-    result = sym.scale(lead ** -1)
-    _E_CACHE.setdefault(key, result)
-    return result
+    return sym.scale(lead ** -1)
 
 
 # ---------------------------------------------------------------------------
@@ -257,23 +211,14 @@ def expand_in_P_basis(p: ZPolynomial, ctx: ScalarContext = GENERIC) -> dict:
 
     Peels dominance-maximal monomials; returns {partition: coefficient}.
     """
-    n = p.nvars
-    coeffs = {}
-    work = p
-    while not work.is_zero:
-        support = list(work.terms)
-        lam = support[0]
-        for mu in support[1:]:
-            if comb.prec(lam, mu):
-                lam = mu
+    def basis(lam):
         if not comb.is_partition(lam):
             raise AlgebraError(
                 f"dominant monomial {lam} of a symmetric polynomial "
                 "is not a partition")
-        c = work.terms[lam]
-        coeffs[lam] = c
-        work = work - symmetrize_P(lam, n, ctx).scale(c)
-    return coeffs
+        return symmetrize_P(lam, p.nvars, ctx)
+
+    return comb.expand_triangular(p, basis)
 
 
 def symmetric_pieri_table(kappa, r: int, n: int,

@@ -21,7 +21,8 @@ from .algebra import (
     AlgebraError,
     ScalarContext,
     ZPolynomial,
-    divided_difference,
+    demazure_lustig,
+    memo,
 )
 from . import comb
 from .comb import Composition
@@ -33,13 +34,7 @@ from .comb import Composition
 
 def apply_H(i: int, p: ZPolynomial, ctx: ScalarContext = GENERIC) -> ZPolynomial:
     """H_i p = t p + (z_i - t z_{i+1}) * (s_i p - p)/(z_i - z_{i+1})."""
-    if not 1 <= i <= p.nvars - 1:
-        raise AlgebraError(f"operator index {i} out of range for n={p.nvars}")
-    mult = ZPolynomial(p.nvars, {
-        tuple(1 if j == i - 1 else 0 for j in range(p.nvars)): ctx.one,
-        tuple(1 if j == i else 0 for j in range(p.nvars)): -ctx.t,
-    }, p.laurent)
-    return p.scale(ctx.t) + mult * divided_difference(p, i)
+    return demazure_lustig(i, p, ctx.one, -ctx.t, ctx)
 
 
 def apply_phi_star(p: ZPolynomial, ctx: ScalarContext = GENERIC) -> ZPolynomial:
@@ -74,28 +69,6 @@ def xi_apply(i: int, p: ZPolynomial, ctx: ScalarContext = GENERIC) -> ZPolynomia
     return zi_inv * (p + word)
 
 
-def delta_ratio(eta: Composition, i: int, ctx: ScalarContext = GENERIC):
-    lp = comb.leg_colength_vector(eta)
-    return ctx.monomial(eta[i - 1] - eta[i], lp[i] - lp[i - 1])
-
-
-def act_H_basis(i: int, eta: Composition, ctx: ScalarContext = GENERIC) -> dict:
-    """Expansion of H_i Estar_eta over {eta, s_i eta}."""
-    n = len(eta)
-    if not 1 <= i <= n - 1:
-        raise AlgebraError(f"operator index {i} out of range for n={n}")
-    if eta[i - 1] == eta[i]:
-        return {eta: ctx.t}
-    delta = delta_ratio(eta, i, ctx)
-    diag = (ctx.t - ctx.one) / (ctx.one - delta ** -1)
-    flip = comb.swap_entries(eta, i)
-    if eta[i - 1] < eta[i]:
-        return {eta: diag, flip: ctx.one}
-    off = ((ctx.one - ctx.t * delta) * (ctx.t - delta)
-           / (ctx.one - delta) ** 2)
-    return {eta: diag, flip: off}
-
-
 # ---------------------------------------------------------------------------
 # recursive generation
 # ---------------------------------------------------------------------------
@@ -106,55 +79,42 @@ class InterpExpansion:
     poly: ZPolynomial
 
 
-_ESTAR_CACHE: dict = {}
-_EVAL_CACHE: dict = {}
-
-
+@memo(comb.label_args)
 def generate_Estar(eta: Composition, ctx: ScalarContext = GENERIC) -> InterpExpansion:
-    """Estar_eta via the recursive generation, cached.
+    """Estar_eta generated recursively along :func:`comb.generation_step`,
+    memoised.
 
     The raising step produces Estar of the raised label with prefactor
     q^(first entry), the switching step peels the last descent.
     """
-    eta = comb.as_composition(eta)
-    key = (ctx, eta)
-    hit = _ESTAR_CACHE.get(key)
-    if hit is not None:
-        return hit
-    n = len(eta)
-    if all(x == 0 for x in eta):
-        poly = ZPolynomial.constant(n, ctx.one)
-    elif eta[-1] >= 1:
-        mu = (eta[-1] - 1,) + eta[:-1]
-        assert comb.phi_shift(mu) == eta
-        poly = apply_phi_star(generate_Estar(mu, ctx).poly, ctx).scale(
-            ctx.monomial(mu[0], 0))
+    step = comb.generation_step(eta)
+    if step is None:
+        poly = ZPolynomial.constant(len(eta), ctx.one)
     else:
-        i = max(j for j in range(1, n) if eta[j - 1] > eta[j])
-        mu = comb.swap_entries(eta, i)
-        delta = delta_ratio(mu, i, ctx)
-        diag = (ctx.t - ctx.one) / (ctx.one - delta ** -1)
+        mu, i = step
         p_mu = generate_Estar(mu, ctx).poly
-        poly = apply_H(i, p_mu, ctx) - p_mu.scale(diag)
-    result = InterpExpansion(eta, poly)
-    _ESTAR_CACHE.setdefault(key, result)
-    return result
+        if i is None:
+            poly = apply_phi_star(p_mu, ctx).scale(ctx.monomial(mu[0], 0))
+        else:
+            diag = comb.basis_action(i, mu, ctx.one, ctx)[mu]
+            poly = apply_H(i, p_mu, ctx) - p_mu.scale(diag)
+    return InterpExpansion(eta, poly)
 
 
-def spectral_evaluate(eta: Composition, mu: Composition,
-                      ctx: ScalarContext = GENERIC):
-    """Estar_eta evaluated at the spectral point of mu, memoized."""
+def _evaluation_args(eta, mu, ctx: ScalarContext = GENERIC):
     eta = comb.as_composition(eta)
     mu = comb.as_composition(mu)
     if len(eta) != len(mu):
         raise AlgebraError("spectral_evaluate requires equal lengths")
-    key = (ctx, eta, mu)
-    hit = _EVAL_CACHE.get(key)
-    if hit is None:
-        point = comb.spectral_vector(mu, ctx)
-        hit = generate_Estar(eta, ctx).poly.at_point(point, ctx)
-        _EVAL_CACHE.setdefault(key, hit)
-    return hit
+    return eta, mu, ctx
+
+
+@memo(_evaluation_args)
+def spectral_evaluate(eta: Composition, mu: Composition,
+                      ctx: ScalarContext = GENERIC):
+    """Estar_eta evaluated at the spectral point of mu, memoised."""
+    point = comb.spectral_vector(mu, ctx)
+    return generate_Estar(eta, ctx).poly.at_point(point, ctx)
 
 
 def principal_value(eta: Composition, ctx: ScalarContext = GENERIC):
@@ -320,7 +280,7 @@ def expand_eigenword(eta: Composition, k: int,
     def apply_h(i, tab):
         out = {}
         for lab, coeff in tab.items():
-            for lab2, c2 in act_H_basis(i, lab, ctx).items():
+            for lab2, c2 in comb.basis_action(i, lab, ctx.one, ctx).items():
                 s = out.get(lab2, ctx.zero) + coeff * c2
                 if s:
                     out[lab2] = s

@@ -14,8 +14,7 @@ parameters, which is the cheaper route when r exceeds n/2.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import (
     GENERIC,
@@ -42,13 +41,8 @@ class ExpansionTable:
     layers: tuple
 
 
-def _layer_targets(eta: Composition, i: int) -> list[Composition]:
-    return comb.successors_layered(eta, i)
-
-
 def interpolation_expansion(eta: Composition, r: int,
-                            ctx: ScalarContext = GENERIC,
-                            workers: int = 1) -> ExpansionTable:
+                            ctx: ScalarContext = GENERIC) -> ExpansionTable:
     """All layers of the expansion of (e_r(z) - e_r(eta-bar)) Estar_eta.
 
     Layer one is a pure evaluation ratio; layer i subtracts the contributions
@@ -61,26 +55,20 @@ def interpolation_expansion(eta: Composition, r: int,
     er_eta = elementary_symmetric_at(comb.spectral_vector(eta, ctx), r, ctx)
     layers: list[dict] = []
     for i in range(1, r + 1):
-        targets = _layer_targets(eta, i)
-
-        def coeff_for(lam, _prev=tuple(layers)):
+        layer = {}
+        for lam in comb.successors_layered(eta, i):
             lb = comb.spectral_vector(lam, ctx)
             pv = istar.principal_value(lam, ctx)
             total = ((elementary_symmetric_at(lb, r, ctx) - er_eta)
                      * istar.spectral_evaluate(eta, lam, ctx) / pv)
-            for prev_layer in _prev:
+            for prev_layer in layers:
                 for mu, a in prev_layer.items():
                     if comb.is_successor(mu, lam):
                         total = total - (a * istar.spectral_evaluate(mu, lam, ctx)
                                          / pv)
-            return lam, total
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(coeff_for, targets))
-        else:
-            results = [coeff_for(lam) for lam in targets]
-        layers.append({lam: c for lam, c in results if c})
+            if total:
+                layer[lam] = total
+        layers.append(layer)
     return ExpansionTable(eta, r, tuple(layers))
 
 
@@ -100,12 +88,11 @@ def interpolation_residual(table: ExpansionTable,
 
 
 def pieri_homogeneous(eta: Composition, r: int,
-                      ctx: ScalarContext = GENERIC,
-                      workers: int = 1) -> dict:
+                      ctx: ScalarContext = GENERIC) -> dict:
     """Top layer of the interpolation expansion, restricted to the lam that
     stay below eta + (1^n): the coefficients of e_r(z) E_eta(z; 1/q, 1/t)."""
     eta = comb.as_composition(eta)
-    table = interpolation_expansion(eta, r, ctx, workers)
+    table = interpolation_expansion(eta, r, ctx)
     ceiling = comb.add_box_everywhere(eta, 1)
     return {lam: c for lam, c in table.layers[r - 1].items()
             if comb.is_successor(lam, ceiling)}
@@ -256,18 +243,9 @@ def product_expand_oracle(eta: Composition, r: int,
     n = len(eta)
     if not 1 <= r <= n:
         raise AlgebraError(f"r={r} out of range for n={n}")
-    work = elementary_symmetric(n, r, ctx) * emac.generate_E_inverted(eta, ctx).poly
-    coeffs: dict[Composition, object] = {}
-    while not work.is_zero:
-        support = list(work.terms)
-        lam = support[0]
-        for mu in support[1:]:
-            if comb.prec(lam, mu):
-                lam = mu
-        c = work.terms[lam]
-        coeffs[lam] = c
-        work = work - emac.generate_E_inverted(lam, ctx).poly.scale(c)
-    return coeffs
+    product = elementary_symmetric(n, r, ctx) * emac.generate_E_inverted(eta, ctx).poly
+    return comb.expand_triangular(
+        product, lambda lam: emac.generate_E_inverted(lam, ctx).poly)
 
 
 def homogeneous_residual(eta: Composition, r: int, table: dict,

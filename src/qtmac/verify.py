@@ -7,12 +7,10 @@ counterexample witness per failure.  The suites back the command line
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .algebra import GENERIC, ScalarContext, ZPolynomial, elementary_symmetric
+from .algebra import GENERIC, ScalarContext
 from . import comb, ctnorm, emac, istar, pieri
-from .comb import Composition
 
 
 @dataclass
@@ -25,10 +23,6 @@ class SuiteReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def merge(self, other: "SuiteReport") -> "SuiteReport":
-        return SuiteReport(self.suite, self.checked + other.checked,
-                           self.failures + other.failures)
-
 
 def _labels(max_n: int, max_mod: int, min_n: int = 1):
     for n in range(min_n, max_n + 1):
@@ -36,15 +30,8 @@ def _labels(max_n: int, max_mod: int, min_n: int = 1):
             yield eta
 
 
-def _map(fn, items, workers: int):
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
-def suite_oracle_estar(max_n: int, max_mod: int, ctx: ScalarContext = GENERIC,
-                       workers: int = 1) -> SuiteReport:
+def suite_oracle_estar(max_n: int, max_mod: int,
+                       ctx: ScalarContext = GENERIC) -> SuiteReport:
     """generate_Estar agrees with the vanishing-conditions linear solve."""
     def check(eta):
         if istar.generate_Estar(eta, ctx).poly != \
@@ -52,13 +39,13 @@ def suite_oracle_estar(max_n: int, max_mod: int, ctx: ScalarContext = GENERIC,
             return f"Estar mismatch at eta={comb.comp_str(eta)}"
         return None
 
-    results = _map(check, list(_labels(max_n, max_mod)), workers)
+    results = [check(eta) for eta in _labels(max_n, max_mod)]
     return SuiteReport("oracle-estar", len(results),
                        [r for r in results if r])
 
 
-def suite_oracle_e(max_n: int, max_mod: int, ctx: ScalarContext = GENERIC,
-                   workers: int = 1) -> SuiteReport:
+def suite_oracle_e(max_n: int, max_mod: int,
+                   ctx: ScalarContext = GENERIC) -> SuiteReport:
     """Top homogeneous part of Estar at reciprocal parameters equals E."""
     def check(eta):
         top = istar.generate_Estar(eta, ctx).poly.top_homogeneous()
@@ -71,12 +58,12 @@ def suite_oracle_e(max_n: int, max_mod: int, ctx: ScalarContext = GENERIC,
             return f"top-degree bridge fails at eta={comb.comp_str(eta)}"
         return None
 
-    results = _map(check, list(_labels(max_n, max_mod)), workers)
+    results = [check(eta) for eta in _labels(max_n, max_mod)]
     return SuiteReport("oracle-e", len(results), [r for r in results if r])
 
 
-def suite_eigen(max_n: int, max_mod: int, ctx: ScalarContext = GENERIC,
-                workers: int = 1) -> SuiteReport:
+def suite_eigen(max_n: int, max_mod: int,
+                ctx: ScalarContext = GENERIC) -> SuiteReport:
     """Xi_i Estar_eta = (eta-bar_i)^{-1} Estar_eta for every i."""
     def check(eta):
         n = len(eta)
@@ -90,15 +77,14 @@ def suite_eigen(max_n: int, max_mod: int, ctx: ScalarContext = GENERIC,
                 bad.append(f"eigenrelation fails at eta={comb.comp_str(eta)} i={i}")
         return bad
 
-    results = _map(check, list(_labels(max_n, max_mod)), workers)
+    results = [check(eta) for eta in _labels(max_n, max_mod)]
     flat = [msg for sub in results for msg in sub]
     return SuiteReport("eigen", sum(len(eta) for eta in _labels(max_n, max_mod)),
                        flat)
 
 
 def suite_vanishing(max_n: int, max_mod: int, extra: int = 3,
-                    ctx: ScalarContext = GENERIC,
-                    workers: int = 1) -> SuiteReport:
+                    ctx: ScalarContext = GENERIC) -> SuiteReport:
     """Extra vanishing in both directions: Estar_eta(lam-bar) = 0 exactly
     when lam is not a successor of eta."""
     def check(eta):
@@ -118,14 +104,13 @@ def suite_vanishing(max_n: int, max_mod: int, extra: int = 3,
         return bad
 
     labels = list(_labels(max_n, max_mod))
-    results = _map(check, labels, workers)
+    results = [check(eta) for eta in labels]
     flat = [msg for sub in results for msg in sub]
     return SuiteReport("vanishing", len(labels), flat)
 
 
 def suite_pieri_agreement(max_n: int, max_mod: int,
-                          ctx: ScalarContext = GENERIC,
-                          workers: int = 1) -> SuiteReport:
+                          ctx: ScalarContext = GENERIC) -> SuiteReport:
     """Four-way r=1 agreement: recursion layer, closed delta-beta form,
     factored product form, brute-force expansion."""
     def check(eta):
@@ -144,14 +129,13 @@ def suite_pieri_agreement(max_n: int, max_mod: int,
         return bad
 
     labels = list(_labels(max_n, max_mod, min_n=2))
-    results = _map(check, labels, workers)
+    results = [check(eta) for eta in labels]
     flat = [msg for sub in results for msg in sub]
     return SuiteReport("pieri-agreement", len(labels), flat)
 
 
 def suite_pieri_general(max_n: int, max_mod: int,
-                        ctx: ScalarContext = GENERIC,
-                        workers: int = 1) -> SuiteReport:
+                        ctx: ScalarContext = GENERIC) -> SuiteReport:
     """pieri_homogeneous equals the oracle for every r, plus the residual
     identities and the unity coefficient at eta + chi_r."""
     def check(eta):
@@ -175,13 +159,13 @@ def suite_pieri_general(max_n: int, max_mod: int,
         return bad
 
     labels = list(_labels(max_n, max_mod, min_n=2))
-    results = _map(check, labels, workers)
+    results = [check(eta) for eta in labels]
     flat = [msg for sub in results for msg in sub]
     return SuiteReport("pieri-general", len(labels), flat)
 
 
-def suite_duality(max_n: int, max_mod: int, ctx: ScalarContext = GENERIC,
-                  workers: int = 1) -> SuiteReport:
+def suite_duality(max_n: int, max_mod: int,
+                  ctx: ScalarContext = GENERIC) -> SuiteReport:
     """Duality route equals the direct computation."""
     def check(args):
         eta, r = args
@@ -198,14 +182,13 @@ def suite_duality(max_n: int, max_mod: int, ctx: ScalarContext = GENERIC,
     jobs = [(eta, r)
             for eta in _labels(max_n, max_mod, min_n=2)
             for r in range(1, len(eta))]
-    results = _map(check, jobs, workers)
+    results = [check(job) for job in jobs]
     flat = [msg for sub in results for msg in sub]
     return SuiteReport("duality", len(jobs), flat)
 
 
 def suite_binomials(max_n: int, max_mod: int, extra: int = 3,
-                    ctx: ScalarContext = GENERIC,
-                    workers: int = 1) -> SuiteReport:
+                    ctx: ScalarContext = GENERIC) -> SuiteReport:
     """binomial_recursive equals binomial_direct across the range."""
     def check(eta):
         n = len(eta)
@@ -221,21 +204,19 @@ def suite_binomials(max_n: int, max_mod: int, extra: int = 3,
         return bad
 
     labels = list(_labels(max_n, max_mod))
-    results = _map(check, labels, workers)
+    results = [check(eta) for eta in labels]
     flat = [msg for sub in results for msg in sub]
     return SuiteReport("binomials", len(labels), flat)
 
 
 def suite_norms(max_n: int, max_mod: int, ks=(1, 2),
-                ctx: ScalarContext = GENERIC,
-                workers: int = 1) -> SuiteReport:
+                ctx: ScalarContext = GENERIC) -> SuiteReport:
     """Orthogonality and norms under the truncated constant-term pairing."""
     failures = []
     checked = 0
     for n in range(2, max_n + 1):
         for k in ks:
-            report = ctnorm.verify_orthogonality_norms(n, k, max_mod, ctx,
-                                                       workers)
+            report = ctnorm.verify_orthogonality_norms(n, k, max_mod, ctx)
             checked += report.checked
             for eta, nu, lhs, rhs in report.failures:
                 failures.append(
@@ -245,8 +226,7 @@ def suite_norms(max_n: int, max_mod: int, ks=(1, 2),
 
 
 def suite_symmetric_pieri(max_n: int, max_mod: int,
-                          ctx: ScalarContext = GENERIC,
-                          workers: int = 1) -> SuiteReport:
+                          ctx: ScalarContext = GENERIC) -> SuiteReport:
     """e_r P_kappa expands with the vertical-strip coefficients and nothing else."""
     def check(args):
         n, kappa, r = args
@@ -278,7 +258,7 @@ def suite_symmetric_pieri(max_n: int, max_mod: int,
             if comb.is_partition(kappa):
                 for r in range(1, n + 1):
                     jobs.append((n, kappa, r))
-    results = _map(check, jobs, workers)
+    results = [check(job) for job in jobs]
     flat = [msg for sub in results for msg in sub]
     return SuiteReport("symmetric-pieri", len(jobs), flat)
 
@@ -298,8 +278,7 @@ SUITES = {
 
 
 def run_suite(name: str, max_n: int, max_mod: int,
-              ctx: ScalarContext = GENERIC, workers: int = 1,
-              ks=(1, 2)) -> list[SuiteReport]:
+              ctx: ScalarContext = GENERIC, ks=(1, 2)) -> list[SuiteReport]:
     if name == "all":
         names = list(SUITES)
     else:
@@ -308,7 +287,7 @@ def run_suite(name: str, max_n: int, max_mod: int,
     for nm in names:
         fn = SUITES[nm]
         if nm == "norms":
-            reports.append(fn(max_n, max_mod, ks=ks, ctx=ctx, workers=workers))
+            reports.append(fn(max_n, max_mod, ks=ks, ctx=ctx))
         else:
-            reports.append(fn(max_n, max_mod, ctx=ctx, workers=workers))
+            reports.append(fn(max_n, max_mod, ctx=ctx))
     return reports

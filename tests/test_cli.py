@@ -141,6 +141,27 @@ def test_verify_small_suites(capsys):
     assert "[pass] norms" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "norms", "--max-n", "1"],
+    ["verify", "--suite", "eigen", "--max-n", "0"],
+])
+def test_verify_checking_nothing_is_a_usage_error(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert "[pass]" not in out
+    assert f"error: suite {argv[2]} checks nothing at these bounds" in err
+
+
+@pytest.mark.parametrize("suite", ["norms", "all"])
+def test_verify_params_rejected_for_symbolic_suites(suite, capsys):
+    code, out, err = run_cli(
+        ["verify", "--suite", suite, "--max-n", "2", "--max-mod", "1",
+         "--params", "q=2/3,t=3/5"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "norms suite runs symbolically" in err
+
+
 # ---------------------------------------------------------------------------
 # cache
 # ---------------------------------------------------------------------------
@@ -160,6 +181,23 @@ def test_cache_transparency(tmp_path, capsys):
     assert plain == cached1 == cached2
     entries = [p for p in os.listdir(tmp_path) if p.endswith(".json")]
     assert len(entries) == 1
+
+
+def test_cache_serves_psi_entry(tmp_path, capsys):
+    # psi stores under n = max(len(eta), len(lam)); the lookup must agree
+    argv = ["psi", "--eta", "1", "--lam", "1,1", "--cache-dir", str(tmp_path)]
+    first = run_cli(argv, capsys)
+    assert first[0] == 0
+    (path,) = [os.path.join(tmp_path, p) for p in os.listdir(tmp_path)
+               if p.endswith(".json")]
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["payload"] = 999
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert json.loads(out)["payload"] == 999
 
 
 def test_cache_ignores_corruption(tmp_path, capsys):

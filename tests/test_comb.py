@@ -61,6 +61,41 @@ def test_hook_d_prime_inverted_consistent():
         assert comb.hook_d_prime_inverted(eta) == direct
 
 
+def test_basis_action_matches_closed_form():
+    t, one = G.t, G.one
+    for eta in comb.compositions_up_to(3, 3):
+        for i in range(1, len(eta)):
+            delta = comb.delta_ratio(eta, i)
+            diag = (t - one) / (one - delta ** -1)
+            flip = comb.swap_entries(eta, i)
+            for up in (t, one):
+                table = comb.basis_action(i, eta, up)
+                if eta[i - 1] == eta[i]:
+                    assert table == {eta: t}
+                elif eta[i - 1] < eta[i]:
+                    assert table == {eta: diag, flip: up}
+                else:
+                    down = (one - t * delta) * (t - delta) / (up * (one - delta) ** 2)
+                    assert table == {eta: diag, flip: down}
+
+
+def test_generation_step_sources():
+    for n in range(1, 5):
+        for eta in comb.compositions_up_to(n, 4):
+            step = comb.generation_step(eta)
+            if not any(eta):
+                assert step is None
+                continue
+            mu, i = step
+            if eta[-1] >= 1:
+                assert i is None
+                assert comb.phi_shift(mu) == eta
+            else:
+                assert eta[i - 1] > eta[i]
+                assert all(eta[j - 1] <= eta[j] for j in range(i + 1, n))
+                assert comb.swap_entries(mu, i) == eta
+
+
 def test_n_stat():
     assert comb.n_stat((0, 0)) == 0
     assert comb.n_stat((2, 0)) == 0

@@ -215,8 +215,3 @@ def test_general_r_agreement_small():
             assert pieri.pieri_homogeneous(eta, r) == \
                 pieri.product_expand_oracle(eta, r), (eta, r)
 
-
-def test_workers_give_identical_tables():
-    base = pieri.pieri_homogeneous((1, 0, 1), 2, workers=1)
-    threaded = pieri.pieri_homogeneous((1, 0, 1), 2, workers=4)
-    assert base == threaded
