@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -226,6 +227,68 @@ class ScalarContext:
         if self.generic:
             return self
         return ScalarContext("specialized", 1 / self.qval, 1 / self.tval)
+
+    def common_denominator(self, coeffs: dict) -> tuple[object, dict]:
+        """(D, {key: N}) with coeffs[key] == N / D for every key.
+
+        D is the lcm of the denominators: an integer polynomial in q,t
+        symbolically, a positive int at a rational point.  The numerators
+        are of the same kind as D, so sums of them need no normalisation.
+        """
+        if self.generic:
+            den = _RING.one
+            for c in coeffs.values():
+                if c.denom != den:
+                    den = den.lcm(c.denom)
+            return den, {k: c.numer * den.exquo(c.denom)
+                         for k, c in coeffs.items()}
+        den = math.lcm(*(c.denominator for c in coeffs.values()))
+        return den, {k: c.numerator * (den // c.denominator)
+                     for k, c in coeffs.items()}
+
+    def monomial_sum(self, den, terms):
+        """The scalar sum of N q^a t^b over (N, a, b) in terms, over den.
+
+        ``den`` and every N are as :meth:`common_denominator` returns them;
+        a and b may be negative.  The sum is accumulated exactly without
+        normalising and reduced once at the end.
+        """
+        acc: dict = {}
+        if self.generic:
+            for num, a, b in terms:
+                for (i, j), c in num.items():
+                    key = (i + a, j + b)
+                    acc[key] = acc.get(key, 0) + c
+            acc = {k: c for k, c in acc.items() if c}
+            if not acc:
+                return _FIELD.zero
+            # shift both exponents to >= 0 and put the shift into den
+            sq = -min(0, min(i for i, _ in acc))
+            st = -min(0, min(j for _, j in acc))
+            num = _RING.from_dict({(i + sq, j + st): c
+                                   for (i, j), c in acc.items()})
+            return _FIELD.new(num, den.mul_monom((sq, st)))
+        for num, a, b in terms:
+            key = (a, b)
+            acc[key] = acc.get(key, 0) + num
+        acc = {k: c for k, c in acc.items() if c}
+        if not acc:
+            return Fraction(0)
+        # q^a t^b = qn^a qd^-a tn^b td^-b: with qn^alo qd^-ahi tn^blo td^-bhi
+        # factored out every term is an integer, so one Fraction reduces it
+        qn, qd = self.qval.numerator, self.qval.denominator
+        tn, td = self.tval.numerator, self.tval.denominator
+        alo, ahi = min(a for a, _ in acc), max(a for a, _ in acc)
+        blo, bhi = min(b for _, b in acc), max(b for _, b in acc)
+        total = sum(c * qn ** (a - alo) * qd ** (ahi - a)
+                    * tn ** (b - blo) * td ** (bhi - b)
+                    for (a, b), c in acc.items())
+        for base, exp in ((qn, alo), (qd, -ahi), (tn, blo), (td, -bhi)):
+            if exp >= 0:
+                total *= base ** exp
+            else:
+                den *= base ** -exp
+        return Fraction(total, den)
 
     def num_den_text(self, x) -> tuple[str, str]:
         x = self.coerce(x)

@@ -267,20 +267,12 @@ def format_text(doc: ResultDocument) -> str:
     return "\n".join(lines)
 
 
-def cmd_verify(args) -> int:
-    """Print one line per suite; exit 2 if any check failed, else 1 if a
-    suite checked nothing at these bounds, else 0."""
-    ctx = _context(args)
-    if not ctx.generic and args.suite in ("norms", "all"):
-        raise UsageError("the norms suite runs symbolically; drop --params")
-    ks = (args.k,) if args.k is not None else (1, 2)
-    try:
-        reports = verify.run_suite(args.suite, args.max_n, args.max_mod,
-                                   ctx=ctx, ks=ks)
-    except KeyError as exc:
-        raise UsageError(f"unknown suite {args.suite!r}") from exc
+def report_suites(runs) -> int:
+    """Print one line per suite of ``runs``, pairs (report, seconds), where
+    seconds may be None; exit 2 if any check failed, else 1 if a suite
+    checked nothing at these bounds, else 0."""
     failed = empty = False
-    for report in reports:
+    for report, seconds in runs:
         if not report.checked:
             sys.stderr.write(
                 f"error: suite {report.suite} checks nothing at these bounds\n")
@@ -289,13 +281,29 @@ def cmd_verify(args) -> int:
         status = "pass" if report.ok else "FAIL"
         sys.stdout.write(
             f"[{status}] {report.suite}: {report.checked} checks"
-            + ("" if report.ok else f", {len(report.failures)} failures") + "\n")
+            + ("" if report.ok else f", {len(report.failures)} failures")
+            + ("" if seconds is None else f" ({seconds:.1f}s)") + "\n")
         for msg in report.failures[:5]:
             sys.stdout.write(f"    counterexample: {msg}\n")
         failed = failed or not report.ok
     if failed:
         return 2
     return 1 if empty else 0
+
+
+def cmd_verify(args) -> int:
+    ctx = _context(args)
+    if not ctx.generic and args.suite in ("norms", "all"):
+        raise UsageError("the norms suite runs symbolically; drop --params")
+    if args.k is not None and args.suite not in ("norms", "all"):
+        raise UsageError("--k restricts the norms suite only; drop --k")
+    ks = (args.k,) if args.k is not None else (1, 2)
+    try:
+        reports = verify.run_suite(args.suite, args.max_n, args.max_mod,
+                                   ctx=ctx, ks=ks)
+    except KeyError as exc:
+        raise UsageError(f"unknown suite {args.suite!r}") from exc
+    return report_suites((report, None) for report in reports)
 
 
 # ---------------------------------------------------------------------------

@@ -109,12 +109,29 @@ def _evaluation_args(eta, mu, ctx: ScalarContext = GENERIC):
     return eta, mu, ctx
 
 
+@memo(comb.label_args)
+def estar_common_form(eta: Composition, ctx: ScalarContext = GENERIC):
+    """Estar_eta as (D, {e: N}) with coefficient N / D on z^e, memoised."""
+    return ctx.common_denominator(generate_Estar(eta, ctx).poly.terms)
+
+
 @memo(_evaluation_args)
 def spectral_evaluate(eta: Composition, mu: Composition,
                       ctx: ScalarContext = GENERIC):
-    """Estar_eta evaluated at the spectral point of mu, memoised."""
-    point = comb.spectral_vector(mu, ctx)
-    return generate_Estar(eta, ctx).poly.at_point(point, ctx)
+    """Estar_eta evaluated at the spectral point of mu, memoised.
+
+    There z^e is the monomial q^(sum e_i mu_i) t^(-sum e_i l'_i(mu)), so
+    the value is one sum of numerators times monomials over the common
+    denominator of Estar_eta, normalised once.  ``at_point`` on the
+    spectral vector is the general evaluator that checks this one.
+    """
+    den, nums = estar_common_form(eta, ctx)
+    lp = comb.leg_colength_vector(mu)
+    return ctx.monomial_sum(den, (
+        (num,
+         sum(k * m for k, m in zip(e, mu)),
+         -sum(k * l for k, l in zip(e, lp)))
+        for e, num in nums.items()))
 
 
 def principal_value(eta: Composition, ctx: ScalarContext = GENERIC):

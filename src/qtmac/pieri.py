@@ -46,7 +46,9 @@ def interpolation_expansion(eta: Composition, r: int,
     """All layers of the expansion of (e_r(z) - e_r(eta-bar)) Estar_eta.
 
     Layer one is a pure evaluation ratio; layer i subtracts the contributions
-    of every earlier layer that stays below the target.
+    of every earlier layer that stays below the target.  Each coefficient is
+    summed as a numerator and divided by the principal value of its target
+    once.
     """
     eta = comb.as_composition(eta)
     n = len(eta)
@@ -58,16 +60,14 @@ def interpolation_expansion(eta: Composition, r: int,
         layer = {}
         for lam in comb.successors_layered(eta, i):
             lb = comb.spectral_vector(lam, ctx)
-            pv = istar.principal_value(lam, ctx)
             total = ((elementary_symmetric_at(lb, r, ctx) - er_eta)
-                     * istar.spectral_evaluate(eta, lam, ctx) / pv)
+                     * istar.spectral_evaluate(eta, lam, ctx))
             for prev_layer in layers:
                 for mu, a in prev_layer.items():
                     if comb.is_successor(mu, lam):
-                        total = total - (a * istar.spectral_evaluate(mu, lam, ctx)
-                                         / pv)
+                        total = total - a * istar.spectral_evaluate(mu, lam, ctx)
             if total:
-                layer[lam] = total
+                layer[lam] = total / istar.principal_value(lam, ctx)
         layers.append(layer)
     return ExpansionTable(eta, r, tuple(layers))
 

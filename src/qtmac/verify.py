@@ -86,14 +86,23 @@ def suite_eigen(max_n: int, max_mod: int,
 def suite_vanishing(max_n: int, max_mod: int, extra: int = 3,
                     ctx: ScalarContext = GENERIC) -> SuiteReport:
     """Extra vanishing in both directions: Estar_eta(lam-bar) = 0 exactly
-    when lam is not a successor of eta."""
+    when lam is not a successor of eta.
+
+    The value comes from the general evaluator ``at_point``; the fast
+    ``spectral_evaluate`` must agree with it.
+    """
     def check(eta):
         n = len(eta)
         bad = []
         m = comb.modulus(eta)
+        poly = istar.generate_Estar(eta, ctx).poly
         for gap in range(1, extra + 1):
             for lam in comb.compositions(n, m + gap):
-                value = istar.spectral_evaluate(eta, lam, ctx)
+                value = poly.at_point(comb.spectral_vector(lam, ctx), ctx)
+                if istar.spectral_evaluate(eta, lam, ctx) != value:
+                    bad.append(
+                        f"spectral_evaluate disagrees with at_point "
+                        f"eta={comb.comp_str(eta)} lam={comb.comp_str(lam)}")
                 vanished = not value
                 predicted = istar.extra_vanishing_test(eta, lam)
                 if vanished != predicted:

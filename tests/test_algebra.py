@@ -136,6 +136,34 @@ def test_specialized_context():
     assert inv.qval == Fraction(5, 2) and inv.tval == Fraction(3, 7)
 
 
+shifts = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@pytest.mark.parametrize("ctx", [
+    G, specialized(Fraction(-2, 3), Fraction(5, 7)),
+    specialized(3, Fraction(-1, 2))], ids=lambda ctx: ctx.params_label())
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(scalars(), shifts), max_size=4))
+def test_monomial_sum_over_common_denominator(ctx, terms):
+    # one normalisation of the summed numerators equals the term-by-term sum
+    coeffs = {}
+    for k, (c, _) in enumerate(terms):
+        if ctx.generic:
+            coeffs[k] = c
+        else:
+            try:
+                coeffs[k] = scalar_eval(c, ctx.qval, ctx.tval)
+            except AlgebraError:
+                continue
+    den, nums = ctx.common_denominator(coeffs)
+    expected = ctx.zero
+    for k, c in coeffs.items():
+        assert ctx.monomial_sum(den, [(nums[k], 0, 0)]) == c
+        expected = expected + c * ctx.monomial(*terms[k][1])
+    got = ctx.monomial_sum(den, ((nums[k], *terms[k][1]) for k in coeffs))
+    assert got == expected
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -33,6 +35,46 @@ def test_pieri_golden_document(capsys):
         ["0,1", {"num": "q*t - t", "den": "q*t - 1"}],
         ["1,0", {"num": "1", "den": "1"}],
     ]
+
+
+# Full stdout of two runs, byte for byte: a symbolic n = 3 table with r = 2
+# and a specialized n = 4 table at a point with negative q.
+PIERI_012_R2 = (
+    '{"schema": "1", "kind": "pieri", "n": 3, "eta": "0,1,2", "r": 2, '
+    '"params": "symbolic", "payload": {"entries": [["0,2,3", '
+    '{"num": "1", "den": "1"}], ["1,1,3", {"num": "q - 1", '
+    '"den": "q*t - 1"}], ["1,2,2", {"num": "q^2*t^3 - q*t^3 - q + 1", '
+    '"den": "q^2*t^4 - 2*q*t^2 + 1"}], ["2,1,2", '
+    '{"num": "-q^2*t^2 + 2*q^2*t + q*t^2 - q^2 - 2*q*t + q", '
+    '"den": "q^3*t^4 - 2*q^2*t^3 - q^2*t^2 + q*t^2 + 2*q*t - 1"}], '
+    '["2,2,1", {"num": "q^2*t - q^2 - q*t + q", '
+    '"den": "q^3*t^4 - q^2*t^2 - q*t^2 + 1"}]]}}\n'
+)
+
+PIERI_1010_R1_NEG_Q = (
+    '{"schema": "1", "kind": "pieri", "n": 4, "eta": "1,0,1,0", "r": 1, '
+    '"params": "q=-2/3,t=5/7", "payload": {"entries": [["0,0,1,2", '
+    '{"num": "-1486837500", "den": "19778579951"}], ["0,1,0,2", '
+    '{"num": "-6300000", "den": "3112365373"}], ["0,1,2,0", '
+    '{"num": "3000", "den": "189317"}], ["0,2,1,0", {"num": "-10500", '
+    '"den": "67177"}], ["1,0,0,2", {"num": "-52500", "den": "509639"}], '
+    '["1,0,1,1", {"num": "1267776775", "den": "1506138481"}], '
+    '["1,0,2,0", {"num": "25", "den": "31"}], ["1,1,0,1", '
+    '{"num": "5371800", "den": "237006563"}], ["1,1,1,0", '
+    '{"num": "44765", "den": "38809"}], ["2,0,1,0", {"num": "1", '
+    '"den": "1"}]]}}\n'
+)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["pieri", "--eta", "0,1,2", "--r", "2"], PIERI_012_R2),
+    (["pieri", "--eta", "1,0,1,0", "--r", "1", "--params", "q=-2/3,t=5/7"],
+     PIERI_1010_R1_NEG_Q),
+])
+def test_pieri_golden_stdout(argv, expected, capsys):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out == expected
 
 
 def test_estar_golden_payload(capsys):
@@ -107,6 +149,7 @@ def test_output_determinism(capsys):
     ["e", "--eta", "0,0", "--params", "q=0,t=2"],
     ["e", "--eta", "0,0", "--params", "q=1/2,t=2", "--symbolic"],
     ["verify", "--suite", "no-such-suite", "--max-n", "2", "--max-mod", "1"],
+    ["verify", "--suite", "eigen", "--max-n", "2", "--max-mod", "1", "--k", "7"],
     ["psi", "--eta", "1,0", "--lam", "3,0"],
 ])
 def test_usage_errors_exit_one(argv, capsys):
@@ -150,6 +193,20 @@ def test_verify_checking_nothing_is_a_usage_error(argv, capsys):
     assert code == 1
     assert "[pass]" not in out
     assert f"error: suite {argv[2]} checks nothing at these bounds" in err
+
+
+def test_run_verify_script_checking_nothing_fails():
+    # the battery script reports through the CLI's rule: a suite that checks
+    # nothing prints no [pass] line and makes the run exit 1
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                          "run_verify.py")
+    proc = subprocess.run(
+        [sys.executable, script, "--max-n", "1", "--max-mod", "1"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1
+    assert "[pass] norms" not in proc.stdout
+    assert "error: suite norms checks nothing at these bounds" in proc.stderr
+    assert "[pass] eigen: 2 checks (" in proc.stdout
 
 
 @pytest.mark.parametrize("suite", ["norms", "all"])

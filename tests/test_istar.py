@@ -1,10 +1,12 @@
 """Interpolation Macdonald polynomials and binomial coefficients."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from qtmac.algebra import GENERIC, AlgebraError, ZPolynomial
+from qtmac.algebra import GENERIC, AlgebraError, ZPolynomial, specialized
 from qtmac import comb, istar
 
 G = GENERIC
@@ -114,6 +116,20 @@ def test_spectral_evaluate_examples():
     assert istar.spectral_evaluate((0, 1), (0, 0)) == G.zero
     assert istar.spectral_evaluate((0, 1), (1, 1)) == TINV * (Q - 1)
     assert istar.spectral_evaluate((0, 1), (2, 0)) == G.zero
+
+
+@pytest.mark.parametrize("ctx", [
+    G, specialized(Fraction(-2, 3), Fraction(5, 7)),
+    specialized(3, Fraction(1, 2))], ids=lambda ctx: ctx.params_label())
+def test_spectral_evaluate_matches_at_point(ctx):
+    # the single-normalisation fast path against the general evaluator
+    for n in (1, 2, 3):
+        for eta in comb.compositions_up_to(n, 3):
+            poly = istar.generate_Estar(eta, ctx).poly
+            for mu in comb.compositions_up_to(n, comb.modulus(eta) + 2):
+                expected = poly.at_point(comb.spectral_vector(mu, ctx), ctx)
+                assert istar.spectral_evaluate(eta, mu, ctx) == expected, \
+                    (eta, mu)
 
 
 def test_vanishing_solve_oracle_examples():
