@@ -38,18 +38,15 @@ from .comb import (
     successors_layered,
 )
 from .emac import (
-    MacExpansion,
     act_T_basis,
     apply_phi_q,
     apply_T,
     generate_E,
-    generate_E_inverted,
     norm_N,
     psi_coefficient,
     symmetrize_P,
 )
 from .istar import (
-    InterpExpansion,
     apply_H,
     apply_phi_star,
     binomial_direct,

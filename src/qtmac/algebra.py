@@ -10,7 +10,8 @@ sees opaque scalar values.
 
 A "specialized" mode replaces the symbolic field by exact ``Fraction``
 arithmetic after substituting rational values for (q,t).  Both modes expose
-the same operations through :class:`ScalarContext`.
+the same operations through :class:`ScalarContext`, whose ``inverted()``
+computes at the reciprocal parameters (1/q, 1/t) in either mode.
 
 Polynomials in the main variables z1..zn are sparse dictionaries from
 exponent vectors to scalars (:class:`ZPolynomial`), optionally Laurent.
@@ -90,18 +91,10 @@ def _ring_poly_text(p) -> str:
     return "".join(chunks)
 
 
-def _invert_frac(x):
-    """Map q -> 1/q, t -> 1/t on a field element, recanonicalized."""
-    num, den = x.numer, x.denom
-    if not num:
-        return x
-    nterms = num.terms()
-    dterms = den.terms()
-    aq = max(max(e[0] for e, _ in nterms), max(e[0] for e, _ in dterms))
-    at = max(max(e[1] for e, _ in nterms), max(e[1] for e, _ in dterms))
-    new_num = {(aq - e[0], at - e[1]): c for e, c in nterms}
-    new_den = {(aq - e[0], at - e[1]): c for e, c in dterms}
-    return _FIELD.new(_RING.from_dict(new_num), _RING.from_dict(new_den))
+def _monomial_text(a: int, b: int) -> str:
+    """q^a*t^b, (a, b) != (0, 0), in the canonical text style."""
+    return "*".join(v if e == 1 else f"{v}^{e}"
+                    for v, e in (("q", a), ("t", b)) if e)
 
 
 def subst_t_power(x, k: int):
@@ -161,9 +154,16 @@ def memo(normalize):
     return decorate
 
 
-@memo(lambda a, b: (a, b))
-def _generic_monomial(a: int, b: int):
-    return _Q ** a * _T ** b
+@memo(lambda q, t, a, b: (q, t, a, b))
+def _monomial(q, t, a: int, b: int):
+    return q ** a * t ** b
+
+
+def _exponents(x) -> tuple[int, int]:
+    """(i, j) with x == q^i t^j, for a Laurent monomial x of Q(q,t)."""
+    (i, j), = x.numer
+    (k, m), = x.denom
+    return i - k, j - m
 
 
 # ---------------------------------------------------------------------------
@@ -173,15 +173,19 @@ def _generic_monomial(a: int, b: int):
 
 @dataclass(frozen=True)
 class ScalarContext:
-    """Chooses the coefficient arithmetic: symbolic Q(q,t) or exact rationals."""
+    """The point (q, t) that coefficients are computed at.
 
-    mode: str
-    qval: Fraction | None = None
-    tval: Fraction | None = None
+    ``qval`` and ``tval`` are the generators q, t of Q(q,t) (symbolic
+    arithmetic), their reciprocals (symbolic arithmetic at reciprocal
+    parameters), or two nonzero ``Fraction``s (exact rational arithmetic).
+    """
+
+    qval: object
+    tval: object
 
     @property
     def generic(self) -> bool:
-        return self.mode == "generic"
+        return not isinstance(self.qval, Fraction)
 
     @property
     def zero(self):
@@ -193,17 +197,24 @@ class ScalarContext:
 
     @property
     def q(self):
-        return self.monomial(1, 0)
+        return self.qval
 
     @property
     def t(self):
-        return self.monomial(0, 1)
+        return self.tval
 
     def monomial(self, a: int, b: int):
         """The scalar q^a * t^b (a, b may be negative)."""
-        if self.generic:
-            return _generic_monomial(a, b)
-        return self.qval ** a * self.tval ** b
+        return _monomial(self.qval, self.tval, a, b)
+
+    def one_minus(self, a: int, b: int):
+        """The factor 1 - q^a t^b; raises SpecializationError naming it
+        where it vanishes, so that no division by it fails unnamed."""
+        x = self.one - self.monomial(a, b)
+        if not x:
+            raise SpecializationError(f"factor 1 - {_monomial_text(a, b)} "
+                                      f"vanishes at {self.params_label()}")
+        return x
 
     def from_int(self, k: int):
         return self.one * k
@@ -214,19 +225,9 @@ class ScalarContext:
             return self.from_int(x)
         return x
 
-    def invert_params(self, x):
-        """q -> 1/q, t -> 1/t.  Only meaningful symbolically."""
-        if not self.generic:
-            raise AlgebraError(
-                "parameter inversion of a specialized value is undefined; "
-                "recompute in the reciprocal-point context instead")
-        return _invert_frac(self.coerce(x))
-
     def inverted(self) -> "ScalarContext":
-        """Context computing directly at the reciprocal parameter point."""
-        if self.generic:
-            return self
-        return ScalarContext("specialized", 1 / self.qval, 1 / self.tval)
+        """The context at the reciprocal point (1/q, 1/t); an involution."""
+        return ScalarContext(1 / self.qval, 1 / self.tval)
 
     def common_denominator(self, coeffs: dict) -> tuple[object, dict]:
         """(D, {key: N}) with coeffs[key] == N / D for every key.
@@ -255,9 +256,12 @@ class ScalarContext:
         """
         acc: dict = {}
         if self.generic:
+            # q^a t^b of this context is q^(a qi + b ti) t^(a qj + b tj) in Q(q,t)
+            (qi, qj), (ti, tj) = _exponents(self.qval), _exponents(self.tval)
             for num, a, b in terms:
+                si, sj = a * qi + b * ti, a * qj + b * tj
                 for (i, j), c in num.items():
-                    key = (i + a, j + b)
+                    key = (i + si, j + sj)
                     acc[key] = acc.get(key, 0) + c
             acc = {k: c for k, c in acc.items() if c}
             if not acc:
@@ -306,19 +310,19 @@ class ScalarContext:
         return f"{np}/{dp}"
 
     def params_label(self) -> str:
-        if self.generic:
+        if self == GENERIC:
             return "symbolic"
-        return f"q={self.qval},t={self.tval}"
+        return f"q={self.text(self.qval)},t={self.text(self.tval)}"
 
 
-GENERIC = ScalarContext("generic")
+GENERIC = ScalarContext(_Q, _T)
 
 
 def specialized(qval, tval) -> ScalarContext:
     qv, tv = Fraction(qval), Fraction(tval)
     if qv == 0 or tv == 0:
         raise AlgebraError("specialized q and t must be nonzero")
-    return ScalarContext("specialized", qv, tv)
+    return ScalarContext(qv, tv)
 
 
 # ---------------------------------------------------------------------------
@@ -452,12 +456,6 @@ class ZPolynomial:
             le[i - 1], le[i] = le[i], le[i - 1]
             acc[tuple(le)] = c
         return ZPolynomial(self.nvars, acc, self.laurent)
-
-    def invert_params(self, ctx: ScalarContext = GENERIC) -> "ZPolynomial":
-        """Coefficient-wise q -> 1/q, t -> 1/t."""
-        return ZPolynomial(self.nvars,
-                           {e: ctx.invert_params(c) for e, c in self.terms.items()},
-                           self.laurent)
 
     def invert_vars(self) -> "ZPolynomial":
         """z^mu -> z^(-mu); always Laurent."""

@@ -202,9 +202,9 @@ def compute_document(kind: str, n: int, inputs: dict,
                      ctx: ScalarContext) -> ResultDocument:
     eta = comb.parse_comp(inputs["eta"])
     if kind == "e":
-        payload = emac.generate_E(eta, ctx).poly.text(ctx)
+        payload = emac.generate_E(eta, ctx).text(ctx)
     elif kind == "estar":
-        payload = istar.generate_Estar(eta, ctx).poly.text(ctx)
+        payload = istar.generate_Estar(eta, ctx).text(ctx)
     elif kind == "norm":
         payload = _coeff_obj(emac.norm_N(eta, ctx), ctx)
     elif kind == "pieri":
@@ -224,8 +224,8 @@ def compute_document(kind: str, n: int, inputs: dict,
         k = inputs["k"]
         w = ctnorm.specialized_weight(n, k, ctx)
         value = ctnorm.ct_inner_product(
-            ctnorm.specialize_E(eta, k, ctx), ctnorm.specialize_E(nu, k, ctx),
-            w, ctx)
+            ctnorm.specialize_E(eta, k, ctx),
+            ctnorm.specialize_E(nu, k, ctx.inverted()), w, ctx)
         payload = _coeff_obj(value, ctx)
     return ResultDocument(kind=kind, n=n, inputs=inputs,
                           params=ctx.params_label(), payload=payload)

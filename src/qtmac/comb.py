@@ -134,10 +134,11 @@ def leg_colength_vector(eta: Composition) -> tuple[int, ...]:
     )
 
 
-def delta_ratio(eta: Composition, i: int, ctx: ScalarContext = GENERIC):
-    """The spectral ratio at position i: entry i over entry i+1."""
+def delta_exponents(eta: Composition, i: int) -> tuple[int, int]:
+    """(a, b) with q^a t^b the spectral ratio at position i: entry i over
+    entry i+1."""
     lp = leg_colength_vector(eta)
-    return ctx.monomial(eta[i - 1] - eta[i], lp[i] - lp[i - 1])
+    return eta[i - 1] - eta[i], lp[i] - lp[i - 1]
 
 
 def spectral_vector(eta: Composition, ctx: ScalarContext = GENERIC):
@@ -202,10 +203,11 @@ def hook_products(eta: Composition, ctx: ScalarContext = GENERIC) -> HookTable:
 
 
 def hook_d_prime_inverted(eta: Composition, ctx: ScalarContext = GENERIC):
-    """d' evaluated at reciprocal parameters, built directly."""
+    """d' evaluated at reciprocal parameters, built directly; a factor
+    that vanishes at ctx's point raises SpecializationError naming it."""
     val = ctx.one
     for _, _, arm, leg in hook_nodes(eta):
-        val = val * (ctx.one - ctx.monomial(-(arm + 1), -leg))
+        val = val * ctx.one_minus(-(arm + 1), -leg)
     return val
 
 
@@ -350,7 +352,8 @@ def basis_action(i: int, eta: Composition, up,
     {eta, s_i eta}: T_i on E_eta with up = t, H_i on Estar_eta with up = 1.
 
     The coefficient of eta is diag = (t - 1)/(1 - delta^-1), with delta the
-    spectral ratio at i.  The coefficient of s_i eta is up when
+    spectral ratio at i; where 1 - delta^-1 vanishes, SpecializationError
+    names it.  The coefficient of s_i eta is up when
     eta_i < eta_{i+1}, and (1 - t delta)(t - delta)/(up (1 - delta)^2)
     when eta_i > eta_{i+1}; the latter is computed as the equal
     (t - diag)(1 + diag)/up, which takes fewer field operations.
@@ -360,8 +363,8 @@ def basis_action(i: int, eta: Composition, up,
         raise AlgebraError(f"operator index {i} out of range for n={n}")
     if eta[i - 1] == eta[i]:
         return {eta: ctx.t}
-    delta = delta_ratio(eta, i, ctx)
-    diag = (ctx.t - ctx.one) / (ctx.one - delta ** -1)
+    a, b = delta_exponents(eta, i)
+    diag = (ctx.t - ctx.one) / ctx.one_minus(-a, -b)
     flip = swap_entries(eta, i)
     if eta[i - 1] < eta[i]:
         return {eta: diag, flip: up}

@@ -56,13 +56,13 @@ def specialized_weight(n: int, k: int,
     return SpecializedWeight(n, k, weight)
 
 
-def ct_inner_product(f: ZPolynomial, g: ZPolynomial, w: SpecializedWeight,
+def ct_inner_product(f: ZPolynomial, g_bar: ZPolynomial, w: SpecializedWeight,
                      ctx: ScalarContext = GENERIC):
-    """CT[f(z) g(1/z) W] with g's parameters inverted before the variable
-    inversion; f and g are expected to be specialized at t = q^k already."""
-    if f.nvars != w.n or g.nvars != w.n:
+    """CT[f(z) g(1/z; 1/q, 1/t) W], where ``g_bar`` is g computed at the
+    reciprocal parameters already (in ``ctx.inverted()``); f and g_bar are
+    expected to be specialized at t = q^k."""
+    if f.nvars != w.n or g_bar.nvars != w.n:
         raise AlgebraError("variable count mismatch with the weight")
-    g_bar = g.invert_params(ctx) if ctx.generic else g
     product = f * g_bar.invert_vars() * w.weight
     return ctx.coerce(product.constant_term())
 
@@ -70,7 +70,7 @@ def ct_inner_product(f: ZPolynomial, g: ZPolynomial, w: SpecializedWeight,
 def specialize_E(eta: Composition, k: int,
                  ctx: ScalarContext = GENERIC) -> ZPolynomial:
     """E_eta with every coefficient restricted to t = q^k."""
-    poly = emac.generate_E(eta, ctx).poly
+    poly = emac.generate_E(eta, ctx)
     if ctx.generic:
         return poly.map_coeffs(lambda c: subst_t_power(c, k))
     raise AlgebraError("specialize_E at t=q^k is a symbolic-mode operation")
@@ -101,12 +101,14 @@ def verify_orthogonality_norms(n: int, k: int, maxmod: int,
     ones = ZPolynomial.constant(n, ctx.one)
     one_one = ct_inner_product(ones, ones, w, ctx)
     labels = list(comb.compositions_up_to(n, maxmod))
+    inv = ctx.inverted()
     polys = {eta: specialize_E(eta, k, ctx) for eta in labels}
+    bars = {eta: specialize_E(eta, k, inv) for eta in labels}
     failures = []
     checked = 0
     for a, eta in enumerate(labels):
         for nu in labels[a:]:
-            lhs = ct_inner_product(polys[eta], polys[nu], w, ctx)
+            lhs = ct_inner_product(polys[eta], bars[nu], w, ctx)
             if eta == nu:
                 rhs = subst_t_power(emac.norm_N(eta, ctx), k) * one_one
             else:

@@ -12,8 +12,6 @@ classical vertical-strip branching coefficients used as a cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import (
     GENERIC,
     AlgebraError,
@@ -68,41 +66,20 @@ def apply_phi_q(eta: Composition, ctx: ScalarContext = GENERIC):
 # recursive generation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MacExpansion:
-    label: Composition
-    poly: ZPolynomial
-    params: str
-
-
 @memo(comb.label_args)
-def generate_E(eta: Composition, ctx: ScalarContext = GENERIC) -> MacExpansion:
+def generate_E(eta: Composition, ctx: ScalarContext = GENERIC) -> ZPolynomial:
     """The monic polynomial E_eta, generated recursively along
     :func:`comb.generation_step` and memoised."""
     step = comb.generation_step(eta)
     if step is None:
-        poly = ZPolynomial.constant(len(eta), ctx.one)
-    else:
-        mu, i = step
-        p_mu = generate_E(mu, ctx).poly
-        if i is None:
-            scalar, _ = apply_phi_q(mu, ctx)
-            poly = apply_phi_q_poly(p_mu, ctx).scale(scalar ** -1)
-        else:
-            table = act_T_basis(i, mu, ctx)
-            poly = (apply_T(i, p_mu, ctx) - p_mu.scale(table[mu])).scale(
-                table[eta] ** -1)
-    return MacExpansion(eta, poly, ctx.params_label())
-
-
-@memo(comb.label_args)
-def generate_E_inverted(eta: Composition, ctx: ScalarContext = GENERIC) -> MacExpansion:
-    """E_eta at reciprocal parameters (q,t) -> (1/q, 1/t), memoised."""
-    if ctx.generic:
-        poly = generate_E(eta, ctx).poly.invert_params(ctx)
-    else:
-        poly = generate_E(eta, ctx.inverted()).poly
-    return MacExpansion(eta, poly, "inverted:" + ctx.params_label())
+        return ZPolynomial.constant(len(eta), ctx.one)
+    mu, i = step
+    p_mu = generate_E(mu, ctx)
+    if i is None:
+        scalar, _ = apply_phi_q(mu, ctx)
+        return apply_phi_q_poly(p_mu, ctx).scale(scalar ** -1)
+    table = act_T_basis(i, mu, ctx)
+    return (apply_T(i, p_mu, ctx) - p_mu.scale(table[mu])).scale(table[eta] ** -1)
 
 
 def norm_N(eta: Composition, ctx: ScalarContext = GENERIC):
@@ -159,7 +136,7 @@ def symmetrize_P(kappa, n: int | None = None,
     Hecke-symmetrizes E_kappa and rescales so the coefficient of the
     dominant monomial z^kappa is one.
     """
-    sym = hecke_symmetrize(generate_E(kappa, ctx).poly, ctx)
+    sym = hecke_symmetrize(generate_E(kappa, ctx), ctx)
     lead = sym.coefficient(kappa)
     if not lead:
         raise AlgebraError("symmetrization lost the dominant monomial")

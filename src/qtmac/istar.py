@@ -14,8 +14,6 @@ vanishing predicate, and the generalized q,t-binomial coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import (
     GENERIC,
     AlgebraError,
@@ -73,14 +71,8 @@ def xi_apply(i: int, p: ZPolynomial, ctx: ScalarContext = GENERIC) -> ZPolynomia
 # recursive generation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InterpExpansion:
-    label: Composition
-    poly: ZPolynomial
-
-
 @memo(comb.label_args)
-def generate_Estar(eta: Composition, ctx: ScalarContext = GENERIC) -> InterpExpansion:
+def generate_Estar(eta: Composition, ctx: ScalarContext = GENERIC) -> ZPolynomial:
     """Estar_eta generated recursively along :func:`comb.generation_step`,
     memoised.
 
@@ -89,16 +81,13 @@ def generate_Estar(eta: Composition, ctx: ScalarContext = GENERIC) -> InterpExpa
     """
     step = comb.generation_step(eta)
     if step is None:
-        poly = ZPolynomial.constant(len(eta), ctx.one)
-    else:
-        mu, i = step
-        p_mu = generate_Estar(mu, ctx).poly
-        if i is None:
-            poly = apply_phi_star(p_mu, ctx).scale(ctx.monomial(mu[0], 0))
-        else:
-            diag = comb.basis_action(i, mu, ctx.one, ctx)[mu]
-            poly = apply_H(i, p_mu, ctx) - p_mu.scale(diag)
-    return InterpExpansion(eta, poly)
+        return ZPolynomial.constant(len(eta), ctx.one)
+    mu, i = step
+    p_mu = generate_Estar(mu, ctx)
+    if i is None:
+        return apply_phi_star(p_mu, ctx).scale(ctx.monomial(mu[0], 0))
+    diag = comb.basis_action(i, mu, ctx.one, ctx)[mu]
+    return apply_H(i, p_mu, ctx) - p_mu.scale(diag)
 
 
 def _evaluation_args(eta, mu, ctx: ScalarContext = GENERIC):
@@ -112,7 +101,7 @@ def _evaluation_args(eta, mu, ctx: ScalarContext = GENERIC):
 @memo(comb.label_args)
 def estar_common_form(eta: Composition, ctx: ScalarContext = GENERIC):
     """Estar_eta as (D, {e: N}) with coefficient N / D on z^e, memoised."""
-    return ctx.common_denominator(generate_Estar(eta, ctx).poly.terms)
+    return ctx.common_denominator(generate_Estar(eta, ctx).terms)
 
 
 @memo(_evaluation_args)
@@ -136,7 +125,10 @@ def spectral_evaluate(eta: Composition, mu: Composition,
 
 def principal_value(eta: Composition, ctx: ScalarContext = GENERIC):
     """Estar_eta at its own spectral point, in closed form:
-    d'_eta at reciprocal parameters times the product of eta-bar_i^(eta_i)."""
+    d'_eta at reciprocal parameters times the product of eta-bar_i^(eta_i).
+
+    Where it vanishes at ctx's point, SpecializationError names the factor
+    1 - q^a t^b of d' that does."""
     eta = comb.as_composition(eta)
     val = comb.hook_d_prime_inverted(eta, ctx)
     lp = comb.leg_colength_vector(eta)
@@ -158,7 +150,7 @@ def extra_vanishing_test(eta: Composition, lam: Composition) -> bool:
 # ---------------------------------------------------------------------------
 
 def vanishing_solve_oracle(eta: Composition,
-                           ctx: ScalarContext = GENERIC) -> InterpExpansion:
+                           ctx: ScalarContext = GENERIC) -> ZPolynomial:
     """Solve for Estar_eta directly from its defining vanishing conditions.
 
     Unknowns: coefficients of all monomials strictly below z^eta (any modulus
@@ -218,7 +210,7 @@ def vanishing_solve_oracle(eta: Composition,
         c = rows[r][ncols] / rows[r][col]
         if c:
             terms[unknowns[col]] = c
-    return InterpExpansion(eta, ZPolynomial(n, terms))
+    return ZPolynomial(n, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -268,20 +260,26 @@ def beta_factor(eta: Composition, index_set, ctx: ScalarContext = GENERIC):
     return val
 
 
+def c_I_ratio(eta: Composition, index_set, ctx: ScalarContext = GENERIC):
+    """Estar_eta(lam-bar) / Estar_lam(lam-bar) for lam = c_I(eta), I maximal:
+    q^(-eta_{t1}) delta(eta,I) beta(eta,I) / (1 - t)."""
+    t1 = min(index_set)
+    return (ctx.monomial(-eta[t1 - 1], 0)
+            * delta_factor(eta, index_set, ctx)
+            * beta_factor(eta, index_set, ctx)
+            / (ctx.one - ctx.t))
+
+
 def one_step_ratio(eta: Composition, lam: Composition,
                    ctx: ScalarContext = GENERIC):
-    """Estar_eta(lam-bar) / Estar_lam(lam-bar) for |lam| = |eta| + 1:
-    q^(-eta_{t1}) delta(eta,I) beta(eta,I) / (1 - t) when lam = c_I(eta) for
-    a maximal I, zero otherwise."""
+    """Estar_eta(lam-bar) / Estar_lam(lam-bar) for |lam| = |eta| + 1: the
+    :func:`c_I_ratio` of I when lam = c_I(eta) for a maximal I, zero
+    otherwise."""
     if comb.modulus(lam) != comb.modulus(eta) + 1:
         raise AlgebraError("one_step_ratio requires a modulus gap of one")
     for index_set in comb.maximal_sets(eta):
         if comb.c_I_apply(eta, index_set) == lam:
-            t1 = min(index_set)
-            return (ctx.monomial(-eta[t1 - 1], 0)
-                    * delta_factor(eta, index_set, ctx)
-                    * beta_factor(eta, index_set, ctx)
-                    / (ctx.one - ctx.t))
+            return c_I_ratio(eta, index_set, ctx)
     return ctx.zero
 
 

@@ -48,7 +48,8 @@ def interpolation_expansion(eta: Composition, r: int,
     Layer one is a pure evaluation ratio; layer i subtracts the contributions
     of every earlier layer that stays below the target.  Each coefficient is
     summed as a numerator and divided by the principal value of its target
-    once.
+    once.  Every target's principal value is taken, zero numerator or not,
+    so a point where one vanishes raises instead of dropping coefficients.
     """
     eta = comb.as_composition(eta)
     n = len(eta)
@@ -59,6 +60,7 @@ def interpolation_expansion(eta: Composition, r: int,
     for i in range(1, r + 1):
         layer = {}
         for lam in comb.successors_layered(eta, i):
+            principal = istar.principal_value(lam, ctx)
             lb = comb.spectral_vector(lam, ctx)
             total = ((elementary_symmetric_at(lb, r, ctx) - er_eta)
                      * istar.spectral_evaluate(eta, lam, ctx))
@@ -67,7 +69,7 @@ def interpolation_expansion(eta: Composition, r: int,
                     if comb.is_successor(mu, lam):
                         total = total - a * istar.spectral_evaluate(mu, lam, ctx)
             if total:
-                layer[lam] = total / istar.principal_value(lam, ctx)
+                layer[lam] = total / principal
         layers.append(layer)
     return ExpansionTable(eta, r, tuple(layers))
 
@@ -80,10 +82,10 @@ def interpolation_residual(table: ExpansionTable,
     er_eta = elementary_symmetric_at(comb.spectral_vector(eta, ctx), r, ctx)
     lhs = ((elementary_symmetric(n, r, ctx)
             - ZPolynomial.constant(n, er_eta))
-           * istar.generate_Estar(eta, ctx).poly)
+           * istar.generate_Estar(eta, ctx))
     for layer in table.layers:
         for lam, a in layer.items():
-            lhs = lhs - istar.generate_Estar(lam, ctx).poly.scale(a)
+            lhs = lhs - istar.generate_Estar(lam, ctx).scale(a)
     return lhs
 
 
@@ -100,7 +102,8 @@ def pieri_homogeneous(eta: Composition, r: int,
 
 def pieri_r1_closed(eta: Composition, ctx: ScalarContext = GENERIC) -> dict:
     """r = 1 coefficients in closed form, one per maximal index set:
-    (|lam-bar| - |eta-bar|) q^(-eta_{t1}) delta(eta,I) beta(eta,I) / (1-t)."""
+    (|lam-bar| - |eta-bar|) times :func:`istar.c_I_ratio`, which is
+    q^(-eta_{t1}) delta(eta,I) beta(eta,I) / (1-t)."""
     eta = comb.as_composition(eta)
     eb = comb.spectral_vector(eta, ctx)
     e1_eta = elementary_symmetric_at(eb, 1, ctx)
@@ -109,11 +112,7 @@ def pieri_r1_closed(eta: Composition, ctx: ScalarContext = GENERIC) -> dict:
         lam = comb.c_I_apply(eta, index_set)
         lb = comb.spectral_vector(lam, ctx)
         gap = elementary_symmetric_at(lb, 1, ctx) - e1_eta
-        t1 = min(index_set)
-        coeff = (gap * ctx.monomial(-eta[t1 - 1], 0)
-                 * istar.delta_factor(eta, index_set, ctx)
-                 * istar.beta_factor(eta, index_set, ctx)
-                 / (ctx.one - ctx.t))
+        coeff = gap * istar.c_I_ratio(eta, index_set, ctx)
         if coeff:
             out[lam] = coeff
     return out
@@ -224,14 +223,7 @@ def duality_transfer(eta: Composition, lam: Composition, r: int,
     if not comb.is_successor(eta, lam):
         return ctx.zero
     target = comb.add_box_everywhere(eta, 1)
-    if ctx.generic:
-        table = pieri_homogeneous(lam, n - r, ctx)
-        a_dual = table.get(target, ctx.zero)
-        a_dual = ctx.invert_params(a_dual)
-    else:
-        inv = ctx.inverted()
-        table = pieri_homogeneous(lam, n - r, inv)
-        a_dual = table.get(target, ctx.zero)
+    a_dual = pieri_homogeneous(lam, n - r, ctx.inverted()).get(target, ctx.zero)
     return a_dual * emac.norm_N(eta, ctx) / emac.norm_N(lam, ctx)
 
 
@@ -243,9 +235,9 @@ def product_expand_oracle(eta: Composition, r: int,
     n = len(eta)
     if not 1 <= r <= n:
         raise AlgebraError(f"r={r} out of range for n={n}")
-    product = elementary_symmetric(n, r, ctx) * emac.generate_E_inverted(eta, ctx).poly
-    return comb.expand_triangular(
-        product, lambda lam: emac.generate_E_inverted(lam, ctx).poly)
+    inv = ctx.inverted()
+    product = elementary_symmetric(n, r, ctx) * emac.generate_E(eta, inv)
+    return comb.expand_triangular(product, lambda lam: emac.generate_E(lam, inv))
 
 
 def homogeneous_residual(eta: Composition, r: int, table: dict,
@@ -253,7 +245,8 @@ def homogeneous_residual(eta: Composition, r: int, table: dict,
     """e_r(z) E_eta(z;1/q,1/t) - sum A E_lam(z;1/q,1/t); must be zero."""
     eta = comb.as_composition(eta)
     n = len(eta)
-    lhs = elementary_symmetric(n, r, ctx) * emac.generate_E_inverted(eta, ctx).poly
+    inv = ctx.inverted()
+    lhs = elementary_symmetric(n, r, ctx) * emac.generate_E(eta, inv)
     for lam, a in table.items():
-        lhs = lhs - emac.generate_E_inverted(lam, ctx).poly.scale(a)
+        lhs = lhs - emac.generate_E(lam, inv).scale(a)
     return lhs

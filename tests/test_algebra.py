@@ -13,6 +13,7 @@ from qtmac.algebra import (
     divided_difference,
     elementary_symmetric,
     elementary_symmetric_at,
+    memo,
     scalar_canonicalize,
     scalar_eval,
     specialized,
@@ -90,24 +91,12 @@ def test_field_axioms_spot_checks(a, b, c):
         assert (a / b) * b == a
 
 
-@settings(max_examples=40, deadline=None)
-@given(scalars())
-def test_invert_params_is_involution(a):
-    assert G.invert_params(G.invert_params(a)) == a
-
-
 @settings(max_examples=25, deadline=None)
 @given(scalars(), scalars())
 def test_eval_commutes_with_arithmetic(a, b):
     qv, tv = Fraction(2, 5), Fraction(7, 3)
     assert scalar_eval(a * b, qv, tv) == scalar_eval(a, qv, tv) * scalar_eval(b, qv, tv)
     assert scalar_eval(a + b, qv, tv) == scalar_eval(a, qv, tv) + scalar_eval(b, qv, tv)
-
-
-def test_invert_params_example():
-    # q(1-t)/(1-qt) inverts to (t-1)/(qt-1)
-    x = Q * (1 - T) / (1 - Q * T)
-    assert G.invert_params(x) == (T - 1) / (Q * T - 1)
 
 
 def test_subst_t_power():
@@ -130,17 +119,45 @@ def test_specialized_context():
     assert ctx.num_den_text(Fraction(-3, 7)) == ("-3", "7")
     with pytest.raises(AlgebraError):
         specialized(0, 1)
-    with pytest.raises(AlgebraError):
-        ctx.invert_params(Fraction(1, 2))
     inv = ctx.inverted()
     assert inv.qval == Fraction(5, 2) and inv.tval == Fraction(3, 7)
+
+
+def test_inverted_is_an_involution():
+    for ctx in (G, specialized(Fraction(-2, 3), Fraction(5, 7))):
+        inv = ctx.inverted()
+        assert inv != ctx
+        back = inv.inverted()
+        assert back == ctx and hash(back) == hash(ctx)
+        assert back.params_label() == ctx.params_label()
+    assert G.inverted().params_label() == "q=1/q,t=1/t"
+
+    # one memo entry serves a context and its double inversion
+    calls = []
+
+    @memo(lambda ctx: (ctx,))
+    def probe(ctx):
+        calls.append(ctx)
+        return ctx.q
+
+    assert probe(G) == probe(G.inverted().inverted()) == Q
+    assert len(calls) == 1
+
+
+def test_inverted_context_example():
+    # q(1-t)/(1-qt) at reciprocal parameters is (t-1)/(qt-1)
+    inv = G.inverted()
+    assert (inv.q, inv.t) == (1 / Q, 1 / T)
+    assert inv.monomial(2, -1) == T / Q ** 2
+    x = inv.q * (1 - inv.t) / (1 - inv.q * inv.t)
+    assert x == (T - 1) / (Q * T - 1)
 
 
 shifts = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
 
 
 @pytest.mark.parametrize("ctx", [
-    G, specialized(Fraction(-2, 3), Fraction(5, 7)),
+    G, G.inverted(), specialized(Fraction(-2, 3), Fraction(5, 7)),
     specialized(3, Fraction(-1, 2))], ids=lambda ctx: ctx.params_label())
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.tuples(scalars(), shifts), max_size=4))
@@ -205,10 +222,6 @@ def test_elementary_symmetric():
 
 
 def test_substitute_modes():
-    p = ZPolynomial(2, {(0, 1): Q * (1 - T) / (1 - Q * T)})
-    inv = p.invert_params()
-    assert inv == ZPolynomial(2, {(0, 1): (T - 1) / (Q * T - 1)})
-
     lp = ZPolynomial(2, {(1, -1): G.one}, laurent=True)
     assert lp.invert_vars() == ZPolynomial(
         2, {(-1, 1): G.one}, laurent=True)

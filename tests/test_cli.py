@@ -166,6 +166,25 @@ def test_degenerate_point_is_a_clean_failure(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv, factor", [
+    (["pieri", "--eta", "0,0", "--r", "1", "--params", "q=1,t=5"], "1 - q^-1"),
+    (["pieri", "--eta", "1,0,2", "--r", "2", "--params", "q=1,t=5"],
+     "1 - q^-1"),
+    (["pieri", "--eta", "0,0", "--r", "1", "--params", "q=1,t=1"],
+     "1 - q^-1*t^-1"),
+    (["e", "--eta", "2,0,1", "--params", "q=2,t=1/2"], "1 - q*t"),
+    (["binom", "--eta", "0,1", "--nu", "1,2", "--params", "q=1,t=5"],
+     "1 - q^-1"),
+])
+def test_degenerate_point_names_the_vanishing_factor(argv, factor, capsys):
+    # a principal value or a Hecke coefficient denominator vanishes there:
+    # no table with dropped entries, no bare Fraction(x, 0)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert f"factor {factor} vanishes" in err
+
+
 # ---------------------------------------------------------------------------
 # verify command
 # ---------------------------------------------------------------------------

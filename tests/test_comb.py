@@ -57,7 +57,7 @@ def test_hook_products_examples():
 
 def test_hook_d_prime_inverted_consistent():
     for eta in comb.compositions_up_to(3, 3):
-        direct = G.invert_params(comb.hook_products(eta).d_prime)
+        direct = comb.hook_products(eta, G.inverted()).d_prime
         assert comb.hook_d_prime_inverted(eta) == direct
 
 
@@ -65,7 +65,7 @@ def test_basis_action_matches_closed_form():
     t, one = G.t, G.one
     for eta in comb.compositions_up_to(3, 3):
         for i in range(1, len(eta)):
-            delta = comb.delta_ratio(eta, i)
+            delta = G.monomial(*comb.delta_exponents(eta, i))
             diag = (t - one) / (one - delta ** -1)
             flip = comb.swap_entries(eta, i)
             for up in (t, one):

@@ -41,12 +41,19 @@ def test_one_one_example():
 
 
 def test_orthogonality_example():
+    # the second argument is given at reciprocal parameters
     w = ctnorm.specialized_weight(2, 1)
     e10 = ctnorm.specialize_E((1, 0), 1)
     e01 = ctnorm.specialize_E((0, 1), 1)
-    assert ctnorm.ct_inner_product(e10, e01, w) == G.zero
+    e10_bar = ctnorm.specialize_E((1, 0), 1, G.inverted())
+    e01_bar = ctnorm.specialize_E((0, 1), 1, G.inverted())
+    assert e10_bar != e10
+    assert ctnorm.ct_inner_product(e10, e01_bar, w) == G.zero
+    assert ctnorm.ct_inner_product(e01, e10_bar, w) == G.zero
     # norm of E_(0,1) equals <1,1> since its hook-product norm is 1
-    assert ctnorm.ct_inner_product(e01, e01, w) == 1 + Q
+    assert ctnorm.ct_inner_product(e01, e01_bar, w) == 1 + Q
+    assert ctnorm.ct_inner_product(e10, e10_bar, w) == \
+        subst_t_power(emac.norm_N((1, 0)), 1) * (1 + Q)
 
 
 def test_verify_orthogonality_norms_reports():
@@ -70,4 +77,5 @@ def test_norm_symmetry_under_parameter_inversion():
     for k in (1, 2):
         for eta in comb.compositions_up_to(2, 2):
             spec = subst_t_power(emac.norm_N(eta), k)
-            assert G.invert_params(spec) == spec, (eta, k)
+            inv = subst_t_power(emac.norm_N(eta, G.inverted()), k)
+            assert inv == spec, (eta, k)

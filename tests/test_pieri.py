@@ -1,9 +1,11 @@
 """Pieri-type branching coefficients: all four routes and their contracts."""
 
+from fractions import Fraction
+
 import pytest
 
-from qtmac.algebra import GENERIC, AlgebraError
-from qtmac import comb, istar, pieri
+from qtmac.algebra import GENERIC, AlgebraError, scalar_eval, specialized
+from qtmac import comb, emac, istar, pieri
 
 G = GENERIC
 Q, T = G.q, G.t
@@ -215,3 +217,32 @@ def test_general_r_agreement_small():
             assert pieri.pieri_homogeneous(eta, r) == \
                 pieri.product_expand_oracle(eta, r), (eta, r)
 
+
+
+# ---------------------------------------------------------------------------
+# reciprocal parameters
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("point", [(Fraction(-2, 3), Fraction(5, 7)),
+                                   (Fraction(3), Fraction(1, 2))],
+                         ids=lambda point: f"q={point[0]},t={point[1]}")
+def test_inverted_contexts_commute_with_evaluation(point):
+    # a result at GENERIC.inverted(), evaluated at (q, t), is the same result
+    # computed at specialized(q, t).inverted(), i.e. at (1/q, 1/t)
+    sym, num = G.inverted(), specialized(*point).inverted()
+
+    def ev(x):
+        return scalar_eval(sym.coerce(x), *point)
+
+    for n in (1, 2, 3):
+        for eta in comb.compositions_up_to(n, 3):
+            for generate in (emac.generate_E, istar.generate_Estar):
+                assert generate(eta, sym).map_coeffs(ev) == \
+                    generate(eta, num), (generate.__name__, eta)
+            for mu in comb.compositions_up_to(n, comb.modulus(eta) + 1):
+                assert ev(istar.spectral_evaluate(eta, mu, sym)) == \
+                    istar.spectral_evaluate(eta, mu, num), (eta, mu)
+            for r in range(1, n + 1):
+                table = pieri.pieri_homogeneous(eta, r, sym)
+                assert {lam: ev(c) for lam, c in table.items()} == \
+                    pieri.pieri_homogeneous(eta, r, num), (eta, r)
