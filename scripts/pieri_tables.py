@@ -6,9 +6,11 @@ Example:
 """
 
 import argparse
+import os
 import sys
 
-sys.path.insert(0, "src")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "src"))
 
 from qtmac.algebra import GENERIC
 from qtmac import comb, pieri

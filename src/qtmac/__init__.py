@@ -69,10 +69,8 @@ from .pieri import (
     product_expand_oracle,
 )
 from .ctnorm import (
-    SpecializedWeight,
     ct_inner_product,
     specialized_weight,
-    verify_orthogonality_norms,
 )
 
 __version__ = "0.1.0"

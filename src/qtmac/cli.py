@@ -136,12 +136,16 @@ def _table_payload(table: dict, ctx: ScalarContext) -> dict:
 
 def _parse_params(spec: str) -> ScalarContext:
     try:
-        fields = dict(part.split("=", 1) for part in spec.split(","))
+        pairs = [part.split("=", 1) for part in spec.split(",")]
+        fields = dict(pairs)
         qv = Fraction(fields["q"])
         tv = Fraction(fields["t"])
     except (ValueError, KeyError, ZeroDivisionError) as exc:
         raise UsageError(
             f"cannot parse --params {spec!r}; expected q=NUM/DEN,t=NUM/DEN") from exc
+    if len(pairs) != 2:
+        raise UsageError(f"--params {spec!r} must set q and t once each "
+                         "and nothing else")
     try:
         return specialized(qv, tv)
     except AlgebraError as exc:
@@ -215,10 +219,7 @@ def compute_document(kind: str, n: int, inputs: dict,
         payload = _coeff_obj(istar.binomial_direct(eta, nu, ctx), ctx)
     elif kind == "psi":
         lam = comb.parse_comp(inputs["lam"])
-        try:
-            payload = _coeff_obj(emac.psi_coefficient(eta, lam, n, ctx), ctx)
-        except AlgebraError as exc:
-            raise UsageError(str(exc)) from exc
+        payload = _coeff_obj(emac.psi_coefficient(eta, lam, n, ctx), ctx)
     else:  # innerprod; parse_request rejected every other kind
         nu = comb.parse_comp(inputs["nu"])
         k = inputs["k"]

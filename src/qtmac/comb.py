@@ -183,6 +183,8 @@ def hook_products(eta: Composition, ctx: ScalarContext = GENERIC) -> HookTable:
 
     Node (i,j) of the diagram has the arm and leg of :func:`hook_nodes`, arm
     colength j - 1, and leg colength equal to the row statistic l'(i).
+    d and e' are only ever denominators, so a factor of theirs that vanishes
+    at ctx's point raises SpecializationError naming it.
     """
     n = len(eta)
     lp = leg_colength_vector(eta)
@@ -195,10 +197,10 @@ def hook_products(eta: Composition, ctx: ScalarContext = GENERIC) -> HookTable:
         arm_co = j - 1
         leg_co = lp[i - 1]
         nodes[(i, j)] = (arm, arm_co, leg, leg_co)
-        d = d * (ctx.one - ctx.monomial(arm + 1, leg + 1))
+        d = d * ctx.one_minus(arm + 1, leg + 1)
         d_prime = d_prime * (ctx.one - ctx.monomial(arm + 1, leg))
         e = e * (ctx.one - ctx.monomial(arm_co + 1, n - leg_co))
-        e_prime = e_prime * (ctx.one - ctx.monomial(arm_co + 1, n - 1 - leg_co))
+        e_prime = e_prime * ctx.one_minus(arm_co + 1, n - 1 - leg_co)
     return HookTable(eta, nodes, d, d_prime, e, e_prime)
 
 

@@ -10,8 +10,6 @@ and the closed-form norms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import (
     GENERIC,
     AlgebraError,
@@ -19,15 +17,8 @@ from .algebra import (
     ZPolynomial,
     subst_t_power,
 )
-from . import comb, emac
+from . import emac
 from .comb import Composition
-
-
-@dataclass(frozen=True)
-class SpecializedWeight:
-    n: int
-    k: int
-    weight: ZPolynomial
 
 
 def _ratio_monomial(n: int, i: int, j: int, ctx: ScalarContext,
@@ -39,7 +30,7 @@ def _ratio_monomial(n: int, i: int, j: int, ctx: ScalarContext,
 
 
 def specialized_weight(n: int, k: int,
-                       ctx: ScalarContext = GENERIC) -> SpecializedWeight:
+                       ctx: ScalarContext = GENERIC) -> ZPolynomial:
     """The truncated weight: product over i<j of
     (z_i/z_j; q)_k (q z_j/z_i; q)_k, expanded exactly."""
     if n < 2:
@@ -53,17 +44,17 @@ def specialized_weight(n: int, k: int,
             for p in range(k):
                 weight = weight * (one - _ratio_monomial(n, i, j, ctx, p))
                 weight = weight * (one - _ratio_monomial(n, j, i, ctx, p + 1))
-    return SpecializedWeight(n, k, weight)
+    return weight
 
 
-def ct_inner_product(f: ZPolynomial, g_bar: ZPolynomial, w: SpecializedWeight,
+def ct_inner_product(f: ZPolynomial, g_bar: ZPolynomial, w: ZPolynomial,
                      ctx: ScalarContext = GENERIC):
     """CT[f(z) g(1/z; 1/q, 1/t) W], where ``g_bar`` is g computed at the
     reciprocal parameters already (in ``ctx.inverted()``); f and g_bar are
     expected to be specialized at t = q^k."""
-    if f.nvars != w.n or g_bar.nvars != w.n:
+    if f.nvars != w.nvars or g_bar.nvars != w.nvars:
         raise AlgebraError("variable count mismatch with the weight")
-    product = f * g_bar.invert_vars() * w.weight
+    product = f * g_bar.invert_vars() * w
     return ctx.coerce(product.constant_term())
 
 
@@ -74,46 +65,3 @@ def specialize_E(eta: Composition, k: int,
     if ctx.generic:
         return poly.map_coeffs(lambda c: subst_t_power(c, k))
     raise AlgebraError("specialize_E at t=q^k is a symbolic-mode operation")
-
-
-@dataclass(frozen=True)
-class OrthogonalityReport:
-    n: int
-    k: int
-    maxmod: int
-    one_one: object
-    checked: int
-    failures: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def verify_orthogonality_norms(n: int, k: int, maxmod: int,
-                               ctx: ScalarContext = GENERIC) -> OrthogonalityReport:
-    """Check <E_eta, E_nu> = delta * N_eta <1,1> for all labels up to maxmod.
-
-    The norm side uses the closed hook-product formula restricted to t = q^k;
-    the inner product side is a raw constant-term extraction.
-    """
-    w = specialized_weight(n, k, ctx)
-    ones = ZPolynomial.constant(n, ctx.one)
-    one_one = ct_inner_product(ones, ones, w, ctx)
-    labels = list(comb.compositions_up_to(n, maxmod))
-    inv = ctx.inverted()
-    polys = {eta: specialize_E(eta, k, ctx) for eta in labels}
-    bars = {eta: specialize_E(eta, k, inv) for eta in labels}
-    failures = []
-    checked = 0
-    for a, eta in enumerate(labels):
-        for nu in labels[a:]:
-            lhs = ct_inner_product(polys[eta], bars[nu], w, ctx)
-            if eta == nu:
-                rhs = subst_t_power(emac.norm_N(eta, ctx), k) * one_one
-            else:
-                rhs = ctx.zero
-            checked += 1
-            if lhs != rhs:
-                failures.append((eta, nu, ctx.text(lhs), ctx.text(rhs)))
-    return OrthogonalityReport(n, k, maxmod, one_one, checked, tuple(failures))

@@ -9,8 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import GENERIC, ScalarContext
+from .algebra import GENERIC, ScalarContext, ZPolynomial, subst_t_power
 from . import comb, ctnorm, emac, istar, pieri
+
+# how far above a label's modulus the vanishing and binomial suites reach
+MAX_GAP = 3
 
 
 @dataclass
@@ -24,10 +27,28 @@ class SuiteReport:
         return not self.failures
 
 
+def _report(suite: str, check, jobs) -> SuiteReport:
+    """Run ``check`` on every job; it returns the job's failure messages.
+    ``checked`` counts the jobs, ``failures`` holds the messages in job order."""
+    checked = 0
+    failures = []
+    for job in jobs:
+        checked += 1
+        failures.extend(check(job))
+    return SuiteReport(suite, checked, failures)
+
+
 def _labels(max_n: int, max_mod: int, min_n: int = 1):
     for n in range(min_n, max_n + 1):
-        for eta in comb.compositions_up_to(n, max_mod):
-            yield eta
+        yield from comb.compositions_up_to(n, max_mod)
+
+
+def _above(eta):
+    """Every composition of len(eta) parts whose modulus exceeds |eta| by
+    1 .. MAX_GAP."""
+    m = comb.modulus(eta)
+    for gap in range(1, MAX_GAP + 1):
+        yield from comb.compositions(len(eta), m + gap)
 
 
 def suite_oracle_estar(max_n: int, max_mod: int,
@@ -35,12 +56,10 @@ def suite_oracle_estar(max_n: int, max_mod: int,
     """generate_Estar agrees with the vanishing-conditions linear solve."""
     def check(eta):
         if istar.generate_Estar(eta, ctx) != istar.vanishing_solve_oracle(eta, ctx):
-            return f"Estar mismatch at eta={comb.comp_str(eta)}"
-        return None
+            return [f"Estar mismatch at eta={comb.comp_str(eta)}"]
+        return []
 
-    results = [check(eta) for eta in _labels(max_n, max_mod)]
-    return SuiteReport("oracle-estar", len(results),
-                       [r for r in results if r])
+    return _report("oracle-estar", check, _labels(max_n, max_mod))
 
 
 def suite_oracle_e(max_n: int, max_mod: int,
@@ -51,35 +70,29 @@ def suite_oracle_e(max_n: int, max_mod: int,
     def check(eta):
         bridged = istar.generate_Estar(eta, inv).top_homogeneous()
         if bridged != emac.generate_E(eta, ctx):
-            return f"top-degree bridge fails at eta={comb.comp_str(eta)}"
-        return None
+            return [f"top-degree bridge fails at eta={comb.comp_str(eta)}"]
+        return []
 
-    results = [check(eta) for eta in _labels(max_n, max_mod)]
-    return SuiteReport("oracle-e", len(results), [r for r in results if r])
+    return _report("oracle-e", check, _labels(max_n, max_mod))
 
 
 def suite_eigen(max_n: int, max_mod: int,
                 ctx: ScalarContext = GENERIC) -> SuiteReport:
     """Xi_i Estar_eta = (eta-bar_i)^{-1} Estar_eta for every i."""
-    def check(eta):
-        n = len(eta)
+    def check(job):
+        eta, i = job
         p = istar.generate_Estar(eta, ctx)
-        eb = comb.spectral_vector(eta, ctx)
-        bad = []
-        for i in range(1, n + 1):
-            lhs = istar.xi_apply(i, p, ctx)
-            rhs = p.scale(eb[i - 1] ** -1)
-            if lhs != rhs:
-                bad.append(f"eigenrelation fails at eta={comb.comp_str(eta)} i={i}")
-        return bad
+        eigenvalue = comb.spectral_vector(eta, ctx)[i - 1]
+        if istar.xi_apply(i, p, ctx) != p.scale(eigenvalue ** -1):
+            return [f"eigenrelation fails at eta={comb.comp_str(eta)} i={i}"]
+        return []
 
-    results = [check(eta) for eta in _labels(max_n, max_mod)]
-    flat = [msg for sub in results for msg in sub]
-    return SuiteReport("eigen", sum(len(eta) for eta in _labels(max_n, max_mod)),
-                       flat)
+    jobs = ((eta, i) for eta in _labels(max_n, max_mod)
+            for i in range(1, len(eta) + 1))
+    return _report("eigen", check, jobs)
 
 
-def suite_vanishing(max_n: int, max_mod: int, extra: int = 3,
+def suite_vanishing(max_n: int, max_mod: int,
                     ctx: ScalarContext = GENERIC) -> SuiteReport:
     """Extra vanishing in both directions: Estar_eta(lam-bar) = 0 exactly
     when lam is not a successor of eta.
@@ -88,30 +101,24 @@ def suite_vanishing(max_n: int, max_mod: int, extra: int = 3,
     ``spectral_evaluate`` must agree with it.
     """
     def check(eta):
-        n = len(eta)
         bad = []
-        m = comb.modulus(eta)
         poly = istar.generate_Estar(eta, ctx)
-        for gap in range(1, extra + 1):
-            for lam in comb.compositions(n, m + gap):
-                value = poly.at_point(comb.spectral_vector(lam, ctx), ctx)
-                if istar.spectral_evaluate(eta, lam, ctx) != value:
-                    bad.append(
-                        f"spectral_evaluate disagrees with at_point "
-                        f"eta={comb.comp_str(eta)} lam={comb.comp_str(lam)}")
-                vanished = not value
-                predicted = istar.extra_vanishing_test(eta, lam)
-                if vanished != predicted:
-                    bad.append(
-                        f"vanishing mismatch eta={comb.comp_str(eta)} "
-                        f"lam={comb.comp_str(lam)}: value {'0' if vanished else '!=0'}"
-                        f" vs successor says {'0' if predicted else '!=0'}")
+        for lam in _above(eta):
+            value = poly.at_point(comb.spectral_vector(lam, ctx), ctx)
+            if istar.spectral_evaluate(eta, lam, ctx) != value:
+                bad.append(
+                    f"spectral_evaluate disagrees with at_point "
+                    f"eta={comb.comp_str(eta)} lam={comb.comp_str(lam)}")
+            vanished = not value
+            predicted = istar.extra_vanishing_test(eta, lam)
+            if vanished != predicted:
+                bad.append(
+                    f"vanishing mismatch eta={comb.comp_str(eta)} "
+                    f"lam={comb.comp_str(lam)}: value {'0' if vanished else '!=0'}"
+                    f" vs successor says {'0' if predicted else '!=0'}")
         return bad
 
-    labels = list(_labels(max_n, max_mod))
-    results = [check(eta) for eta in labels]
-    flat = [msg for sub in results for msg in sub]
-    return SuiteReport("vanishing", len(labels), flat)
+    return _report("vanishing", check, _labels(max_n, max_mod))
 
 
 def suite_pieri_agreement(max_n: int, max_mod: int,
@@ -133,10 +140,7 @@ def suite_pieri_agreement(max_n: int, max_mod: int,
                     f"r=1 {name} disagrees with oracle at eta={comb.comp_str(eta)}")
         return bad
 
-    labels = list(_labels(max_n, max_mod, min_n=2))
-    results = [check(eta) for eta in labels]
-    flat = [msg for sub in results for msg in sub]
-    return SuiteReport("pieri-agreement", len(labels), flat)
+    return _report("pieri-agreement", check, _labels(max_n, max_mod, min_n=2))
 
 
 def suite_pieri_general(max_n: int, max_mod: int,
@@ -163,17 +167,14 @@ def suite_pieri_general(max_n: int, max_mod: int,
                     f"homogeneous residual nonzero eta={comb.comp_str(eta)} r={r}")
         return bad
 
-    labels = list(_labels(max_n, max_mod, min_n=2))
-    results = [check(eta) for eta in labels]
-    flat = [msg for sub in results for msg in sub]
-    return SuiteReport("pieri-general", len(labels), flat)
+    return _report("pieri-general", check, _labels(max_n, max_mod, min_n=2))
 
 
 def suite_duality(max_n: int, max_mod: int,
                   ctx: ScalarContext = GENERIC) -> SuiteReport:
     """Duality route equals the direct computation."""
-    def check(args):
-        eta, r = args
+    def check(job):
+        eta, r = job
         bad = []
         direct = pieri.pieri_homogeneous(eta, r, ctx)
         for lam in comb.successors_layered(eta, r):
@@ -184,62 +185,70 @@ def suite_duality(max_n: int, max_mod: int,
                     f"lam={comb.comp_str(lam)} r={r}")
         return bad
 
-    jobs = [(eta, r)
-            for eta in _labels(max_n, max_mod, min_n=2)
-            for r in range(1, len(eta))]
-    results = [check(job) for job in jobs]
-    flat = [msg for sub in results for msg in sub]
-    return SuiteReport("duality", len(jobs), flat)
+    jobs = ((eta, r) for eta in _labels(max_n, max_mod, min_n=2)
+            for r in range(1, len(eta)))
+    return _report("duality", check, jobs)
 
 
-def suite_binomials(max_n: int, max_mod: int, extra: int = 3,
+def suite_binomials(max_n: int, max_mod: int,
                     ctx: ScalarContext = GENERIC) -> SuiteReport:
     """binomial_recursive equals binomial_direct across the range."""
     def check(eta):
-        n = len(eta)
-        m = comb.modulus(eta)
-        bad = []
-        for gap in range(1, extra + 1):
-            for nu in comb.compositions(n, m + gap):
-                if istar.binomial_recursive(eta, nu, ctx) != \
-                        istar.binomial_direct(eta, nu, ctx):
-                    bad.append(
-                        f"binomial mismatch eta={comb.comp_str(eta)} "
-                        f"nu={comb.comp_str(nu)}")
-        return bad
+        return [f"binomial mismatch eta={comb.comp_str(eta)} nu={comb.comp_str(nu)}"
+                for nu in _above(eta)
+                if istar.binomial_recursive(eta, nu, ctx)
+                != istar.binomial_direct(eta, nu, ctx)]
 
-    labels = list(_labels(max_n, max_mod))
-    results = [check(eta) for eta in labels]
-    flat = [msg for sub in results for msg in sub]
-    return SuiteReport("binomials", len(labels), flat)
+    return _report("binomials", check, _labels(max_n, max_mod))
 
 
 def suite_norms(max_n: int, max_mod: int, ks=(1, 2),
                 ctx: ScalarContext = GENERIC) -> SuiteReport:
-    """Orthogonality and norms under the truncated constant-term pairing."""
-    failures = []
-    checked = 0
-    for n in range(2, max_n + 1):
-        for k in ks:
-            report = ctnorm.verify_orthogonality_norms(n, k, max_mod, ctx)
-            checked += report.checked
-            for eta, nu, lhs, rhs in report.failures:
-                failures.append(
-                    f"norm mismatch n={n} k={k} eta={comb.comp_str(eta)} "
-                    f"nu={comb.comp_str(nu)}: {lhs} != {rhs}")
-    return SuiteReport("norms", checked, failures)
+    """Orthogonality and norms under the truncated constant-term pairing:
+    <E_eta, E_nu> = delta * N_eta <1,1> at t = q^k for every pair of labels.
+
+    The norm side uses the closed hook-product formula restricted to t = q^k;
+    the inner product side is a raw constant-term extraction.
+    """
+    inv = ctx.inverted()
+
+    def check(job):
+        n, k, w, one_one, e_eta, bar_nu, eta, nu = job
+        lhs = ctnorm.ct_inner_product(e_eta, bar_nu, w, ctx)
+        rhs = (subst_t_power(emac.norm_N(eta, ctx), k) * one_one
+               if eta == nu else ctx.zero)
+        if lhs == rhs:
+            return []
+        return [f"norm mismatch n={n} k={k} eta={comb.comp_str(eta)} "
+                f"nu={comb.comp_str(nu)}: {ctx.text(lhs)} != {ctx.text(rhs)}"]
+
+    def jobs():
+        # the weight, <1,1> and the specialised E are computed once per (n, k)
+        for n in range(2, max_n + 1):
+            labels = list(comb.compositions_up_to(n, max_mod))
+            for k in ks:
+                w = ctnorm.specialized_weight(n, k, ctx)
+                ones = ZPolynomial.constant(n, ctx.one)
+                one_one = ctnorm.ct_inner_product(ones, ones, w, ctx)
+                polys = {eta: ctnorm.specialize_E(eta, k, ctx) for eta in labels}
+                bars = {eta: ctnorm.specialize_E(eta, k, inv) for eta in labels}
+                for a, eta in enumerate(labels):
+                    for nu in labels[a:]:
+                        yield n, k, w, one_one, polys[eta], bars[nu], eta, nu
+
+    return _report("norms", check, jobs())
 
 
 def suite_symmetric_pieri(max_n: int, max_mod: int,
                           ctx: ScalarContext = GENERIC) -> SuiteReport:
     """e_r P_kappa expands with the vertical-strip coefficients and nothing else."""
-    def check(args):
-        n, kappa, r = args
+    def check(job):
+        n, kappa, r = job
         bad = []
         table = emac.symmetric_pieri_table(kappa, r, n, ctx)
-        lam_all = {lam for lam in table}
+        kap = kappa + (0,) * (n - len(kappa))
         for lam, coeff in table.items():
-            if not emac.is_vertical_strip(kappa + (0,) * (n - len(kappa)), lam):
+            if not emac.is_vertical_strip(kap, lam):
                 bad.append(
                     f"non-vertical-strip term kappa={comb.comp_str(kappa)} "
                     f"r={r} lam={comb.comp_str(lam)}")
@@ -248,24 +257,19 @@ def suite_symmetric_pieri(max_n: int, max_mod: int,
                     f"psi mismatch kappa={comb.comp_str(kappa)} r={r} "
                     f"lam={comb.comp_str(lam)}")
         # vertical strips that should appear
-        kap = kappa + (0,) * (n - len(kappa))
         for lam in comb.compositions(n, comb.modulus(kap) + r):
             if comb.is_partition(lam) and emac.is_vertical_strip(kap, lam) \
-                    and lam not in lam_all:
+                    and lam not in table:
                 bad.append(
                     f"missing vertical strip kappa={comb.comp_str(kappa)} "
                     f"r={r} lam={comb.comp_str(lam)}")
         return bad
 
-    jobs = []
-    for n in range(1, max_n + 1):
-        for kappa in comb.compositions_up_to(n, max_mod):
-            if comb.is_partition(kappa):
-                for r in range(1, n + 1):
-                    jobs.append((n, kappa, r))
-    results = [check(job) for job in jobs]
-    flat = [msg for sub in results for msg in sub]
-    return SuiteReport("symmetric-pieri", len(jobs), flat)
+    jobs = ((n, kappa, r) for n in range(1, max_n + 1)
+            for kappa in comb.compositions_up_to(n, max_mod)
+            if comb.is_partition(kappa)
+            for r in range(1, n + 1))
+    return _report("symmetric-pieri", check, jobs)
 
 
 SUITES = {
@@ -284,15 +288,8 @@ SUITES = {
 
 def run_suite(name: str, max_n: int, max_mod: int,
               ctx: ScalarContext = GENERIC, ks=(1, 2)) -> list[SuiteReport]:
-    if name == "all":
-        names = list(SUITES)
-    else:
-        names = [name]
     reports = []
-    for nm in names:
-        fn = SUITES[nm]
-        if nm == "norms":
-            reports.append(fn(max_n, max_mod, ks=ks, ctx=ctx))
-        else:
-            reports.append(fn(max_n, max_mod, ctx=ctx))
+    for nm in SUITES if name == "all" else [name]:
+        options = {"ks": ks} if nm == "norms" else {}
+        reports.append(SUITES[nm](max_n, max_mod, ctx=ctx, **options))
     return reports

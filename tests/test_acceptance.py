@@ -73,7 +73,7 @@ def test_criterion_03_eigenrelations():
 
 
 def test_criterion_04_extra_vanishing_iff():
-    rep = verify.suite_vanishing(3, 3, extra=3)
+    rep = verify.suite_vanishing(3, 3)
     assert rep.ok, rep.failures[:3]
     report(4, f"Estar_eta(lam-bar) = 0 iff lam is not a successor "
               f"({rep.checked} base labels, gaps 1..3)")
@@ -121,7 +121,7 @@ def test_criterion_08_duality():
 
 def test_criterion_09_binomials():
     assert istar.binomial_recursive((0, 1), (1, 1)) == T / (Q * T - 1)
-    rep = verify.suite_binomials(3, 3, extra=3)
+    rep = verify.suite_binomials(3, 3)
     assert rep.ok, rep.failures[:3]
     report(9, f"binomial_recursive == binomial_direct for n<=3, |eta|<=3, "
               f"gaps 1..3 ({rep.checked} base labels)")

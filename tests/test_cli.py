@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from qtmac import cli
+from qtmac import cli, pieri
 
 
 def run_cli(args, capsys):
@@ -151,6 +151,8 @@ def test_output_determinism(capsys):
     ["verify", "--suite", "no-such-suite", "--max-n", "2", "--max-mod", "1"],
     ["verify", "--suite", "eigen", "--max-n", "2", "--max-mod", "1", "--k", "7"],
     ["psi", "--eta", "1,0", "--lam", "3,0"],
+    ["pieri", "--eta", "0,0", "--r", "1", "--params", "q=2,t=3,x=5"],
+    ["pieri", "--eta", "0,0", "--r", "1", "--params", "q=2,t=3,t=5"],
 ])
 def test_usage_errors_exit_one(argv, capsys):
     code, _, err = run_cli(argv, capsys)
@@ -175,14 +177,17 @@ def test_degenerate_point_is_a_clean_failure(capsys):
     (["e", "--eta", "2,0,1", "--params", "q=2,t=1/2"], "1 - q*t"),
     (["binom", "--eta", "0,1", "--nu", "1,2", "--params", "q=1,t=5"],
      "1 - q^-1"),
+    (["norm", "--eta", "1,0", "--params", "q=2,t=1/2"], "1 - q*t"),
+    (["psi", "--eta", "1,0", "--lam", "1,1", "--params", "q=1,t=1"],
+     "1 - q*t"),
 ])
 def test_degenerate_point_names_the_vanishing_factor(argv, factor, capsys):
-    # a principal value or a Hecke coefficient denominator vanishes there:
-    # no table with dropped entries, no bare Fraction(x, 0)
+    # a principal value, a Hecke coefficient or a norm denominator vanishes
+    # there: no table with dropped entries, no bare Fraction(x, 0)
     code, out, err = run_cli(argv, capsys)
     assert code == 1
     assert out == ""
-    assert f"factor {factor} vanishes" in err
+    assert f"error: specialization failed: factor {factor} vanishes" in err
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +206,20 @@ def test_verify_small_suites(capsys):
          "--k", "1"], capsys)
     assert code == 0
     assert "[pass] norms" in out
+
+
+def test_verify_failure_exits_two(monkeypatch, capsys):
+    # a broken fast path: every check fails, the report shows the first five
+    monkeypatch.setattr(pieri, "pieri_r1_closed", lambda eta, ctx: {})
+    code, out, _ = run_cli(
+        ["verify", "--suite", "pieri-agreement", "--max-n", "2",
+         "--max-mod", "2"], capsys)
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[0] == "[FAIL] pieri-agreement: 6 checks, 6 failures"
+    assert lines[1:] == [
+        f"    counterexample: r=1 closed disagrees with oracle at eta={eta}"
+        for eta in ("0,0", "0,1", "1,0", "0,2", "1,1")]
 
 
 @pytest.mark.parametrize("argv", [
@@ -226,6 +245,16 @@ def test_run_verify_script_checking_nothing_fails():
     assert "[pass] norms" not in proc.stdout
     assert "error: suite norms checks nothing at these bounds" in proc.stderr
     assert "[pass] eigen: 2 checks (" in proc.stdout
+
+
+def test_pieri_tables_script_runs_outside_the_repo(tmp_path):
+    script = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          os.pardir, "scripts", "pieri_tables.py")
+    proc = subprocess.run(
+        [sys.executable, script, "--n", "2", "--max-mod", "1", "--r", "1"],
+        capture_output=True, text=True, timeout=300, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("e_1 * E_0,0:\n")
 
 
 @pytest.mark.parametrize("suite", ["norms", "all"])
