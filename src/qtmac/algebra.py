@@ -247,6 +247,18 @@ class ScalarContext:
         return den, {k: c.numerator * (den // c.denominator)
                      for k, c in coeffs.items()}
 
+    def fsum(self, values):
+        """The sum of the scalars in values.  From three values on it is
+        reduced once over their common denominator rather than once per
+        addition; two values take one reduction either way."""
+        values = list(values)
+        if len(values) < 3:
+            return sum(values, self.zero)
+        den, nums = self.common_denominator(dict(enumerate(values)))
+        if self.generic:
+            return _FIELD.new(sum(nums.values(), _RING.zero), den)
+        return Fraction(sum(nums.values()), den)
+
     def monomial_sum(self, den, terms):
         """The scalar sum of N q^a t^b over (N, a, b) in terms, over den.
 

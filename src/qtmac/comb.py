@@ -141,10 +141,33 @@ def delta_exponents(eta: Composition, i: int) -> tuple[int, int]:
     return eta[i - 1] - eta[i], lp[i] - lp[i - 1]
 
 
+def spectral_exponents(eta: Composition) -> tuple[tuple[int, int], ...]:
+    """(a, b) per position, with q^a t^b the entry of the spectral point:
+    a = eta_i and b = -l'(i)."""
+    lp = leg_colength_vector(eta)
+    return tuple((x, -l) for x, l in zip(eta, lp))
+
+
 def spectral_vector(eta: Composition, ctx: ScalarContext = GENERIC):
     """The evaluation point attached to eta: entry i is q^(eta_i) t^(-l'(i))."""
-    lp = leg_colength_vector(eta)
-    return tuple(ctx.monomial(eta[i], -lp[i]) for i in range(len(eta)))
+    return tuple(ctx.monomial(a, b) for a, b in spectral_exponents(eta))
+
+
+def spectral_e_gap(eta: Composition, lam: Composition, r: int,
+                   ctx: ScalarContext = GENERIC):
+    """e_r(lam-bar) - e_r(eta-bar), normalised once.
+
+    At a spectral point each r-subset of positions contributes one monomial
+    q^a t^b, so the gap is one monomial sum over denominator 1: sign +1 for
+    the subsets of lam, -1 for those of eta.
+    """
+    den, ones = ctx.common_denominator({1: ctx.one, -1: -ctx.one})
+    terms = []
+    for sign, mu in ((1, lam), (-1, eta)):
+        for subset in itertools.combinations(spectral_exponents(mu), r):
+            terms.append((ones[sign], sum(a for a, _ in subset),
+                          sum(b for _, b in subset)))
+    return ctx.monomial_sum(den, terms)
 
 
 def n_stat(lam: Composition) -> int:

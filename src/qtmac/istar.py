@@ -220,11 +220,12 @@ def vanishing_solve_oracle(eta: Composition,
 def delta_factor(eta: Composition, index_set, ctx: ScalarContext = GENERIC):
     """Product over the selected positions of (t-1)/(1 - lam-bar/eta-bar)."""
     lam = comb.c_I_apply(eta, index_set)
-    eb = comb.spectral_vector(eta, ctx)
-    lb = comb.spectral_vector(lam, ctx)
+    ez = comb.spectral_exponents(eta)
+    lz = comb.spectral_exponents(lam)
     val = ctx.one
     for tu in sorted(index_set):
-        val = val * (ctx.t - ctx.one) / (ctx.one - lb[tu - 1] / eb[tu - 1])
+        (la, lb), (ea, eb) = lz[tu - 1], ez[tu - 1]
+        val = val * (ctx.t - ctx.one) / ctx.one_minus(la - ea, lb - eb)
     return val
 
 
@@ -239,7 +240,7 @@ def beta_factor(eta: Composition, index_set, ctx: ScalarContext = GENERIC):
     """
     ts = sorted(index_set)
     t1, tlast = ts[0], ts[-1]
-    eb = comb.spectral_vector(eta, ctx)
+    ez = comb.spectral_exponents(eta)
     in_set = set(ts)
     val = ctx.one
     for i in range(1, len(eta) + 1):
@@ -247,16 +248,18 @@ def beta_factor(eta: Composition, index_set, ctx: ScalarContext = GENERIC):
             continue
         if i < tlast:
             tu = min(tt for tt in ts if tt > i)
-            if eta[i - 1] > eta[tu - 1]:
-                x = eb[tu - 1] / eb[i - 1]
-            else:
+            if eta[i - 1] <= eta[tu - 1]:
                 continue
+            a, b = ez[tu - 1]
         else:
-            if eta[i - 1] > eta[t1 - 1] + 1:
-                x = ctx.q * eb[t1 - 1] / eb[i - 1]
-            else:
+            if eta[i - 1] <= eta[t1 - 1] + 1:
                 continue
-        val = val * (x - ctx.t) * (ctx.t * x - ctx.one) / (x - ctx.one) ** 2
+            a, b = ez[t1 - 1][0] + 1, ez[t1 - 1][1]
+        # X is q^a t^b over eta-bar_i
+        a, b = a - ez[i - 1][0], b - ez[i - 1][1]
+        x = ctx.monomial(a, b)
+        val = (val * (x - ctx.t) * (ctx.t * x - ctx.one)
+               / ctx.one_minus(a, b) ** 2)
     return val
 
 
@@ -267,7 +270,7 @@ def c_I_ratio(eta: Composition, index_set, ctx: ScalarContext = GENERIC):
     return (ctx.monomial(-eta[t1 - 1], 0)
             * delta_factor(eta, index_set, ctx)
             * beta_factor(eta, index_set, ctx)
-            / (ctx.one - ctx.t))
+            / ctx.one_minus(0, 1))
 
 
 def one_step_ratio(eta: Composition, lam: Composition,

@@ -42,32 +42,45 @@ class ExpansionTable:
 
 
 def interpolation_expansion(eta: Composition, r: int,
-                            ctx: ScalarContext = GENERIC) -> ExpansionTable:
-    """All layers of the expansion of (e_r(z) - e_r(eta-bar)) Estar_eta.
+                            ctx: ScalarContext = GENERIC,
+                            ceiling: Composition | None = None) -> ExpansionTable:
+    """The layers of the expansion of (e_r(z) - e_r(eta-bar)) Estar_eta.
 
     Layer one is a pure evaluation ratio; layer i subtracts the contributions
-    of every earlier layer that stays below the target.  Each coefficient is
-    summed as a numerator and divided by the principal value of its target
-    once.  Every target's principal value is taken, zero numerator or not,
-    so a point where one vanishes raises instead of dropping coefficients.
+    of every earlier layer that stays below the target.  Each coefficient's
+    numerator is summed over one common denominator and divided by the
+    principal value of its target once.  Every kept target's principal value
+    is taken, zero numerator or not, so a point where one vanishes raises
+    instead of dropping coefficients.
+
+    With a ``ceiling``, only the targets lam <=' ceiling are kept.  This is
+    exact for them: the successor order is transitive, so a label above the
+    ceiling never precedes a kept target and its coefficient never enters
+    one.  Without it every successor of eta is kept, which the residual
+    check needs.
     """
     eta = comb.as_composition(eta)
     n = len(eta)
     if not 1 <= r <= n:
         raise AlgebraError(f"r={r} out of range for n={n}")
-    er_eta = elementary_symmetric_at(comb.spectral_vector(eta, ctx), r, ctx)
     layers: list[dict] = []
-    for i in range(1, r + 1):
+    # the labels kept at the current gap: every chain of one-step successors
+    # from eta to a kept label stays below it, hence below the ceiling
+    front = {eta}
+    for _ in range(r):
+        front = {lam for mu in front for lam in comb.successors_one_step(mu)}
+        if ceiling is not None:
+            front = {lam for lam in front if comb.is_successor(lam, ceiling)}
         layer = {}
-        for lam in comb.successors_layered(eta, i):
+        for lam in sorted(front):
             principal = istar.principal_value(lam, ctx)
-            lb = comb.spectral_vector(lam, ctx)
-            total = ((elementary_symmetric_at(lb, r, ctx) - er_eta)
-                     * istar.spectral_evaluate(eta, lam, ctx))
+            terms = [comb.spectral_e_gap(eta, lam, r, ctx)
+                     * istar.spectral_evaluate(eta, lam, ctx)]
             for prev_layer in layers:
                 for mu, a in prev_layer.items():
                     if comb.is_successor(mu, lam):
-                        total = total - a * istar.spectral_evaluate(mu, lam, ctx)
+                        terms.append(-a * istar.spectral_evaluate(mu, lam, ctx))
+            total = ctx.fsum(terms)
             if total:
                 layer[lam] = total / principal
         layers.append(layer)
@@ -91,13 +104,11 @@ def interpolation_residual(table: ExpansionTable,
 
 def pieri_homogeneous(eta: Composition, r: int,
                       ctx: ScalarContext = GENERIC) -> dict:
-    """Top layer of the interpolation expansion, restricted to the lam that
-    stay below eta + (1^n): the coefficients of e_r(z) E_eta(z; 1/q, 1/t)."""
+    """The coefficients of e_r(z) E_eta(z; 1/q, 1/t): the top layer of the
+    interpolation expansion pruned to the ceiling eta + (1^n)."""
     eta = comb.as_composition(eta)
-    table = interpolation_expansion(eta, r, ctx)
     ceiling = comb.add_box_everywhere(eta, 1)
-    return {lam: c for lam, c in table.layers[r - 1].items()
-            if comb.is_successor(lam, ceiling)}
+    return interpolation_expansion(eta, r, ctx, ceiling).layers[r - 1]
 
 
 def pieri_r1_closed(eta: Composition, ctx: ScalarContext = GENERIC) -> dict:
@@ -105,14 +116,11 @@ def pieri_r1_closed(eta: Composition, ctx: ScalarContext = GENERIC) -> dict:
     (|lam-bar| - |eta-bar|) times :func:`istar.c_I_ratio`, which is
     q^(-eta_{t1}) delta(eta,I) beta(eta,I) / (1-t)."""
     eta = comb.as_composition(eta)
-    eb = comb.spectral_vector(eta, ctx)
-    e1_eta = elementary_symmetric_at(eb, 1, ctx)
     out = {}
     for index_set in comb.maximal_sets(eta):
         lam = comb.c_I_apply(eta, index_set)
-        lb = comb.spectral_vector(lam, ctx)
-        gap = elementary_symmetric_at(lb, 1, ctx) - e1_eta
-        coeff = gap * istar.c_I_ratio(eta, index_set, ctx)
+        coeff = (comb.spectral_e_gap(eta, lam, 1, ctx)
+                 * istar.c_I_ratio(eta, index_set, ctx))
         if coeff:
             out[lam] = coeff
     return out
@@ -138,11 +146,16 @@ class PieriProductForms:
 
 
 def _a_hat(x, y, ctx):
-    return (ctx.t - ctx.one) * x / (x - y)
+    """(t - 1) x / (x - y) for spectral monomials x = q^x0 t^x1 and
+    y = q^y0 t^y1, built as (t - 1) / (1 - y/x)."""
+    return (ctx.t - ctx.one) / ctx.one_minus(y[0] - x[0], y[1] - x[1])
 
 
 def _b_hat(x, y, ctx):
-    return (x - ctx.t * y) / (x - y)
+    """(x - t y) / (x - y) for spectral monomials as in :func:`_a_hat`,
+    built as (1 - t y/x) / (1 - y/x)."""
+    a, b = y[0] - x[0], y[1] - x[1]
+    return (ctx.one - ctx.monomial(a, b + 1)) / ctx.one_minus(a, b)
 
 
 def _product_factors(eta: Composition, index_set, ctx: ScalarContext):
@@ -150,8 +163,10 @@ def _product_factors(eta: Composition, index_set, ctx: ScalarContext):
     ts = sorted(index_set)
     s = len(ts)
     n = len(eta)
-    z = comb.spectral_vector(eta, ctx)
-    a_val = _a_hat(z[ts[-1] - 1] / ctx.q, z[ts[0] - 1], ctx)
+    z = comb.spectral_exponents(eta)
+    first, last = z[ts[0] - 1], z[ts[-1] - 1]
+    raised = (first[0] + 1, first[1])  # q times the first selected entry
+    a_val = _a_hat((last[0] - 1, last[1]), first, ctx)
     for u in range(s - 1):
         a_val = a_val * _a_hat(z[ts[u] - 1], z[ts[u + 1] - 1], ctx)
     b_val = ctx.one
@@ -161,8 +176,8 @@ def _product_factors(eta: Composition, index_set, ctx: ScalarContext):
             b_val = b_val * _b_hat(z[tu - 1], z[j - 1], ctx)
         prev = tu
     for j in range(ts[-1] + 1, n + 1):
-        b_val = b_val * _b_hat(ctx.q * z[ts[0] - 1], z[j - 1], ctx)
-    b_val = b_val * (ctx.q * z[ts[0] - 1] - ctx.monomial(0, 1 - n))
+        b_val = b_val * _b_hat(raised, z[j - 1], ctx)
+    b_val = b_val * (ctx.monomial(*raised) - ctx.monomial(0, 1 - n))
     return a_val, b_val
 
 
@@ -182,9 +197,9 @@ def pieri_r1_product_form(eta: Composition,
         lam = comb.c_I_apply(eta, index_set)
         t1 = min(index_set)
         a_val, b_val = _product_factors(eta, index_set, ctx)
-        coeff = ((ctx.one - ctx.q) * dpr_eta * a_val * b_val
+        coeff = ((ctx.q - ctx.one) * dpr_eta * a_val * b_val
                  / (comb.hook_d_prime_inverted(lam, ctx)
-                    * ctx.monomial(eta[t1 - 1] + 1, 0) * (ctx.t - ctx.one)))
+                    * ctx.monomial(eta[t1 - 1] + 1, 0) * ctx.one_minus(0, 1)))
         witness = comb.successor_test(eta, lam)
         sigma = witness.sigma
         g0 = tuple(i for i in range(1, n + 1)

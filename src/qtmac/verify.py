@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import GENERIC, ScalarContext, ZPolynomial, subst_t_power
+from .algebra import (GENERIC, ScalarContext, SpecializationError,
+                      ZPolynomial, subst_t_power)
 from . import comb, ctnorm, emac, istar, pieri
 
 # how far above a label's modulus the vanishing and binomial suites reach
@@ -49,6 +50,18 @@ def _above(eta):
     m = comb.modulus(eta)
     for gap in range(1, MAX_GAP + 1):
         yield from comb.compositions(len(eta), m + gap)
+
+
+def _distinct_spectral_points(labels, ctx: ScalarContext):
+    """Raise SpecializationError, naming them, if two of the labels share
+    their spectral point at ctx's point."""
+    seen = {}
+    for lam in labels:
+        other = seen.setdefault(comb.spectral_vector(lam, ctx), lam)
+        if other != lam:
+            raise SpecializationError(
+                f"{comb.comp_str(other)} and {comb.comp_str(lam)} share their "
+                f"spectral point at {ctx.params_label()}")
 
 
 def suite_oracle_estar(max_n: int, max_mod: int,
@@ -98,8 +111,12 @@ def suite_vanishing(max_n: int, max_mod: int,
     when lam is not a successor of eta.
 
     The value comes from the general evaluator ``at_point``; the fast
-    ``spectral_evaluate`` must agree with it.
+    ``spectral_evaluate`` must agree with it.  The theorem needs distinct
+    spectral points, so a point where two labels of the range share one
+    raises SpecializationError naming them before anything is checked.
     """
+    _distinct_spectral_points(_labels(max_n, max_mod + MAX_GAP), ctx)
+
     def check(eta):
         bad = []
         poly = istar.generate_Estar(eta, ctx)

@@ -156,9 +156,13 @@ def test_inverted_context_example():
 shifts = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
 
 
-@pytest.mark.parametrize("ctx", [
+# symbolic, at reciprocal parameters and at two rational points
+SUM_CONTEXTS = pytest.mark.parametrize("ctx", [
     G, G.inverted(), specialized(Fraction(-2, 3), Fraction(5, 7)),
     specialized(3, Fraction(-1, 2))], ids=lambda ctx: ctx.params_label())
+
+
+@SUM_CONTEXTS
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.tuples(scalars(), shifts), max_size=4))
 def test_monomial_sum_over_common_denominator(ctx, terms):
@@ -179,6 +183,25 @@ def test_monomial_sum_over_common_denominator(ctx, terms):
         expected = expected + c * ctx.monomial(*terms[k][1])
     got = ctx.monomial_sum(den, ((nums[k], *terms[k][1]) for k in coeffs))
     assert got == expected
+
+
+@SUM_CONTEXTS
+@settings(max_examples=25, deadline=None)
+@given(st.lists(scalars(), max_size=5))
+def test_fsum_is_the_running_sum(ctx, values):
+    # reducing once over the common denominator equals adding one by one
+    if not ctx.generic:
+        at_point = []
+        for c in values:
+            try:
+                at_point.append(scalar_eval(c, ctx.qval, ctx.tval))
+            except AlgebraError:
+                continue
+        values = at_point
+    expected = ctx.zero
+    for c in values:
+        expected = expected + c
+    assert ctx.fsum(values) == expected
 
 
 # ---------------------------------------------------------------------------

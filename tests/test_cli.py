@@ -66,10 +66,39 @@ PIERI_1010_R1_NEG_Q = (
 )
 
 
+# Two of the queries that pruning to the ceiling eta + (1^n) shortens most.
+PIERI_00100_R4 = (
+    '{"schema": "1", "kind": "pieri", "n": 5, "eta": "0,0,1,0,0", "r": 4, '
+    '"params": "q=11/13,t=17/19", "payload": {"entries": [["0,1,1,1,2", '
+    '{"num": "-65581774973", "den": "5416539548328"}], ["0,1,1,2,1", '
+    '{"num": "-3857751469", "den": "233476849908"}], ["0,1,2,1,1", '
+    '{"num": "4913", "den": "17562"}], ["1,0,1,1,2", '
+    '{"num": "-3857751469", "den": "233476849908"}], ["1,0,1,2,1", '
+    '{"num": "-226926557", "den": "10063886538"}], ["1,0,2,1,1", '
+    '{"num": "289", "den": "757"}], ["1,1,0,1,2", '
+    '{"num": "73297277911", "den": "2427912499968"}], ["1,1,0,2,1", '
+    '{"num": "4311604583", "den": "104653784448"}], ["1,1,1,1,1", '
+    '{"num": "498506705", "den": "1134859367"}], ["1,1,2,0,1", '
+    '{"num": "17", "den": "30"}], ["1,1,2,1,0", {"num": "1", "den": "1"}]]}}\n'
+)
+
+PIERI_0001_R3 = (
+    '{"schema": "1", "kind": "pieri", "n": 4, "eta": "0,0,0,1", "r": 3, '
+    '"params": "symbolic", "payload": {"entries": [["0,1,1,2", '
+    '{"num": "q*t^2 - t^2", "den": "q*t^2 - 1"}], ["1,0,1,2", '
+    '{"num": "q*t - t", "den": "q*t - 1"}], ["1,1,0,2", '
+    '{"num": "1", "den": "1"}], ["1,1,1,1", {"num": "q - 1", '
+    '"den": "q*t^3 - 1"}]]}}\n'
+)
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["pieri", "--eta", "0,1,2", "--r", "2"], PIERI_012_R2),
     (["pieri", "--eta", "1,0,1,0", "--r", "1", "--params", "q=-2/3,t=5/7"],
      PIERI_1010_R1_NEG_Q),
+    (["pieri", "--eta", "0,0,1,0,0", "--r", "4", "--params",
+      "q=11/13,t=17/19"], PIERI_00100_R4),
+    (["pieri", "--eta", "0,0,0,1", "--r", "3"], PIERI_0001_R3),
 ])
 def test_pieri_golden_stdout(argv, expected, capsys):
     code, out, _ = run_cli(argv, capsys)
@@ -180,6 +209,10 @@ def test_degenerate_point_is_a_clean_failure(capsys):
     (["norm", "--eta", "1,0", "--params", "q=2,t=1/2"], "1 - q*t"),
     (["psi", "--eta", "1,0", "--lam", "1,1", "--params", "q=1,t=1"],
      "1 - q*t"),
+    (["verify", "--suite", "pieri-agreement", "--max-n", "2", "--max-mod", "2",
+      "--params", "q=1,t=5"], "1 - q"),
+    (["verify", "--suite", "binomials", "--max-n", "2", "--max-mod", "2",
+      "--params", "q=2,t=1/2"], "1 - q*t"),
 ])
 def test_degenerate_point_names_the_vanishing_factor(argv, factor, capsys):
     # a principal value, a Hecke coefficient or a norm denominator vanishes
@@ -188,6 +221,35 @@ def test_degenerate_point_names_the_vanishing_factor(argv, factor, capsys):
     assert code == 1
     assert out == ""
     assert f"error: specialization failed: factor {factor} vanishes" in err
+
+
+def test_pieri_answers_where_only_a_label_above_the_ceiling_degenerates(
+        capsys):
+    # at q = -1 the principal value of (2,0) vanishes, but (2,0) lies above
+    # the ceiling (1,1) of eta = (0,0), so its value is never needed
+    code, out, err = run_cli(
+        ["pieri", "--eta", "0,0", "--r", "2", "--params", "q=-1,t=1/2"], capsys)
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["payload"]["entries"] == [
+        ["1,1", {"num": "1", "den": "1"}]]
+
+
+@pytest.mark.parametrize("params, pair", [
+    ("q=1,t=5", "0 and 1"),
+    ("q=-1,t=1/2", "0 and 2"),
+])
+def test_vanishing_suite_rejects_coincident_spectral_points(params, pair,
+                                                            capsys):
+    # the extra-vanishing theorem needs distinct spectral points: where two
+    # labels share one, the run names them instead of reporting [FAIL]
+    code, out, err = run_cli(
+        ["verify", "--suite", "vanishing", "--max-n", "2", "--max-mod", "2",
+         "--params", params], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: specialization failed: {pair} share their "
+                   f"spectral point at {params}\n")
 
 
 # ---------------------------------------------------------------------------

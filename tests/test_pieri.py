@@ -1,10 +1,12 @@
 """Pieri-type branching coefficients: all four routes and their contracts."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
-from qtmac.algebra import GENERIC, AlgebraError, scalar_eval, specialized
+from qtmac.algebra import (GENERIC, AlgebraError, SpecializationError,
+                           elementary_symmetric_at, scalar_eval, specialized)
 from qtmac import comb, emac, istar, pieri
 
 G = GENERIC
@@ -72,18 +74,20 @@ def test_pieri_homogeneous_residual_is_zero():
             assert pieri.homogeneous_residual(eta, r, table).is_zero, (eta, r)
 
 
+def _below(layer, ceiling):
+    return {lam: c for lam, c in layer.items() if comb.is_successor(lam, ceiling)}
+
+
 def test_top_layer_supports_the_ceiling_filter():
-    # layer r keys additionally satisfy lam <=' eta + (1^n)
+    # the pruned top layer is the full one restricted to lam <=' eta + (1^n),
+    # and the full layer's labels above the ceiling carry zero
     eta = (1, 0)
-    table = pieri.interpolation_expansion(eta, 2)
     ceiling = comb.add_box_everywhere(eta, 1)
+    full = pieri.interpolation_expansion(eta, 2).layers[1]
     homog = pieri.pieri_homogeneous(eta, 2)
-    for lam, c in table.layers[1].items():
-        if comb.is_successor(lam, ceiling):
-            assert homog[lam] == c
-        else:
-            assert lam not in homog
-            assert not c  # the unfiltered coefficient is already zero
+    assert homog == _below(full, ceiling)
+    assert homog == pieri.interpolation_expansion(eta, 2, G, ceiling).layers[1]
+    assert full == homog
 
 
 def test_unity_coefficient():
@@ -92,6 +96,78 @@ def test_unity_coefficient():
         for r in range(1, n + 1):
             table = pieri.pieri_homogeneous(eta, r)
             assert table[comb.chi_r(eta, r)] == G.one, (eta, r)
+
+
+# ---------------------------------------------------------------------------
+# the expansion pruned to the ceiling eta + (1^n)
+# ---------------------------------------------------------------------------
+
+# (ctx, max_n, max_mod): every eta with n <= max_n and |eta| <= max_mod
+PRUNING_RANGES = [
+    pytest.param(ctx, max_n, max_mod, id=ctx.params_label())
+    for ctx, max_n, max_mod in (
+        (G, 3, 3),
+        (G.inverted(), 3, 3),
+        (specialized(Fraction(-2, 3), Fraction(5, 7)), 4, 2),
+        (specialized(3, Fraction(1, 2)), 4, 2))]
+
+
+def _labels(max_n, max_mod):
+    for n in range(1, max_n + 1):
+        yield from comb.compositions_up_to(n, max_mod)
+
+
+@pytest.mark.parametrize("ctx, max_n, max_mod", PRUNING_RANGES)
+def test_pruned_expansion_is_the_full_one_below_the_ceiling(ctx, max_n,
+                                                            max_mod):
+    for eta in _labels(max_n, max_mod):
+        ceiling = comb.add_box_everywhere(eta, 1)
+        for r in range(1, len(eta) + 1):
+            full = pieri.interpolation_expansion(eta, r, ctx)
+            pruned = pieri.interpolation_expansion(eta, r, ctx, ceiling)
+            assert pruned.layers == tuple(_below(layer, ceiling)
+                                          for layer in full.layers), (eta, r)
+
+
+@pytest.mark.parametrize("ctx, max_n, max_mod", PRUNING_RANGES)
+def test_spectral_e_gap_is_a_difference_of_elementary_values(ctx, max_n,
+                                                             max_mod):
+    for eta in _labels(max_n, max_mod):
+        n = len(eta)
+        eb = comb.spectral_vector(eta, ctx)
+        for r in range(1, n + 1):
+            for lam in comb.successors_layered(eta, r):
+                lb = comb.spectral_vector(lam, ctx)
+                assert comb.spectral_e_gap(eta, lam, r, ctx) == \
+                    elementary_symmetric_at(lb, r, ctx) \
+                    - elementary_symmetric_at(eb, r, ctx), (eta, lam, r)
+
+
+# points (q, t) where some factor 1 - q^a t^b vanishes
+DEGENERATE_POINTS = [(1, 5), (-1, Fraction(1, 2)), (2, Fraction(1, 2)), (1, 1),
+                     (-1, -1), (Fraction(1, 2), 4), (3, Fraction(1, 9)),
+                     (-1, 3)]
+
+
+def test_degenerate_points_give_the_symbolic_table_or_raise():
+    # wherever the pruned route answers at a degenerate point, its table is
+    # the symbolic one evaluated there; elsewhere it names a factor
+    answered = 0
+    for point in DEGENERATE_POINTS:
+        ctx = specialized(*point)
+        for eta in _labels(3, 2):
+            for r in range(1, len(eta) + 1):
+                try:
+                    table = pieri.pieri_homogeneous(eta, r, ctx)
+                except SpecializationError:
+                    continue
+                symbolic = pieri.pieri_homogeneous(eta, r)
+                evaluated = {lam: scalar_eval(c, *point)
+                             for lam, c in symbolic.items()}
+                assert table == {lam: c for lam, c in evaluated.items()
+                                 if c}, (point, eta, r)
+                answered += 1
+    assert answered
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +191,22 @@ def test_pieri_r1_closed_building_blocks():
     assert istar.beta_factor(eta, (1, 2)) == G.one
     assert istar.delta_factor(eta, (1,)) == (T - 1) / (1 - Q)
     assert istar.beta_factor(eta, (1,)) == G.one
+
+
+@pytest.mark.parametrize("call, factor", [
+    # delta's 1 - lam-bar/eta-bar and a-hat's 1 - y/x at q = 1
+    (lambda: istar.delta_factor((0, 0), (1,), specialized(1, 5)), "1 - q"),
+    (lambda: pieri.pieri_r1_product_form((0, 0), specialized(1, 5)), "1 - q"),
+    # beta's (X - 1)^2 and b-hat's 1 - y/x at q t = 1
+    (lambda: istar.beta_factor((1, 0), (2,), specialized(2, Fraction(1, 2))),
+     "1 - q^-1*t^-1"),
+    (lambda: pieri.pieri_r1_product_form((1, 0), specialized(2, Fraction(1, 2))),
+     "1 - q*t"),
+], ids=["delta", "a-hat", "beta", "b-hat"])
+def test_r1_factors_name_the_vanishing_factor(call, factor):
+    with pytest.raises(SpecializationError,
+                       match=f"^factor {re.escape(factor)} vanishes"):
+        call()
 
 
 def test_pieri_r1_product_form_hand_values():
