@@ -13,6 +13,15 @@ arithmetic after substituting rational values for (q,t).  Both modes expose
 the same operations through :class:`ScalarContext`, whose ``inverted()``
 computes at the reciprocal parameters (1/q, 1/t) in either mode.
 
+Every field operation normalises, and symbolically that is a multivariate
+gcd.  Code that combines many scalars therefore works one level down, in
+the ring: ``ScalarContext.parts`` splits a scalar into a numerator and a
+denominator (integer polynomials in q,t symbolically, ints at a rational
+point), ring sums and products of parts need no normalisation,
+``ScalarContext.cancel_common`` divides out what a denominator shares with
+its numerators without a gcd of polynomials, and ``ScalarContext.quotient``
+normalises the result once.
+
 Polynomials in the main variables z1..zn are sparse dictionaries from
 exponent vectors to scalars (:class:`ZPolynomial`), optionally Laurent.
 """
@@ -166,6 +175,18 @@ def _exponents(x) -> tuple[int, int]:
     return i - k, j - m
 
 
+def _exact_quotients(nums: dict, factor):
+    """{k: N / factor} for the ring elements N of nums, or None unless
+    factor divides every one; the smallest numerators are tried first."""
+    quotients = {}
+    for k in sorted(nums, key=lambda k: len(nums[k])):
+        quo, rem = nums[k].div(factor)
+        if rem:
+            return None
+        quotients[k] = quo
+    return quotients
+
+
 # ---------------------------------------------------------------------------
 # scalar contexts
 # ---------------------------------------------------------------------------
@@ -229,6 +250,54 @@ class ScalarContext:
         """The context at the reciprocal point (1/q, 1/t); an involution."""
         return ScalarContext(1 / self.qval, 1 / self.tval)
 
+    def parts(self, x) -> tuple[object, object]:
+        """(N, D) with x == N / D: integer polynomials in q,t symbolically,
+        ints at a rational point.  Sums and products of parts are exact
+        without normalising; :meth:`quotient` turns them back into a
+        scalar."""
+        if self.generic:
+            return x.numer, x.denom
+        return x.numerator, x.denominator
+
+    def quotient(self, num, den):
+        """The scalar num / den of ring elements as :meth:`parts` returns
+        them, normalised once."""
+        if self.generic:
+            return _FIELD.new(num, den)
+        return Fraction(num, den)
+
+    def cancel_common(self, den, nums: dict, factors=()) -> tuple:
+        """(den, nums, left): den and every numerator divided by what they
+        share, so that the quotients N / den are unchanged.
+
+        At a rational point that is the integer gcd, so den becomes the
+        least common denominator and ``left`` is empty.  Symbolically no
+        polynomial gcd is taken: the monomial q^a t^b common to den and the
+        numerators is divided out, and then each of ``factors``, divisors
+        of den, by exact trial division where it divides every numerator;
+        ``left`` holds the factors that did not.
+        """
+        if not self.generic:
+            g = math.gcd(den, *nums.values())
+            if g != 1:
+                den, nums = den // g, {k: num // g for k, num in nums.items()}
+            return den, nums, ()
+        keys = (*den, *(e for num in nums.values() for e in num))
+        a, b = min(i for i, _ in keys), min(j for _, j in keys)
+        if a or b:
+            def lower(p):
+                return p.new([((i - a, j - b), c) for (i, j), c in p.items()])
+
+            den, nums = lower(den), {k: lower(num) for k, num in nums.items()}
+        left = []
+        for factor in factors:
+            quotients = _exact_quotients(nums, factor)
+            if quotients is None:
+                left.append(factor)
+            else:
+                den, nums = den.exquo(factor), quotients
+        return den, nums, tuple(left)
+
     def common_denominator(self, coeffs: dict) -> tuple[object, dict]:
         """(D, {key: N}) with coeffs[key] == N / D for every key.
 
@@ -255,9 +324,7 @@ class ScalarContext:
         if len(values) < 3:
             return sum(values, self.zero)
         den, nums = self.common_denominator(dict(enumerate(values)))
-        if self.generic:
-            return _FIELD.new(sum(nums.values(), _RING.zero), den)
-        return Fraction(sum(nums.values()), den)
+        return self.quotient(sum(nums.values()), den)
 
     def monomial_sum(self, den, terms):
         """The scalar sum of N q^a t^b over (N, a, b) in terms, over den.
@@ -602,12 +669,13 @@ def divided_difference(p: ZPolynomial, i: int) -> ZPolynomial:
     return ZPolynomial(p.nvars, acc, p.laurent)
 
 
-def demazure_lustig(i: int, p: ZPolynomial, a, b,
-                    ctx: ScalarContext = GENERIC) -> ZPolynomial:
-    """t p + (a z_i + b z_{i+1}) * (s_i p - p)/(z_i - z_{i+1}).
+def demazure_lustig(i: int, p: ZPolynomial, c, a, b) -> ZPolynomial:
+    """c p + (a z_i + b z_{i+1}) * (s_i p - p)/(z_i - z_{i+1}).
 
-    The Demazure-Lustig operator T_i takes (a, b) = (t, -1) and the Hecke
-    operator H_i of the interpolation polynomials takes (1, -t).
+    The Demazure-Lustig operator T_i takes (c, a, b) = (t, t, -1) and the
+    Hecke operator H_i of the interpolation polynomials takes (t, 1, -t).
+    The scalars may also be ring elements, as ``ScalarContext.parts``
+    returns them, acting on a polynomial with ring coefficients.
     """
     if not 1 <= i <= p.nvars - 1:
         raise AlgebraError(f"operator index {i} out of range for n={p.nvars}")
@@ -615,4 +683,4 @@ def demazure_lustig(i: int, p: ZPolynomial, a, b,
         tuple(1 if j == i - 1 else 0 for j in range(p.nvars)): a,
         tuple(1 if j == i else 0 for j in range(p.nvars)): b,
     }, p.laurent)
-    return p.scale(ctx.t) + mult * divided_difference(p, i)
+    return p.scale(c) + mult * divided_difference(p, i)

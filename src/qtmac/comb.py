@@ -161,11 +161,11 @@ def spectral_e_gap(eta: Composition, lam: Composition, r: int,
     q^a t^b, so the gap is one monomial sum over denominator 1: sign +1 for
     the subsets of lam, -1 for those of eta.
     """
-    den, ones = ctx.common_denominator({1: ctx.one, -1: -ctx.one})
+    one, den = ctx.parts(ctx.one)
     terms = []
     for sign, mu in ((1, lam), (-1, eta)):
         for subset in itertools.combinations(spectral_exponents(mu), r):
-            terms.append((ones[sign], sum(a for a, _ in subset),
+            terms.append((sign * one, sum(a for a, _ in subset),
                           sum(b for _, b in subset)))
     return ctx.monomial_sum(den, terms)
 

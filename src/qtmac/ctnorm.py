@@ -51,11 +51,17 @@ def ct_inner_product(f: ZPolynomial, g_bar: ZPolynomial, w: ZPolynomial,
                      ctx: ScalarContext = GENERIC):
     """CT[f(z) g(1/z; 1/q, 1/t) W], where ``g_bar`` is g computed at the
     reciprocal parameters already (in ``ctx.inverted()``); f and g_bar are
-    expected to be specialized at t = q^k."""
+    expected to be specialized at t = q^k.
+
+    The product is never expanded: the constant term is the sum of
+    cf cg W[eg - ef] over the terms cf z^ef of f and cg z^eg of g_bar.
+    """
     if f.nvars != w.nvars or g_bar.nvars != w.nvars:
         raise AlgebraError("variable count mismatch with the weight")
-    product = f * g_bar.invert_vars() * w
-    return ctx.coerce(product.constant_term())
+    return ctx.fsum(
+        cf * cg * w.terms[gap]
+        for ef, cf in f.terms.items() for eg, cg in g_bar.terms.items()
+        if (gap := tuple(b - a for a, b in zip(ef, eg))) in w.terms)
 
 
 def specialize_E(eta: Composition, k: int,

@@ -3,7 +3,10 @@
 E_eta is the monic basis element labelled by the composition eta: it equals
 z^eta plus strictly lower monomials, and the family is generated recursively
 from E_0 = 1 by the Demazure-Lustig switching operators T_i and the raising
-operator Phi_q = z_n T_{n-1}^{-1} ... T_1^{-1}.
+operator Phi_q = z_n T_{n-1}^{-1} ... T_1^{-1}.  One recursion,
+:func:`common_form`, generates both E_eta and the interpolation polynomials
+Estar_eta of :mod:`qtmac.istar`, over a common denominator in ring
+arithmetic.
 
 Also here: the norms N_eta (up to the common <1,1> factor), Hecke
 symmetrization to the symmetric Macdonald polynomial P_kappa, and the
@@ -31,7 +34,7 @@ from .comb import Composition
 
 def apply_T(i: int, p: ZPolynomial, ctx: ScalarContext = GENERIC) -> ZPolynomial:
     """T_i p = t p + (t z_i - z_{i+1}) * (s_i p - p)/(z_i - z_{i+1})."""
-    return demazure_lustig(i, p, ctx.t, -ctx.one, ctx)
+    return demazure_lustig(i, p, ctx.t, ctx.t, -ctx.one)
 
 
 def apply_T_inverse(i: int, p: ZPolynomial, ctx: ScalarContext = GENERIC) -> ZPolynomial:
@@ -66,20 +69,94 @@ def apply_phi_q(eta: Composition, ctx: ScalarContext = GENERIC):
 # recursive generation
 # ---------------------------------------------------------------------------
 
-@memo(comb.label_args)
-def generate_E(eta: Composition, ctx: ScalarContext = GENERIC) -> ZPolynomial:
-    """The monic polynomial E_eta, generated recursively along
-    :func:`comb.generation_step` and memoised."""
+def _form_args(eta, star: bool = False, ctx: ScalarContext = GENERIC):
+    return comb.as_composition(eta), bool(star), ctx
+
+
+def common_form(eta: Composition, star: bool = False,
+                ctx: ScalarContext = GENERIC) -> tuple[object, ZPolynomial]:
+    """(D, P) with E_eta == P / D, or Estar_eta == P / D when ``star``.
+
+    One memoised recursion along :func:`comb.generation_step` builds both
+    families in ring arithmetic: D and the coefficients of P are integer
+    polynomials in q,t symbolically and ints at a rational point
+    (``ScalarContext.parts``).  A step multiplies P by the numerators of
+    its scalars and D by their denominators, so no step normalises a
+    coefficient.  ``ScalarContext.cancel_common`` then divides out what D
+    shares with P: the integer gcd at a rational point; symbolically a
+    common monomial, and each denominator of a Hecke coefficient that went
+    into D as soon as it divides every numerator.
+    """
+    den, p, _ = _generate(*_form_args(eta, star, ctx))
+    return den, p
+
+
+@memo(_form_args)
+def _generate(eta: Composition, star: bool = False,
+              ctx: ScalarContext = GENERIC):
+    """:func:`common_form` and the factors of D not yet divided out.
+
+    Switching from mu = s_i eta is E_eta = (T_i - c) E_mu / t and
+    Estar_eta = (H_i - c) Estar_mu, with c the diagonal coefficient of
+    :func:`comb.basis_action`.  Raising from mu is
+    E_eta = t^count Phi_q E_mu with Phi_q = z_n T_{n-1}^-1 ... T_1^-1 (see
+    :func:`apply_phi_q`), and Estar_eta = q^(mu_1) Phi Estar_mu with
+    Phi p = (z_n - t^(1-n)) p(z_n/q, z_1, ..., z_{n-1}).
+    """
+    n = len(eta)
     step = comb.generation_step(eta)
     if step is None:
-        return ZPolynomial.constant(len(eta), ctx.one)
+        one, _ = ctx.parts(ctx.one)
+        return one, ZPolynomial.constant(n, one), ()
     mu, i = step
-    p_mu = generate_E(mu, ctx)
-    if i is None:
+    den, p, factors = _generate(mu, star, ctx)
+    tn, td = ctx.parts(ctx.t)
+    if i is not None:
+        table = comb.basis_action(i, mu, ctx.one if star else ctx.t, ctx)
+        cn, factor = ctx.parts(table[mu])
+        factors += (factor,)
+        # td H_i is demazure_lustig(tn, td, -tn), td T_i (tn, tn, -td)
+        a, b = (td, -tn) if star else (tn, -td)
+        p = demazure_lustig(i, p, tn, a, b).scale(factor) - p.scale(td * cn)
+        den = den * td * factor
+        if not star:
+            fn, fd = ctx.parts(table[eta])
+            p, den = p.scale(fd), den * fn
+    elif star:
+        # with lo..hi the range of the exponents e_1 of z_1 in P,
+        # q^(mu_1 - e_1) = q^(mu_1 - hi) qn^(hi - e_1) qd^(e_1 - lo) / qd^(hi - lo)
+        qn, qd = ctx.parts(ctx.q)
+        firsts = [e[0] for e in p.terms]
+        lo, hi = min(firsts), max(firsts)
+        sn, sd = ctx.parts(ctx.monomial(mu[0] - hi, 0))
+        moved = ZPolynomial(n, {
+            e[1:] + e[:1]: c * qn ** (hi - e[0]) * qd ** (e[0] - lo)
+            for e, c in p.terms.items()})
+        # z_n - t^(1-n) = (tn^(n-1) z_n - td^(n-1)) / tn^(n-1)
+        un, ud = tn ** (n - 1), td ** (n - 1)
+        zn = (0,) * (n - 1) + (1,)
+        p = ZPolynomial(n, {zn: un * sn, (0,) * n: -ud * sn}) * moved
+        den = den * sd * qd ** (hi - lo) * un
+    else:
+        # tn T_j^-1 = td + (tn z_j - td z_{j+1}) * divided difference
+        for j in range(1, n):
+            p = demazure_lustig(j, p, td, tn, -td)
+        p = ZPolynomial(n, {e[:-1] + (e[-1] + 1,): c
+                            for e, c in p.terms.items()})
+        den = den * tn ** (n - 1)
         scalar, _ = apply_phi_q(mu, ctx)
-        return apply_phi_q_poly(p_mu, ctx).scale(scalar ** -1)
-    table = act_T_basis(i, mu, ctx)
-    return (apply_T(i, p_mu, ctx) - p_mu.scale(table[mu])).scale(table[eta] ** -1)
+        sn, sd = ctx.parts(scalar)
+        p, den = p.scale(sd), den * sn
+    den, terms, factors = ctx.cancel_common(den, p.terms, factors)
+    return den, ZPolynomial(n, terms), factors
+
+
+@memo(comb.label_args)
+def generate_E(eta: Composition, ctx: ScalarContext = GENERIC) -> ZPolynomial:
+    """The monic polynomial E_eta: :func:`common_form` with each
+    coefficient normalised once, memoised."""
+    den, p = common_form(eta, False, ctx)
+    return p.map_coeffs(lambda num: ctx.quotient(num, den))
 
 
 def norm_N(eta: Composition, ctx: ScalarContext = GENERIC):

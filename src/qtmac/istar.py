@@ -5,7 +5,7 @@ z^eta and vanishes at every spectral point mu-bar with |mu| <= |eta|,
 mu != eta.  The family is generated recursively from 1 by the Hecke
 operators H_i and the inhomogeneous raising operator
 Phi = (z_n - t^(1-n)) Delta, where Delta cycles the variables and divides
-the new last variable by q.
+the new last variable by q; :func:`emac.common_form` runs that recursion.
 
 Also here: the eigenoperators Xi_i, spectral evaluation, the independent
 linear-algebra construction from the vanishing conditions, the extra
@@ -14,15 +14,18 @@ vanishing predicate, and the generalized q,t-binomial coefficients.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .algebra import (
     GENERIC,
     AlgebraError,
     ScalarContext,
+    SpecializationError,
     ZPolynomial,
     demazure_lustig,
     memo,
 )
-from . import comb
+from . import comb, emac
 from .comb import Composition
 
 
@@ -32,7 +35,7 @@ from .comb import Composition
 
 def apply_H(i: int, p: ZPolynomial, ctx: ScalarContext = GENERIC) -> ZPolynomial:
     """H_i p = t p + (z_i - t z_{i+1}) * (s_i p - p)/(z_i - z_{i+1})."""
-    return demazure_lustig(i, p, ctx.one, -ctx.t, ctx)
+    return demazure_lustig(i, p, ctx.t, ctx.one, -ctx.t)
 
 
 def apply_phi_star(p: ZPolynomial, ctx: ScalarContext = GENERIC) -> ZPolynomial:
@@ -73,21 +76,10 @@ def xi_apply(i: int, p: ZPolynomial, ctx: ScalarContext = GENERIC) -> ZPolynomia
 
 @memo(comb.label_args)
 def generate_Estar(eta: Composition, ctx: ScalarContext = GENERIC) -> ZPolynomial:
-    """Estar_eta generated recursively along :func:`comb.generation_step`,
-    memoised.
-
-    The raising step produces Estar of the raised label with prefactor
-    q^(first entry), the switching step peels the last descent.
-    """
-    step = comb.generation_step(eta)
-    if step is None:
-        return ZPolynomial.constant(len(eta), ctx.one)
-    mu, i = step
-    p_mu = generate_Estar(mu, ctx)
-    if i is None:
-        return apply_phi_star(p_mu, ctx).scale(ctx.monomial(mu[0], 0))
-    diag = comb.basis_action(i, mu, ctx.one, ctx)[mu]
-    return apply_H(i, p_mu, ctx) - p_mu.scale(diag)
+    """Estar_eta: :func:`emac.common_form` with each coefficient normalised
+    once, memoised."""
+    den, p = emac.common_form(eta, True, ctx)
+    return p.map_coeffs(lambda num: ctx.quotient(num, den))
 
 
 def _evaluation_args(eta, mu, ctx: ScalarContext = GENERIC):
@@ -98,12 +90,6 @@ def _evaluation_args(eta, mu, ctx: ScalarContext = GENERIC):
     return eta, mu, ctx
 
 
-@memo(comb.label_args)
-def estar_common_form(eta: Composition, ctx: ScalarContext = GENERIC):
-    """Estar_eta as (D, {e: N}) with coefficient N / D on z^e, memoised."""
-    return ctx.common_denominator(generate_Estar(eta, ctx).terms)
-
-
 @memo(_evaluation_args)
 def spectral_evaluate(eta: Composition, mu: Composition,
                       ctx: ScalarContext = GENERIC):
@@ -111,16 +97,15 @@ def spectral_evaluate(eta: Composition, mu: Composition,
 
     There z^e is the monomial q^(sum e_i mu_i) t^(-sum e_i l'_i(mu)), so
     the value is one sum of numerators times monomials over the common
-    denominator of Estar_eta, normalised once.  ``at_point`` on the
-    spectral vector is the general evaluator that checks this one.
+    denominator of Estar_eta (:func:`emac.common_form`), normalised once.
+    ``at_point`` on the spectral vector is the general evaluator that
+    checks this one.
     """
-    den, nums = estar_common_form(eta, ctx)
+    den, p = emac.common_form(eta, True, ctx)
     lp = comb.leg_colength_vector(mu)
     return ctx.monomial_sum(den, (
-        (num,
-         sum(k * m for k, m in zip(e, mu)),
-         -sum(k * l for k, l in zip(e, lp)))
-        for e, num in nums.items()))
+        (num, sum(map(mul, e, mu)), -sum(map(mul, e, lp)))
+        for e, num in p.terms.items()))
 
 
 def principal_value(eta: Composition, ctx: ScalarContext = GENERIC):
@@ -341,7 +326,9 @@ def recursion_position(eta: Composition, nu: Composition,
     for i in range(len(eta)):
         if nb[i] != eb[i]:
             return i + 1
-    raise AlgebraError(f"{eta} and {nu} share their spectral point")
+    raise SpecializationError(
+        f"{comb.comp_str(eta)} and {comb.comp_str(nu)} share their "
+        f"spectral point at {ctx.params_label()}")
 
 
 def binomial_direct(eta: Composition, nu: Composition,

@@ -252,6 +252,18 @@ def test_vanishing_suite_rejects_coincident_spectral_points(params, pair,
                    f"spectral point at {params}\n")
 
 
+def test_binomials_suite_names_coincident_spectral_points(capsys):
+    # the binomial recursion needs a position where the spectral points
+    # differ; where none does, the run says so as the vanishing suite does
+    code, out, err = run_cli(
+        ["verify", "--suite", "binomials", "--max-n", "2", "--max-mod", "2",
+         "--params", "q=-1,t=1/2"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == ("error: specialization failed: 0 and 2 share their "
+                   "spectral point at q=-1,t=1/2\n")
+
+
 # ---------------------------------------------------------------------------
 # verify command
 # ---------------------------------------------------------------------------

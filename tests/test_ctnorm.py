@@ -56,6 +56,21 @@ def test_orthogonality_example():
         subst_t_power(emac.norm_N((1, 0)), 1) * (1 + Q)
 
 
+def test_term_pairs_are_the_expanded_product():
+    # ct_inner_product sums coefficient products over term pairs; the
+    # reference expands f(z) g_bar(1/z) W(z) and reads off its constant term
+    for n, k, maxmod in [(2, 1, 2), (2, 2, 2), (3, 1, 1), (3, 2, 1)]:
+        w = ctnorm.specialized_weight(n, k)
+        labels = list(comb.compositions_up_to(n, maxmod))
+        for eta in labels:
+            f = ctnorm.specialize_E(eta, k)
+            for nu in labels:
+                g_bar = ctnorm.specialize_E(nu, k, G.inverted())
+                expanded = (f * g_bar.invert_vars() * w).constant_term()
+                assert ctnorm.ct_inner_product(f, g_bar, w) == expanded, \
+                    (n, k, eta, nu)
+
+
 def test_verify_orthogonality_norms_reports():
     for n, k, maxmod in [(2, 1, 2), (2, 2, 2), (3, 1, 1)]:
         report = verify.suite_norms(n, maxmod, ks=(k,))

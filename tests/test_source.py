@@ -68,3 +68,19 @@ def test_no_coefficient_inversion(path):
              or (isinstance(node, ast.FunctionDef)
                  and node.name == "invert_params")]
     assert not lines, f"{path.name}: invert_params at lines {lines}"
+
+
+def test_one_generation_recursion():
+    # E and Estar are generated by one recursion along generation_step
+    callers = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    if (isinstance(node, ast.Call)
+                            and getattr(node.func, "attr",
+                                        getattr(node.func, "id", None))
+                            == "generation_step"):
+                        callers.add((path.name, func.name))
+    assert len(callers) == 1, f"generation_step called from {sorted(callers)}"
