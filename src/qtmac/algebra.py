@@ -250,6 +250,21 @@ class ScalarContext:
         """The context at the reciprocal point (1/q, 1/t); an involution."""
         return ScalarContext(1 / self.qval, 1 / self.tval)
 
+    def specialize(self, x):
+        """x, a scalar of ``GENERIC``, at this context's point: ``scalar_eval``
+        at a rational point, x(1/q, 1/t) at reciprocal parameters.  Raises
+        SpecializationError naming the denominator of x where it vanishes."""
+        def at(poly):
+            return self.fsum(int(c) * self.monomial(i, j)
+                             for (i, j), c in poly.terms())
+
+        den = at(x.denom)
+        if not den:
+            raise SpecializationError(
+                f"denominator {_ring_poly_text(x.denom)} vanishes at "
+                f"{self.params_label()}")
+        return at(x.numer) / den
+
     def parts(self, x) -> tuple[object, object]:
         """(N, D) with x == N / D: integer polynomials in q,t symbolically,
         ints at a rational point.  Sums and products of parts are exact
@@ -265,6 +280,21 @@ class ScalarContext:
         if self.generic:
             return _FIELD.new(num, den)
         return Fraction(num, den)
+
+    def product(self, factors, inverse=()):
+        """The scalar prod(factors) / prod(inverse), multiplied out in parts
+        and normalised once.  Entries of ``inverse`` are divisors, built
+        where they can vanish with :meth:`one_minus`, which names them."""
+        num, den = self.parts(self.one)
+        for x in factors:
+            n, d = self.parts(x)
+            num, den = num * n, den * d
+        for x in inverse:
+            n, d = self.parts(x)
+            num, den = num * d, den * n
+        if not den:
+            raise ZeroDivisionError("division by zero in a product")
+        return self.quotient(num, den)
 
     def cancel_common(self, den, nums: dict, factors=()) -> tuple:
         """(den, nums, left): den and every numerator divided by what they
@@ -543,18 +573,53 @@ class ZPolynomial:
                            laurent=True)
 
     def at_point(self, point, ctx: ScalarContext = GENERIC):
-        """Exact evaluation at a tuple of scalars."""
+        """Exact evaluation at a tuple of scalars, normalised once.
+
+        The coefficients are taken over their common denominator and each
+        entry x_i of the point as parts n_i / d_i.  With lo_i and hi_i the
+        least and largest exponent of z_i, a term's x_i^k is
+        n_i^lo_i d_i^-hi_i times the ring element n_i^(k-lo_i) d_i^(hi_i-k),
+        so the terms are summed in the ring (Laurent exponents included)
+        and the common factors go into the one final quotient.  A zero
+        entry raised to a negative power raises ZeroDivisionError.
+        """
         if len(point) != self.nvars:
             raise AlgebraError(
                 f"point length {len(point)} does not match nvars {self.nvars}")
-        total = ctx.zero
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(point, e):
-                if k:
-                    v = v * x ** k
-            total = total + v
-        return total
+        if not self.terms:
+            return ctx.zero
+        den, nums = ctx.common_denominator(self.terms)
+        one, _ = ctx.parts(ctx.one)
+        num = one
+        tables = []
+        for i, x in enumerate(point):
+            n, d = ctx.parts(ctx.coerce(x))
+            lo = min(e[i] for e in nums)
+            hi = max(e[i] for e in nums)
+            npow, dpow = [one], [one]
+            for _ in range(hi - lo):
+                npow.append(npow[-1] * n)
+                dpow.append(dpow[-1] * d)
+            tables.append((lo, npow, hi, dpow))
+            if lo > 0:
+                num *= n ** lo
+            elif lo < 0:
+                den *= n ** -lo
+            if hi > 0:
+                den *= d ** hi
+            elif hi < 0:
+                num *= d ** -hi
+        if not den:
+            raise ZeroDivisionError("a zero entry raised to a negative power")
+        total = 0
+        for e, v in nums.items():
+            for k, (lo, npow, hi, dpow) in zip(e, tables):
+                if k != lo:
+                    v *= npow[k - lo]
+                if k != hi:
+                    v *= dpow[hi - k]
+            total += v
+        return ctx.quotient(total * num, den)
 
     def map_coeffs(self, fn) -> "ZPolynomial":
         return ZPolynomial(self.nvars,

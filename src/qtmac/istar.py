@@ -140,8 +140,9 @@ def vanishing_solve_oracle(eta: Composition,
 
     Unknowns: coefficients of all monomials strictly below z^eta (any modulus
     up to |eta|); equations: vanishing at every spectral point mu-bar with
-    |mu| <= |eta|, mu != eta.  Plain Gaussian elimination over the scalar
-    field; the (overdetermined) system must be consistent with full rank.
+    |mu| <= |eta|, mu != eta.  Forward elimination over the scalar field
+    and back substitution; the (overdetermined) system must be consistent
+    with full rank.
     """
     eta = comb.as_composition(eta)
     n = len(eta)
@@ -163,38 +164,35 @@ def vanishing_solve_oracle(eta: Composition,
         rows.append([mono_at(nu) for nu in unknowns] + [-mono_at(eta)])
     ncols = len(unknowns)
     # forward elimination with partial pivoting on nonzero entries
-    pivot_row = 0
-    where = []
     for col in range(ncols):
-        sel = None
-        for r in range(pivot_row, len(rows)):
-            if rows[r][col]:
-                sel = r
-                break
+        sel = next((r for r in range(col, len(rows)) if rows[r][col]), None)
         if sel is None:
             raise AlgebraError("singular vanishing system (implementation bug)")
-        rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
-        prow = rows[pivot_row]
+        rows[col], rows[sel] = rows[sel], rows[col]
+        prow = rows[col]
         inv = prow[col] ** -1
-        for r in range(len(rows)):
-            if r == pivot_row or not rows[r][col]:
+        for row in rows[col + 1:]:
+            if not row[col]:
                 continue
-            factor = rows[r][col] * inv
-            row = rows[r]
-            for c in range(col, ncols + 1):
+            factor = row[col] * inv
+            for c in range(col + 1, ncols + 1):
                 if prow[c]:
                     row[c] = row[c] - factor * prow[c]
-        where.append(pivot_row)
-        pivot_row += 1
     # consistency of the remaining equations
-    for r in range(pivot_row, len(rows)):
-        if rows[r][ncols]:
+    for row in rows[ncols:]:
+        if row[ncols]:
             raise AlgebraError("inconsistent vanishing system (implementation bug)")
+    # back substitution
+    values = [ctx.zero] * ncols
+    for col in range(ncols - 1, -1, -1):
+        row = rows[col]
+        acc = row[ncols]
+        for c in range(col + 1, ncols):
+            if row[c] and values[c]:
+                acc = acc - row[c] * values[c]
+        values[col] = acc / row[col]
     terms = {eta: ctx.one}
-    for col, r in enumerate(where):
-        c = rows[r][ncols] / rows[r][col]
-        if c:
-            terms[unknowns[col]] = c
+    terms.update((nu, c) for nu, c in zip(unknowns, values) if c)
     return ZPolynomial(n, terms)
 
 
@@ -202,32 +200,33 @@ def vanishing_solve_oracle(eta: Composition,
 # one-step evaluation ratio and binomial coefficients
 # ---------------------------------------------------------------------------
 
-def delta_factor(eta: Composition, index_set, ctx: ScalarContext = GENERIC):
-    """Product over the selected positions of (t-1)/(1 - lam-bar/eta-bar)."""
+def _delta_factors(eta: Composition, index_set, ctx: ScalarContext):
+    """(factors, divisors) of delta(eta, I), each divisor built with
+    ``ctx.one_minus``."""
     lam = comb.c_I_apply(eta, index_set)
     ez = comb.spectral_exponents(eta)
     lz = comb.spectral_exponents(lam)
-    val = ctx.one
+    factors, divisors = [], []
     for tu in sorted(index_set):
         (la, lb), (ea, eb) = lz[tu - 1], ez[tu - 1]
-        val = val * (ctx.t - ctx.one) / ctx.one_minus(la - ea, lb - eb)
-    return val
+        factors.append(ctx.t - ctx.one)
+        divisors.append(ctx.one_minus(la - ea, lb - eb))
+    return factors, divisors
 
 
-def beta_factor(eta: Composition, index_set, ctx: ScalarContext = GENERIC):
-    """Product of (X-t)(tX-1)/(X-1)^2 over unselected positions that carry an
-    entry larger than the selected entry about to pass them.
+def delta_factor(eta: Composition, index_set, ctx: ScalarContext = GENERIC):
+    """Product over the selected positions of (t-1)/(1 - lam-bar/eta-bar)."""
+    return ctx.product(*_delta_factors(eta, index_set, ctx))
 
-    For i below the last selected position, X(i) compares eta-bar at the next
-    selected position above i with eta-bar at i; beyond the last selected
-    position the raised entry contributes q times the spectral value at the
-    first selected position.
-    """
+
+def _beta_factors(eta: Composition, index_set, ctx: ScalarContext):
+    """(factors, divisors) of beta(eta, I), each divisor built with
+    ``ctx.one_minus``."""
     ts = sorted(index_set)
     t1, tlast = ts[0], ts[-1]
     ez = comb.spectral_exponents(eta)
     in_set = set(ts)
-    val = ctx.one
+    factors, divisors = [], []
     for i in range(1, len(eta) + 1):
         if i in in_set:
             continue
@@ -243,19 +242,37 @@ def beta_factor(eta: Composition, index_set, ctx: ScalarContext = GENERIC):
         # X is q^a t^b over eta-bar_i
         a, b = a - ez[i - 1][0], b - ez[i - 1][1]
         x = ctx.monomial(a, b)
-        val = (val * (x - ctx.t) * (ctx.t * x - ctx.one)
-               / ctx.one_minus(a, b) ** 2)
-    return val
+        one_minus_x = ctx.one_minus(a, b)
+        factors += [x - ctx.t, ctx.t * x - ctx.one]
+        divisors += [one_minus_x, one_minus_x]
+    return factors, divisors
 
 
+def beta_factor(eta: Composition, index_set, ctx: ScalarContext = GENERIC):
+    """Product of (X-t)(tX-1)/(X-1)^2 over unselected positions that carry an
+    entry larger than the selected entry about to pass them.
+
+    For i below the last selected position, X(i) compares eta-bar at the next
+    selected position above i with eta-bar at i; beyond the last selected
+    position the raised entry contributes q times the spectral value at the
+    first selected position.
+    """
+    return ctx.product(*_beta_factors(eta, index_set, ctx))
+
+
+def _ratio_args(eta, index_set, ctx: ScalarContext = GENERIC):
+    return comb.as_composition(eta), tuple(sorted(index_set)), ctx
+
+
+@memo(_ratio_args)
 def c_I_ratio(eta: Composition, index_set, ctx: ScalarContext = GENERIC):
     """Estar_eta(lam-bar) / Estar_lam(lam-bar) for lam = c_I(eta), I maximal:
-    q^(-eta_{t1}) delta(eta,I) beta(eta,I) / (1 - t)."""
-    t1 = min(index_set)
-    return (ctx.monomial(-eta[t1 - 1], 0)
-            * delta_factor(eta, index_set, ctx)
-            * beta_factor(eta, index_set, ctx)
-            / ctx.one_minus(0, 1))
+    q^(-eta_{t1}) delta(eta,I) beta(eta,I) / (1 - t), multiplied out in
+    parts and normalised once; memoised."""
+    delta, delta_div = _delta_factors(eta, index_set, ctx)
+    beta, beta_div = _beta_factors(eta, index_set, ctx)
+    return ctx.product([ctx.monomial(-eta[index_set[0] - 1], 0), *delta, *beta],
+                       [*delta_div, *beta_div, ctx.one_minus(0, 1)])
 
 
 def one_step_ratio(eta: Composition, lam: Composition,

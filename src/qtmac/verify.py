@@ -66,7 +66,14 @@ def _distinct_spectral_points(labels, ctx: ScalarContext):
 
 def suite_oracle_estar(max_n: int, max_mod: int,
                        ctx: ScalarContext = GENERIC) -> SuiteReport:
-    """generate_Estar agrees with the vanishing-conditions linear solve."""
+    """generate_Estar agrees with the vanishing-conditions linear solve.
+
+    The system is solvable only where the spectral points of the labels
+    are distinct, so a point where two share one raises
+    SpecializationError naming them before anything is checked.
+    """
+    _distinct_spectral_points(_labels(max_n, max_mod), ctx)
+
     def check(eta):
         if istar.generate_Estar(eta, ctx) != istar.vanishing_solve_oracle(eta, ctx):
             return [f"Estar mismatch at eta={comb.comp_str(eta)}"]
@@ -114,8 +121,18 @@ def suite_vanishing(max_n: int, max_mod: int,
     ``spectral_evaluate`` must agree with it.  The theorem needs distinct
     spectral points, so a point where two labels of the range share one
     raises SpecializationError naming them before anything is checked.
+    The "only if" direction holds for generic (q, t): at a rational point a
+    successor's value may vanish, and that zero is accepted only where the
+    value over Q(q,t) is nonzero and specialises to 0 at the point.
     """
     _distinct_spectral_points(_labels(max_n, max_mod + MAX_GAP), ctx)
+
+    def accidental_zero(eta, lam):
+        generic = istar.spectral_evaluate(eta, lam, GENERIC)
+        try:
+            return bool(generic) and not ctx.specialize(generic)
+        except SpecializationError:
+            return False
 
     def check(eta):
         bad = []
@@ -128,7 +145,8 @@ def suite_vanishing(max_n: int, max_mod: int,
                     f"eta={comb.comp_str(eta)} lam={comb.comp_str(lam)}")
             vanished = not value
             predicted = istar.extra_vanishing_test(eta, lam)
-            if vanished != predicted:
+            if vanished != predicted and not (vanished
+                                              and accidental_zero(eta, lam)):
                 bad.append(
                     f"vanishing mismatch eta={comb.comp_str(eta)} "
                     f"lam={comb.comp_str(lam)}: value {'0' if vanished else '!=0'}"

@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 from qtmac.algebra import (
     GENERIC,
     AlgebraError,
+    SpecializationError,
     ZPolynomial,
     divided_difference,
     elementary_symmetric,
@@ -202,6 +203,96 @@ def test_fsum_is_the_running_sum(ctx, values):
     for c in values:
         expected = expected + c
     assert ctx.fsum(values) == expected
+
+
+@SUM_CONTEXTS
+@settings(max_examples=25, deadline=None)
+@given(scalars(), scalars())
+def test_specialize_is_evaluation_at_the_point(ctx, x, y):
+    # x itself symbolically, scalar_eval at a rational point, and at
+    # reciprocal parameters the substitution (q, t) -> (1/q, 1/t): a field
+    # map that is its own inverse
+    if not ctx.generic:
+        try:
+            expected = scalar_eval(x, ctx.qval, ctx.tval)
+        except AlgebraError:
+            with pytest.raises(SpecializationError,
+                               match="^denominator .* vanishes at q="):
+                ctx.specialize(x)
+            return
+        assert ctx.specialize(x) == expected
+    elif ctx == G:
+        assert ctx.specialize(x) == x
+    else:
+        assert ctx.specialize(ctx.specialize(x)) == x
+        assert ctx.specialize(x * y + Q) == \
+            ctx.specialize(x) * ctx.specialize(y) + 1 / Q
+
+
+def term_by_term(poly, point, ctx):
+    # the evaluator at_point replaced: one field operation per step
+    total = ctx.zero
+    for e, c in poly.terms.items():
+        v = c
+        for x, k in zip(point, e):
+            if k:
+                v = v * x ** k
+        total = total + v
+    return total
+
+
+def in_context(c, ctx):
+    """c as a scalar of ctx, or None where its denominator vanishes."""
+    if ctx.generic:
+        return c
+    try:
+        return scalar_eval(c, ctx.qval, ctx.tval)
+    except AlgebraError:
+        return None
+
+
+@st.composite
+def evaluations(draw):
+    """(n, {exponents: scalar}, point): exponents of either sign, entries of
+    the point arbitrary scalars or None for zero."""
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(-2, 3)] * n)
+    terms = draw(st.dictionaries(exps, scalars(), max_size=4))
+    point = draw(st.tuples(*[st.one_of(scalars(), st.none())] * n))
+    return n, terms, point
+
+
+@SUM_CONTEXTS
+@settings(max_examples=25, deadline=None)
+@given(evaluations())
+def test_at_point_is_the_term_by_term_sum(ctx, case):
+    # one normalisation over the common denominator equals the running sum,
+    # for Laurent polynomials, non-monomial points and the zero polynomial
+    n, terms, point = case
+    coeffs = {e: c for e, c in ((e, in_context(c, ctx)) for e, c in terms.items())
+              if c is not None}
+    pt = tuple(ctx.zero if x is None else in_context(x, ctx) or ctx.one
+               for x in point)
+    plain = ZPolynomial(n, {tuple(map(abs, e)): c for e, c in coeffs.items()})
+    for poly in (ZPolynomial(n, coeffs, laurent=True), plain,
+                 plain.invert_vars(), ZPolynomial.zero(n)):
+        try:
+            expected = term_by_term(poly, pt, ctx)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                poly.at_point(pt, ctx)
+            continue
+        assert poly.at_point(pt, ctx) == expected
+
+
+@SUM_CONTEXTS
+def test_at_point_of_a_zero_entry(ctx):
+    # z1^-1 z2 at (0, 1) divides by zero; z1^0 z2 = z2 there is 1
+    laurent = ZPolynomial(2, {(-1, 1): ctx.one}, laurent=True)
+    with pytest.raises(ZeroDivisionError):
+        laurent.at_point((ctx.zero, ctx.one), ctx)
+    plain = ZPolynomial(2, {(0, 1): ctx.one, (2, 0): ctx.q})
+    assert plain.at_point((ctx.zero, ctx.one), ctx) == ctx.one
 
 
 # ---------------------------------------------------------------------------

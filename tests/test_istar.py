@@ -165,6 +165,52 @@ def test_one_step_ratio_zero_off_successors():
     assert istar.one_step_ratio((0, 2), (3, 0)) == G.zero
 
 
+def field_delta_beta(eta, index_set, ctx):
+    # delta(eta, I) and beta(eta, I) replaced: one field operation per step
+    lam = comb.c_I_apply(eta, index_set)
+    ez, lz = comb.spectral_exponents(eta), comb.spectral_exponents(lam)
+    ts = sorted(index_set)
+    delta = ctx.one
+    for tu in ts:
+        (la, lb), (ea, eb) = lz[tu - 1], ez[tu - 1]
+        delta = delta * (ctx.t - ctx.one) / (ctx.one - ctx.monomial(la - ea, lb - eb))
+    beta = ctx.one
+    for i in range(1, len(eta) + 1):
+        if i in ts:
+            continue
+        if i < ts[-1]:
+            tu = min(tt for tt in ts if tt > i)
+            if eta[i - 1] <= eta[tu - 1]:
+                continue
+            a, b = ez[tu - 1]
+        else:
+            if eta[i - 1] <= eta[ts[0] - 1] + 1:
+                continue
+            a, b = ez[ts[0] - 1][0] + 1, ez[ts[0] - 1][1]
+        x = ctx.monomial(a - ez[i - 1][0], b - ez[i - 1][1])
+        beta = beta * (x - ctx.t) * (ctx.t * x - ctx.one) / (x - ctx.one) ** 2
+    return delta, beta
+
+
+@pytest.mark.parametrize("ctx", [
+    G, G.inverted(), specialized(Fraction(-2, 3), Fraction(5, 7)),
+    specialized(3, Fraction(-1, 2))], ids=lambda ctx: ctx.params_label())
+def test_c_I_ratio_is_the_field_product_and_the_binomial(ctx):
+    # multiplied out in parts and normalised once, the one-step ratio is the
+    # field product of its factors and Estar_eta(lam-bar)/Estar_lam(lam-bar)
+    for n in range(1, 5):
+        for eta in comb.compositions_up_to(n, 3):
+            for index_set in comb.maximal_sets(eta):
+                lam = comb.c_I_apply(eta, index_set)
+                delta, beta = field_delta_beta(eta, index_set, ctx)
+                assert istar.delta_factor(eta, index_set, ctx) == delta
+                assert istar.beta_factor(eta, index_set, ctx) == beta
+                ratio = istar.c_I_ratio(eta, index_set[::-1], ctx)
+                assert ratio == (ctx.monomial(-eta[min(index_set) - 1], 0)
+                                 * delta * beta / (ctx.one - ctx.t)), (eta, lam)
+                assert ratio == istar.binomial_direct(eta, lam, ctx), (eta, lam)
+
+
 # ---------------------------------------------------------------------------
 # binomial coefficients
 # ---------------------------------------------------------------------------

@@ -84,3 +84,24 @@ def test_one_generation_recursion():
                             == "generation_step"):
                         callers.add((path.name, func.name))
     assert len(callers) == 1, f"generation_step called from {sorted(callers)}"
+
+
+# an oracle must not reach the fast path it checks
+FAST_PATHS = {"monomial_sum", "common_form", "spectral_evaluate", "generate_Estar"}
+
+
+@pytest.mark.parametrize("module, owner, name", [
+    ("algebra.py", "ZPolynomial", "at_point"),
+    ("istar.py", None, "vanishing_solve_oracle"),
+])
+def test_oracles_are_independent_of_the_fast_paths(module, owner, name):
+    tree = ast.parse((PACKAGE / module).read_text(), filename=module)
+    if owner is not None:
+        (tree,) = [node for node in tree.body
+                   if isinstance(node, ast.ClassDef) and node.name == owner]
+    (func,) = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == name]
+    used = {node.id for node in ast.walk(func) if isinstance(node, ast.Name)}
+    used |= {node.attr for node in ast.walk(func)
+             if isinstance(node, ast.Attribute)}
+    assert not used & FAST_PATHS, f"{name} references {sorted(used & FAST_PATHS)}"
