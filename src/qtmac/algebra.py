@@ -250,21 +250,6 @@ class ScalarContext:
         """The context at the reciprocal point (1/q, 1/t); an involution."""
         return ScalarContext(1 / self.qval, 1 / self.tval)
 
-    def specialize(self, x):
-        """x, a scalar of ``GENERIC``, at this context's point: ``scalar_eval``
-        at a rational point, x(1/q, 1/t) at reciprocal parameters.  Raises
-        SpecializationError naming the denominator of x where it vanishes."""
-        def at(poly):
-            return self.fsum(int(c) * self.monomial(i, j)
-                             for (i, j), c in poly.terms())
-
-        den = at(x.denom)
-        if not den:
-            raise SpecializationError(
-                f"denominator {_ring_poly_text(x.denom)} vanishes at "
-                f"{self.params_label()}")
-        return at(x.numer) / den
-
     def parts(self, x) -> tuple[object, object]:
         """(N, D) with x == N / D: integer polynomials in q,t symbolically,
         ints at a rational point.  Sums and products of parts are exact

@@ -271,7 +271,8 @@ def c_I_ratio(eta: Composition, index_set, ctx: ScalarContext = GENERIC):
     parts and normalised once; memoised."""
     delta, delta_div = _delta_factors(eta, index_set, ctx)
     beta, beta_div = _beta_factors(eta, index_set, ctx)
-    return ctx.product([ctx.monomial(-eta[index_set[0] - 1], 0), *delta, *beta],
+    t1 = min(index_set)
+    return ctx.product([ctx.monomial(-eta[t1 - 1], 0), *delta, *beta],
                        [*delta_div, *beta_div, ctx.one_minus(0, 1)])
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (GENERIC, ScalarContext, SpecializationError,
-                      ZPolynomial, subst_t_power)
+                      ZPolynomial, scalar_eval, subst_t_power)
 from . import comb, ctnorm, emac, istar, pieri
 
 # how far above a label's modulus the vanishing and binomial suites reach
@@ -130,7 +130,9 @@ def suite_vanishing(max_n: int, max_mod: int,
     def accidental_zero(eta, lam):
         generic = istar.spectral_evaluate(eta, lam, GENERIC)
         try:
-            return bool(generic) and not ctx.specialize(generic)
+            # at a symbolic context this is generic at (q, t) or (1/q, 1/t),
+            # zero only where generic is
+            return bool(generic) and not scalar_eval(generic, ctx.qval, ctx.tval)
         except SpecializationError:
             return False
 

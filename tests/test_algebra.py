@@ -9,7 +9,6 @@ import hypothesis.strategies as st
 from qtmac.algebra import (
     GENERIC,
     AlgebraError,
-    SpecializationError,
     ZPolynomial,
     divided_difference,
     elementary_symmetric,
@@ -203,30 +202,6 @@ def test_fsum_is_the_running_sum(ctx, values):
     for c in values:
         expected = expected + c
     assert ctx.fsum(values) == expected
-
-
-@SUM_CONTEXTS
-@settings(max_examples=25, deadline=None)
-@given(scalars(), scalars())
-def test_specialize_is_evaluation_at_the_point(ctx, x, y):
-    # x itself symbolically, scalar_eval at a rational point, and at
-    # reciprocal parameters the substitution (q, t) -> (1/q, 1/t): a field
-    # map that is its own inverse
-    if not ctx.generic:
-        try:
-            expected = scalar_eval(x, ctx.qval, ctx.tval)
-        except AlgebraError:
-            with pytest.raises(SpecializationError,
-                               match="^denominator .* vanishes at q="):
-                ctx.specialize(x)
-            return
-        assert ctx.specialize(x) == expected
-    elif ctx == G:
-        assert ctx.specialize(x) == x
-    else:
-        assert ctx.specialize(ctx.specialize(x)) == x
-        assert ctx.specialize(x * y + Q) == \
-            ctx.specialize(x) * ctx.specialize(y) + 1 / Q
 
 
 def term_by_term(poly, point, ctx):
