@@ -24,6 +24,9 @@ normalises the result once.
 
 Polynomials in the main variables z1..zn are sparse dictionaries from
 exponent vectors to scalars (:class:`ZPolynomial`), optionally Laurent.
+The same holds for them: :func:`ring_form` takes a polynomial to one
+common denominator, operators and sums act on the ring numerators, and
+:func:`field_view` normalises each coefficient once.
 """
 
 from __future__ import annotations
@@ -330,6 +333,15 @@ class ScalarContext:
         den = math.lcm(*(c.denominator for c in coeffs.values()))
         return den, {k: c.numerator * (den // c.denominator)
                      for k, c in coeffs.items()}
+
+    def lcm_cofactors(self, a, b) -> tuple[object, object, object]:
+        """(L, L / a, L / b) for L the lcm of the ring elements a and b, as
+        :meth:`parts` returns them: one gcd."""
+        if self.generic:
+            _, ca, cb = a.cofactors(b)
+            return ca * b, cb, ca
+        g = math.gcd(a, b)
+        return a // g * b, b // g, a // g
 
     def fsum(self, values):
         """The sum of the scalars in values.  From three values on it is
@@ -734,3 +746,39 @@ def demazure_lustig(i: int, p: ZPolynomial, c, a, b) -> ZPolynomial:
         tuple(1 if j == i else 0 for j in range(p.nvars)): b,
     }, p.laurent)
     return p.scale(c) + mult * divided_difference(p, i)
+
+
+# ---------------------------------------------------------------------------
+# polynomials over one common denominator
+# ---------------------------------------------------------------------------
+#
+# A form (D, P) stands for the polynomial P / D: D and the coefficients of P
+# are ring elements as ScalarContext.parts returns them.  Operators act on P
+# with the parts of their scalars (see demazure_lustig) and multiply D by
+# what they leave over, two forms are compared by cross-multiplying, and
+# field_view normalises each coefficient once at the end.
+
+def ring_form(p: ZPolynomial,
+              ctx: ScalarContext = GENERIC) -> tuple[object, ZPolynomial]:
+    """(D, P) with p == P / D, D the common denominator of p's coefficients."""
+    den, nums = ctx.common_denominator(p.terms)
+    return den, ZPolynomial(p.nvars, nums, p.laurent)
+
+
+def field_view(den, p: ZPolynomial,
+               ctx: ScalarContext = GENERIC) -> ZPolynomial:
+    """The polynomial P / D of the form (D, P), each coefficient normalised
+    once."""
+    return p.map_coeffs(lambda num: ctx.quotient(num, den))
+
+
+def form_sum(forms,
+             ctx: ScalarContext = GENERIC) -> tuple[object, ZPolynomial]:
+    """The sum of the forms (D_k, P_k), itself a form over the running lcm
+    of the D_k: one gcd per form, none per coefficient."""
+    forms = iter(forms)
+    den, total = next(forms)
+    for d, p in forms:
+        den, up, across = ctx.lcm_cofactors(den, d)
+        total = total.scale(up) + p.scale(across)
+    return den, total

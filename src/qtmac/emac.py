@@ -19,9 +19,11 @@ from .algebra import (
     GENERIC,
     AlgebraError,
     ScalarContext,
+    SpecializationError,
     ZPolynomial,
     demazure_lustig,
     elementary_symmetric,
+    field_view,
     memo,
 )
 from . import comb
@@ -155,8 +157,7 @@ def _generate(eta: Composition, star: bool = False,
 def generate_E(eta: Composition, ctx: ScalarContext = GENERIC) -> ZPolynomial:
     """The monic polynomial E_eta: :func:`common_form` with each
     coefficient normalised once, memoised."""
-    den, p = common_form(eta, False, ctx)
-    return p.map_coeffs(lambda num: ctx.quotient(num, den))
+    return field_view(*common_form(eta, False, ctx), ctx)
 
 
 def norm_N(eta: Composition, ctx: ScalarContext = GENERIC):
@@ -169,9 +170,17 @@ def norm_N(eta: Composition, ctx: ScalarContext = GENERIC):
 # symmetrization
 # ---------------------------------------------------------------------------
 
-def hecke_symmetrize(p: ZPolynomial, ctx: ScalarContext = GENERIC) -> ZPolynomial:
-    """Sum of T_w p over all permutations w, one reduced word per w."""
+def hecke_symmetrize(den, p: ZPolynomial,
+                     ctx: ScalarContext = GENERIC) -> tuple[object, ZPolynomial]:
+    """The sum of T_w (P / D) over all permutations w, one reduced word per
+    w, as a form (D', S) from the form (D, P) (see ``algebra.ring_form``).
+
+    Each step applies td T_i, which is demazure_lustig with (tn, tn, -td),
+    and the partial sum is multiplied by td once per length, so S sums
+    td^(L - l(w)) td^l(w) T_w P with L the longest length and D' = D td^L.
+    """
     n = p.nvars
+    tn, td = ctx.parts(ctx.t)
     identity = tuple(range(1, n + 1))
     frontier = {identity: p}
     total = p
@@ -185,9 +194,10 @@ def hecke_symmetrize(p: ZPolynomial, ctx: ScalarContext = GENERIC) -> ZPolynomia
                     sw = tuple(i + 1 if v == i else (i if v == i + 1 else v)
                                for v in w)
                     if sw not in nxt:
-                        nxt[sw] = apply_T(i, tw, ctx)
+                        nxt[sw] = demazure_lustig(i, tw, tn, tn, -td)
         if not nxt:
-            return total
+            return den, total
+        den, total = den * td, total.scale(td)
         for v in nxt.values():
             total = total + v
         frontier = nxt
@@ -210,14 +220,15 @@ def symmetrize_P(kappa, n: int | None = None,
                  ctx: ScalarContext = GENERIC) -> ZPolynomial:
     """The symmetric Macdonald polynomial P_kappa in n variables, memoised.
 
-    Hecke-symmetrizes E_kappa and rescales so the coefficient of the
-    dominant monomial z^kappa is one.
+    Hecke-symmetrizes E_kappa in ring arithmetic to a form (D, S) and
+    divides by the coefficient of the dominant monomial z^kappa: P_kappa
+    is S / S[kappa], so D cancels and each coefficient is normalised once.
     """
-    sym = hecke_symmetrize(generate_E(kappa, ctx), ctx)
+    _, sym = hecke_symmetrize(*common_form(kappa, False, ctx), ctx)
     lead = sym.coefficient(kappa)
     if not lead:
         raise AlgebraError("symmetrization lost the dominant monomial")
-    return sym.scale(lead ** -1)
+    return field_view(lead, sym, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -249,15 +260,20 @@ def psi_coefficient(kappa, lam, n: int | None = None,
         raise AlgebraError(f"{lm}/{kap} is not a vertical strip")
     theta = tuple(b - a for a, b in zip(kap, lm))
     principal = tuple(ctx.monomial(0, n - 1 - i) for i in range(n))
-    val = ctx.monomial(0, comb.n_stat(lm) - comb.n_stat(kap))
-    val = val * symmetrize_P(kap, n, ctx).at_point(principal, ctx)
-    val = val / symmetrize_P(lm, n, ctx).at_point(principal, ctx)
+    value = symmetrize_P(kap, n, ctx).at_point(principal, ctx)
+    divisor = symmetrize_P(lm, n, ctx).at_point(principal, ctx)
+    if not divisor:
+        raise SpecializationError(
+            f"factor P_{comb.comp_str(lm)}(t^delta) vanishes at "
+            f"{ctx.params_label()}")
+    factors = [ctx.monomial(0, comb.n_stat(lm) - comb.n_stat(kap)), value]
+    divisors = [divisor]
     for i in range(n):
         for j in range(i + 1, n):
             a = kap[i] - kap[j]
-            val = val * (ctx.one - ctx.monomial(a, j - i + theta[i] - theta[j]))
-            val = val / (ctx.one - ctx.monomial(a, j - i))
-    return val
+            factors.append(ctx.one - ctx.monomial(a, j - i + theta[i] - theta[j]))
+            divisors.append(ctx.one_minus(a, j - i))
+    return ctx.product(factors, divisors)
 
 
 def expand_in_P_basis(p: ZPolynomial, ctx: ScalarContext = GENERIC) -> dict:

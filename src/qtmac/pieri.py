@@ -23,6 +23,10 @@ from .algebra import (
     ZPolynomial,
     elementary_symmetric,
     elementary_symmetric_at,
+    field_view,
+    form_sum,
+    memo,
+    ring_form,
 )
 from . import comb, emac, istar
 from .comb import Composition
@@ -87,19 +91,43 @@ def interpolation_expansion(eta: Composition, r: int,
     return ExpansionTable(eta, r, tuple(layers))
 
 
+def _form_args(eta, star: bool, ctx: ScalarContext = GENERIC):
+    return comb.as_composition(eta), bool(star), ctx
+
+
+@memo(_form_args)
+def _label_form(eta: Composition, star: bool, ctx: ScalarContext = GENERIC):
+    """Estar_eta when ``star``, else E_eta, as a form over the least common
+    denominator of its coefficients, memoised."""
+    poly = istar.generate_Estar(eta, ctx) if star else emac.generate_E(eta, ctx)
+    return ring_form(poly, ctx)
+
+
+def _residual(first, entries, basis, ctx: ScalarContext) -> ZPolynomial:
+    """The view of the form ``first`` minus the sum of a B_lam over the
+    entries (lam, a), with basis(lam) the form of B_lam.  The sum runs over
+    the running lcm of the denominators, one lcm per label, so a residual
+    that vanishes normalises no coefficient."""
+    forms = [first]
+    for lam, a in entries:
+        an, ad = ctx.parts(a)
+        den, p = basis(lam)
+        forms.append((ad * den, p.scale(-an)))
+    return field_view(*form_sum(forms, ctx), ctx)
+
+
 def interpolation_residual(table: ExpansionTable,
                            ctx: ScalarContext = GENERIC) -> ZPolynomial:
     """(e_r(z) - e_r(eta-bar)) Estar_eta - sum of A Estar_lam; must be zero."""
     eta, r = table.base, table.r
     n = len(eta)
     er_eta = elementary_symmetric_at(comb.spectral_vector(eta, ctx), r, ctx)
-    lhs = ((elementary_symmetric(n, r, ctx)
-            - ZPolynomial.constant(n, er_eta))
-           * istar.generate_Estar(eta, ctx))
-    for layer in table.layers:
-        for lam, a in layer.items():
-            lhs = lhs - istar.generate_Estar(lam, ctx).scale(a)
-    return lhs
+    gap_den, gap = ring_form(elementary_symmetric(n, r, ctx)
+                             - ZPolynomial.constant(n, er_eta), ctx)
+    den, p = _label_form(eta, True, ctx)
+    entries = [entry for layer in table.layers for entry in layer.items()]
+    return _residual((gap_den * den, gap * p), entries,
+                     lambda lam: _label_form(lam, True, ctx), ctx)
 
 
 def pieri_homogeneous(eta: Composition, r: int,
@@ -261,7 +289,7 @@ def homogeneous_residual(eta: Composition, r: int, table: dict,
     eta = comb.as_composition(eta)
     n = len(eta)
     inv = ctx.inverted()
-    lhs = elementary_symmetric(n, r, ctx) * emac.generate_E(eta, inv)
-    for lam, a in table.items():
-        lhs = lhs - emac.generate_E(lam, inv).scale(a)
-    return lhs
+    _, er = ring_form(elementary_symmetric(n, r, ctx), ctx)
+    den, p = _label_form(eta, False, inv)
+    return _residual((den, er * p), table.items(),
+                     lambda lam: _label_form(lam, False, inv), ctx)

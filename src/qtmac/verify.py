@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (GENERIC, ScalarContext, SpecializationError,
-                      ZPolynomial, scalar_eval, subst_t_power)
+                      ZPolynomial, ring_form, scalar_eval, subst_t_power)
 from . import comb, ctnorm, emac, istar, pieri
 
 # how far above a label's modulus the vanishing and binomial suites reach
@@ -98,12 +98,18 @@ def suite_oracle_e(max_n: int, max_mod: int,
 
 def suite_eigen(max_n: int, max_mod: int,
                 ctx: ScalarContext = GENERIC) -> SuiteReport:
-    """Xi_i Estar_eta = (eta-bar_i)^{-1} Estar_eta for every i."""
+    """Xi_i Estar_eta = (eta-bar_i)^{-1} Estar_eta for every i.
+
+    Both sides are forms over a common denominator: with Estar_eta = P / D,
+    Xi_i Estar_eta = X / D' and eta-bar_i = en / ed, the relation is
+    en D X == ed D' P, so a relation that holds normalises no coefficient.
+    """
     def check(job):
         eta, i = job
-        p = istar.generate_Estar(eta, ctx)
-        eigenvalue = comb.spectral_vector(eta, ctx)[i - 1]
-        if istar.xi_apply(i, p, ctx) != p.scale(eigenvalue ** -1):
+        den, p = ring_form(istar.generate_Estar(eta, ctx), ctx)
+        xden, x = istar.xi_form(i, den, p, ctx)
+        en, ed = ctx.parts(comb.spectral_vector(eta, ctx)[i - 1])
+        if x.scale(en * den) != p.scale(ed * xden):
             return [f"eigenrelation fails at eta={comb.comp_str(eta)} i={i}"]
         return []
 

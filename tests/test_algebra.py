@@ -13,7 +13,10 @@ from qtmac.algebra import (
     divided_difference,
     elementary_symmetric,
     elementary_symmetric_at,
+    field_view,
+    form_sum,
     memo,
+    ring_form,
     scalar_canonicalize,
     scalar_eval,
     specialized,
@@ -268,6 +271,26 @@ def test_at_point_of_a_zero_entry(ctx):
         laurent.at_point((ctx.zero, ctx.one), ctx)
     plain = ZPolynomial(2, {(0, 1): ctx.one, (2, 0): ctx.q})
     assert plain.at_point((ctx.zero, ctx.one), ctx) == ctx.one
+
+
+@SUM_CONTEXTS
+@settings(max_examples=25, deadline=None)
+@given(st.lists(evaluations(), min_size=1, max_size=3))
+def test_forms_view_back_and_sum_like_the_field(ctx, cases):
+    # (D, P) views back to the polynomial; a form sum over the running lcm
+    # views to the field sum; a zero sum has an empty numerator
+    polys = [ZPolynomial(3, {(*e, 0, 0)[:3]: c for e, c in (
+        (e, in_context(c, ctx)) for e, c in terms.items()) if c is not None},
+        laurent=True) for _, terms, _ in cases]
+    forms = [ring_form(p, ctx) for p in polys]
+    for p, (den, num) in zip(polys, forms):
+        assert field_view(den, num, ctx) == p
+    expected = ZPolynomial.zero(3)
+    for p in polys:
+        expected = expected + p
+    assert field_view(*form_sum(forms, ctx), ctx) == expected
+    den, num = form_sum([*forms, *((d, p.scale(-1)) for d, p in forms)], ctx)
+    assert num.is_zero
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ import threading
 
 import pytest
 
-from qtmac import cli, istar, pieri
-from qtmac.algebra import GENERIC
+from qtmac import cli, emac, istar, pieri
+from qtmac.algebra import GENERIC, ZPolynomial
 
 
 def run_cli(args, capsys):
@@ -214,6 +214,12 @@ def test_degenerate_point_is_a_clean_failure(capsys):
       "--params", "q=1,t=5"], "1 - q"),
     (["verify", "--suite", "binomials", "--max-n", "2", "--max-mod", "2",
       "--params", "q=2,t=1/2"], "1 - q*t"),
+    (["psi", "--eta", "0,0", "--lam", "0,0", "--params", "q=1,t=1"], "1 - t"),
+    (["psi", "--eta", "0,0", "--lam", "1,1", "--params", "q=1,t=1"], "1 - t"),
+    (["psi", "--eta", "1,0", "--lam", "2,0", "--params", "q=-5,t=-1"],
+     "P_2,0(t^delta)"),
+    (["verify", "--suite", "symmetric-pieri", "--max-n", "2", "--max-mod", "1",
+      "--params", "q=-1,t=1"], "1 - t"),
 ])
 def test_degenerate_point_names_the_vanishing_factor(argv, factor, capsys):
     # a principal value, a Hecke coefficient or a norm denominator vanishes
@@ -366,6 +372,79 @@ def test_verify_failure_exits_two(monkeypatch, capsys):
     assert lines[1:] == [
         f"    counterexample: r=1 closed disagrees with oracle at eta={eta}"
         for eta in ("0,0", "0,1", "1,0", "0,2", "1,1")]
+
+
+# symbolically and at a rational point: the suites compare forms over a
+# common denominator, so one wrong coefficient must still fail exactly once
+CONTROL_POINTS = pytest.mark.parametrize("params", [
+    [], ["--params", "q=-2/3,t=5/7"]], ids=["symbolic", "q=-2/3,t=5/7"])
+
+
+def _verify(suite, max_n, max_mod, params, capsys):
+    code, out, _ = run_cli(["verify", "--suite", suite, "--max-n", str(max_n),
+                            "--max-mod", str(max_mod), *params], capsys)
+    assert code == 2
+    return out
+
+
+@CONTROL_POINTS
+def test_eigen_suite_fails_a_perturbed_Estar(params, monkeypatch, capsys):
+    # Estar_(1,0) + 1 is no eigenfunction of Xi_1 (it is one of Xi_2, since
+    # Xi_2 1 = t 1 and eta-bar_2 = 1/t)
+    real = istar.generate_Estar
+
+    def perturbed(eta, ctx=GENERIC):
+        p = real(eta, ctx)
+        if eta == (1, 0):
+            return p + ZPolynomial.constant(2, ctx.one)
+        return p
+
+    monkeypatch.setattr(istar, "generate_Estar", perturbed)
+    assert _verify("eigen", 2, 3, params, capsys) == (
+        "[FAIL] eigen: 24 checks, 1 failures\n"
+        "    counterexample: eigenrelation fails at eta=1,0 i=1\n")
+
+
+@CONTROL_POINTS
+@pytest.mark.parametrize("pruned, failures", [
+    (False, ["interpolation residual nonzero eta=0,1 r=1"]),
+    (True, ["general-r mismatch eta=0,1 r=1",
+            "homogeneous residual nonzero eta=0,1 r=1"]),
+], ids=["full", "pruned"])
+def test_pieri_general_suite_fails_a_perturbed_coefficient(
+        params, pruned, failures, monkeypatch, capsys):
+    # one coefficient of the full expansion (checked by the interpolation
+    # residual) or of the pruned table (checked by the oracle and the
+    # homogeneous residual) moves by one
+    real = pieri.interpolation_expansion
+
+    def perturbed(eta, r, ctx=GENERIC, ceiling=None):
+        table = real(eta, r, ctx, ceiling)
+        if (eta, r, ceiling is not None) == ((0, 1), 1, pruned):
+            layer = dict(table.layers[0])
+            layer[max(layer)] += ctx.one
+            return pieri.ExpansionTable(eta, r, (layer,))
+        return table
+
+    monkeypatch.setattr(pieri, "interpolation_expansion", perturbed)
+    assert _verify("pieri-general", 2, 2, params, capsys) == "".join(
+        [f"[FAIL] pieri-general: 6 checks, {len(failures)} failures\n"]
+        + [f"    counterexample: {line}\n" for line in failures])
+
+
+@CONTROL_POINTS
+def test_symmetric_pieri_suite_fails_a_perturbed_psi(params, monkeypatch,
+                                                     capsys):
+    real = emac.psi_coefficient
+
+    def perturbed(kappa, lam, n=None, ctx=GENERIC):
+        value = real(kappa, lam, n, ctx)
+        return value + ctx.one if (kappa, lam) == ((1, 0), (1, 1)) else value
+
+    monkeypatch.setattr(emac, "psi_coefficient", perturbed)
+    assert _verify("symmetric-pieri", 3, 1, params, capsys) == (
+        "[FAIL] symmetric-pieri: 12 checks, 1 failures\n"
+        "    counterexample: psi mismatch kappa=1,0 r=1 lam=1,1\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from qtmac.algebra import GENERIC, AlgebraError, ZPolynomial, elementary_symmetric
+from qtmac.algebra import (GENERIC, AlgebraError, ZPolynomial,
+                           elementary_symmetric, field_view, ring_form)
 from qtmac import comb, emac
+
+from test_algebra import SUM_CONTEXTS
 
 G = GENERIC
 Q, T = G.q, G.t
@@ -186,6 +189,42 @@ def test_symmetrize_P_hall_littlewood_and_schur_degenerations():
     assert scalar_eval(coeff, Fraction(0), Fraction(3, 7)) == 1 - Fraction(3, 7)
     # q = t: Schur, coefficient 1
     assert scalar_eval(coeff, Fraction(3, 7), Fraction(3, 7)) == 1
+
+
+def field_hecke_symmetrize(p, ctx):
+    """Sum of T_w p over all permutations w, one reduced word per w, in
+    field arithmetic: the reference for the ring sum."""
+    n = p.nvars
+    frontier = {tuple(range(1, n + 1)): p}
+    total = p
+    while frontier:
+        nxt = {}
+        for w, tw in frontier.items():
+            for i in range(1, n):
+                if w.index(i) < w.index(i + 1):
+                    sw = tuple(i + 1 if v == i else (i if v == i + 1 else v)
+                               for v in w)
+                    if sw not in nxt:
+                        nxt[sw] = emac.apply_T(i, tw, ctx)
+        for v in nxt.values():
+            total = total + v
+        frontier = nxt
+    return total
+
+
+@SUM_CONTEXTS
+def test_ring_symmetrization_is_the_field_sum(ctx):
+    # on every E_eta, symmetric or not, and P_kappa = S / S[kappa]
+    for n in (1, 2, 3):
+        for eta in comb.compositions_up_to(n, 3):
+            p = emac.generate_E(eta, ctx)
+            expected = field_hecke_symmetrize(p, ctx)
+            got = field_view(*emac.hecke_symmetrize(*ring_form(p, ctx), ctx),
+                             ctx)
+            assert got == expected, eta
+            if comb.is_partition(eta):
+                assert emac.symmetrize_P(eta, n, ctx) == expected.scale(
+                    expected.coefficient(eta) ** -1), eta
 
 
 def test_symmetrize_P_rejects_non_partition():

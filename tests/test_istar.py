@@ -9,6 +9,8 @@ import hypothesis.strategies as st
 from qtmac.algebra import GENERIC, AlgebraError, ZPolynomial, specialized
 from qtmac import comb, istar
 
+from test_algebra import SUM_CONTEXTS
+
 G = GENERIC
 Q, T = G.q, G.t
 TINV = G.monomial(0, -1)
@@ -71,6 +73,73 @@ def test_xi_examples():
         zero = ZPolynomial.constant(n, G.one)
         for i in range(1, n + 1):
             assert istar.xi_apply(i, zero) == zero.scale(G.monomial(0, i - 1))
+
+
+# the eigenoperator word in field arithmetic, normalising after every
+# operation: the reference for the ring word of xi_form and phi_form
+
+def field_phi_star(p, ctx):
+    """(z_n - t^(1-n)) * p(z_n/q, z_1, ..., z_{n-1})."""
+    n = p.nvars
+    moved = ZPolynomial(n, {e[1:] + e[:1]: c * ctx.monomial(-e[0], 0)
+                            for e, c in p.terms.items()}, p.laurent)
+    zn = tuple(0 if j < n - 1 else 1 for j in range(n))
+    mult = ZPolynomial(n, {zn: ctx.one, (0,) * n: -ctx.monomial(0, 1 - n)},
+                       p.laurent)
+    return mult * moved
+
+
+def field_xi(i, p, ctx):
+    """z_i^-1 p + z_i^-1 H_i ... H_{n-1} Phi H_1 ... H_{i-1} p."""
+    n = p.nvars
+    word = p
+    for j in range(i - 1, 0, -1):
+        word = istar.apply_H(j, word, ctx)
+    word = field_phi_star(word, ctx)
+    for j in range(n - 1, i - 1, -1):
+        word = istar.apply_H(j, word, ctx)
+    zi_inv = ZPolynomial.monomial(
+        n, tuple(-1 if j == i - 1 else 0 for j in range(n)), ctx.one,
+        laurent=True)
+    return zi_inv * (p + word)
+
+
+@SUM_CONTEXTS
+def test_ring_eigenword_is_the_field_word_on_Estar(ctx):
+    for n in (1, 2, 3):
+        for eta in comb.compositions_up_to(n, 3):
+            p = istar.generate_Estar(eta, ctx)
+            assert istar.apply_phi_star(p, ctx) == field_phi_star(p, ctx), eta
+            for i in range(1, n + 1):
+                assert istar.xi_apply(i, p, ctx) == field_xi(i, p, ctx), \
+                    (eta, i)
+
+
+# n, then {exponents: (k, a, b, c, d)} for the coefficient
+# k q^a t^b / (1 - q^c t^d); exponents from -1 make a Laurent polynomial
+laurent_specs = st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.dictionaries(
+        st.tuples(*[st.integers(-1, 2)] * n),
+        st.tuples(st.sampled_from([1, -1, 2]), st.integers(-2, 2),
+                  st.integers(-2, 2), st.integers(1, 2), st.integers(0, 2)),
+        max_size=4)))
+
+
+@SUM_CONTEXTS
+@settings(max_examples=20, deadline=None)
+@given(laurent_specs)
+def test_ring_eigenword_is_the_field_word_on_any_polynomial(ctx, spec):
+    # not eigenfunctions, denominators that differ from term to term,
+    # Laurent exponents, and the zero polynomial
+    n, terms = spec
+    p = ZPolynomial(n, {
+        e: ctx.from_int(k) * ctx.monomial(a, b) / ctx.one_minus(c, d)
+        for e, (k, a, b, c, d) in terms.items()},
+        laurent=any(x < 0 for e in terms for x in e))
+    assert istar.apply_phi_star(p, ctx) == field_phi_star(p, ctx)
+    for i in range(1, n + 1):
+        assert istar.xi_apply(i, p, ctx) == field_xi(i, p, ctx), i
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,11 @@ from fractions import Fraction
 import pytest
 
 from qtmac.algebra import (GENERIC, AlgebraError, SpecializationError,
+                           ZPolynomial, elementary_symmetric,
                            elementary_symmetric_at, scalar_eval, specialized)
 from qtmac import comb, emac, istar, pieri
+
+from test_algebra import SUM_CONTEXTS
 
 G = GENERIC
 Q, T = G.q, G.t
@@ -72,6 +75,56 @@ def test_pieri_homogeneous_residual_is_zero():
         for r in (1, 2):
             table = pieri.pieri_homogeneous(eta, r)
             assert pieri.homogeneous_residual(eta, r, table).is_zero, (eta, r)
+
+
+# the two residuals in field arithmetic, normalising after every operation:
+# the reference for the sums over a running lcm
+
+def field_interpolation_residual(table, ctx):
+    eta, r = table.base, table.r
+    n = len(eta)
+    er_eta = elementary_symmetric_at(comb.spectral_vector(eta, ctx), r, ctx)
+    lhs = ((elementary_symmetric(n, r, ctx) - ZPolynomial.constant(n, er_eta))
+           * istar.generate_Estar(eta, ctx))
+    for layer in table.layers:
+        for lam, a in layer.items():
+            lhs = lhs - istar.generate_Estar(lam, ctx).scale(a)
+    return lhs
+
+
+def field_homogeneous_residual(eta, r, table, ctx):
+    inv = ctx.inverted()
+    lhs = elementary_symmetric(len(eta), r, ctx) * emac.generate_E(eta, inv)
+    for lam, a in table.items():
+        lhs = lhs - emac.generate_E(lam, inv).scale(a)
+    return lhs
+
+
+def _bumped(table, ctx):
+    """table with its last coefficient moved by 1/(1 - qt), a denominator
+    no coefficient has, so the residual is nonzero."""
+    lam = max(table)
+    return {**table, lam: table[lam] + ctx.one / ctx.one_minus(1, 1)}
+
+
+@SUM_CONTEXTS
+def test_residuals_are_the_field_residuals(ctx):
+    for eta in [*comb.compositions_up_to(2, 2), *comb.compositions_up_to(3, 1)]:
+        for r in range(1, len(eta) + 1):
+            full = pieri.interpolation_expansion(eta, r, ctx)
+            table = pieri.pieri_homogeneous(eta, r, ctx)
+            assert pieri.interpolation_residual(full, ctx).is_zero, (eta, r)
+            assert pieri.homogeneous_residual(eta, r, table, ctx).is_zero, \
+                (eta, r)
+            layers = (*full.layers[:-1], _bumped(full.layers[-1], ctx))
+            bumped = pieri.ExpansionTable(eta, r, layers)
+            got = pieri.interpolation_residual(bumped, ctx)
+            assert not got.is_zero, (eta, r)
+            assert got == field_interpolation_residual(bumped, ctx), (eta, r)
+            got = pieri.homogeneous_residual(eta, r, _bumped(table, ctx), ctx)
+            assert not got.is_zero, (eta, r)
+            assert got == field_homogeneous_residual(
+                eta, r, _bumped(table, ctx), ctx), (eta, r)
 
 
 def _below(layer, ceiling):

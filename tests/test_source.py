@@ -89,12 +89,13 @@ def test_one_generation_recursion():
 # an oracle must not reach the fast path it checks
 FAST_PATHS = {"monomial_sum", "common_form", "spectral_evaluate", "generate_Estar"}
 
+# the Pieri residuals check the expansion, so they must not reach the route
+# that computes its coefficients
+EXPANSION_PATHS = {"spectral_evaluate", "monomial_sum", "spectral_e_gap",
+                   "common_form", "interpolation_expansion"}
 
-@pytest.mark.parametrize("module, owner, name", [
-    ("algebra.py", "ZPolynomial", "at_point"),
-    ("istar.py", None, "vanishing_solve_oracle"),
-])
-def test_oracles_are_independent_of_the_fast_paths(module, owner, name):
+
+def _references(module, owner, name):
     tree = ast.parse((PACKAGE / module).read_text(), filename=module)
     if owner is not None:
         (tree,) = [node for node in tree.body
@@ -102,6 +103,27 @@ def test_oracles_are_independent_of_the_fast_paths(module, owner, name):
     (func,) = [node for node in tree.body
                if isinstance(node, ast.FunctionDef) and node.name == name]
     used = {node.id for node in ast.walk(func) if isinstance(node, ast.Name)}
-    used |= {node.attr for node in ast.walk(func)
-             if isinstance(node, ast.Attribute)}
+    return used | {node.attr for node in ast.walk(func)
+                   if isinstance(node, ast.Attribute)}
+
+
+@pytest.mark.parametrize("module, owner, name", [
+    ("algebra.py", "ZPolynomial", "at_point"),
+    ("istar.py", None, "vanishing_solve_oracle"),
+    ("istar.py", None, "xi_apply"),
+    ("istar.py", None, "xi_form"),
+    ("istar.py", None, "phi_form"),
+    ("emac.py", None, "hecke_symmetrize"),
+])
+def test_oracles_are_independent_of_the_fast_paths(module, owner, name):
+    used = _references(module, owner, name)
     assert not used & FAST_PATHS, f"{name} references {sorted(used & FAST_PATHS)}"
+
+
+@pytest.mark.parametrize("name", ["interpolation_residual",
+                                  "homogeneous_residual", "_residual",
+                                  "_label_form"])
+def test_residuals_are_independent_of_the_expansion(name):
+    used = _references("pieri.py", None, name)
+    assert not used & EXPANSION_PATHS, \
+        f"{name} references {sorted(used & EXPANSION_PATHS)}"
