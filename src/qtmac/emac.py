@@ -223,11 +223,21 @@ def symmetrize_P(kappa, n: int | None = None,
     Hecke-symmetrizes E_kappa in ring arithmetic to a form (D, S) and
     divides by the coefficient of the dominant monomial z^kappa: P_kappa
     is S / S[kappa], so D cancels and each coefficient is normalised once.
+    Where that coefficient vanishes at ctx's point, SpecializationError
+    names its value over Q(q,t).
     """
     _, sym = hecke_symmetrize(*common_form(kappa, False, ctx), ctx)
     lead = sym.coefficient(kappa)
     if not lead:
-        raise AlgebraError("symmetrization lost the dominant monomial")
+        den, generic = hecke_symmetrize(*common_form(kappa, False, GENERIC),
+                                        GENERIC)
+        if not generic.coefficient(kappa):
+            raise AlgebraError("symmetrization lost the dominant monomial")
+        value = GENERIC.quotient(generic.coefficient(kappa), den)
+        raise SpecializationError(
+            f"factor {GENERIC.text(value)} vanishes at {ctx.params_label()}: "
+            f"it is the coefficient of z^({comb.comp_str(kappa)}) in the "
+            f"Hecke symmetrization of E_{comb.comp_str(kappa)}")
     return field_view(lead, sym, ctx)
 
 

@@ -319,10 +319,19 @@ def one_step_ratio(eta: Composition, lam: Composition,
     return ctx.zero
 
 
+def _word_args(eta, k: int, ctx: ScalarContext = GENERIC):
+    return comb.as_composition(eta), int(k), ctx
+
+
+@memo(_word_args)
 def expand_eigenword(eta: Composition, k: int,
                      ctx: ScalarContext = GENERIC) -> dict:
     """Expansion of H_k ... H_{n-1} Phi H_1 ... H_{k-1} Estar_eta in the
-    Estar basis: {label: coefficient}, zero coefficients dropped."""
+    Estar basis: {label: coefficient}, zero coefficients dropped; memoised.
+
+    Every call with the same arguments returns the same dict, so callers
+    only read it.
+    """
     n = len(eta)
     if not 1 <= k <= n:
         raise AlgebraError(f"word index {k} out of range for n={n}")
@@ -385,19 +394,25 @@ def binomial_direct(eta: Composition, nu: Composition,
     return spectral_evaluate(eta, nu, ctx) / principal_value(nu, ctx)
 
 
+def _binomial_args(eta, nu, ctx: ScalarContext = GENERIC, k: int | None = None):
+    return comb.as_composition(eta), comb.as_composition(nu), ctx, k
+
+
+@memo(_binomial_args)
 def binomial_recursive(eta: Composition, nu: Composition,
                        ctx: ScalarContext = GENERIC, k: int | None = None):
-    """The binomial coefficient through the layered recursion.
+    """The binomial coefficient through the layered recursion, memoised.
 
     A gap of one is the closed-form one-step ratio.  For larger gaps the
     value is a weighted sum over the labels nu' reached by the eigenoperator
     word at position k (defaulting to the leftmost frequency mismatch) that
     remain below nu, each weighted by
     (nu'-bar_k/eta-bar_k - 1)/(nu-bar_k/eta-bar_k - 1) times the one-step
-    ratio into nu' times the recursive coefficient from nu' to nu.
+    ratio into nu' times the recursive coefficient from nu' to nu.  The
+    terms are summed in parts (``ScalarContext.parts``) over the running lcm
+    of their denominators, one ``lcm_cofactors`` per nu', and the sum is
+    divided by the common divisor of the weights in the one normalisation.
     """
-    eta = comb.as_composition(eta)
-    nu = comb.as_composition(nu)
     gap = comb.modulus(nu) - comb.modulus(eta)
     if gap <= 0:
         raise AlgebraError("binomial_recursive requires |nu| > |eta|")
@@ -406,19 +421,23 @@ def binomial_recursive(eta: Composition, nu: Composition,
     if gap == 1:
         return one_step_ratio(eta, nu, ctx)
     pos = k if k is not None else recursion_position(eta, nu, ctx)
-    eb = comb.spectral_vector(eta, ctx)
-    nb = comb.spectral_vector(nu, ctx)
-    denom = nb[pos - 1] / eb[pos - 1] - ctx.one
+    # nu'-bar_k / eta-bar_k is the monomial q^a t^b of the exponent difference
+    ea, eb = comb.spectral_exponents(eta)[pos - 1]
+    na, nb = comb.spectral_exponents(nu)[pos - 1]
+    denom = ctx.monomial(na - ea, nb - eb) - ctx.one
     if not denom:
         raise AlgebraError(
             f"position k={pos} is unusable: the spectral entries of "
             f"{eta} and {nu} coincide there")
-    total = ctx.zero
+    num, den = ctx.parts(ctx.zero)
     for lab in expand_eigenword(eta, pos, ctx):
         if not comb.is_successor(lab, nu):
             continue
-        lb = comb.spectral_vector(lab, ctx)
-        weight = (lb[pos - 1] / eb[pos - 1] - ctx.one) / denom
-        total = total + (weight * one_step_ratio(eta, lab, ctx)
-                         * binomial_recursive(lab, nu, ctx))
-    return total
+        la, lb = comb.spectral_exponents(lab)[pos - 1]
+        xn, xd = ctx.parts(ctx.monomial(la - ea, lb - eb))
+        rn, rd = ctx.parts(one_step_ratio(eta, lab, ctx))
+        bn, bd = ctx.parts(binomial_recursive(lab, nu, ctx))
+        den, up, across = ctx.lcm_cofactors(den, xd * rd * bd)
+        num = num * up + (xn - xd) * rn * bn * across
+    dn, dd = ctx.parts(denom)
+    return ctx.quotient(num * dd, den * dn)

@@ -4,6 +4,9 @@ The coefficients A^(r)_{eta,lam} expand e_r(z) E_eta(z; 1/q, 1/t) over the
 E_lam(z; 1/q, 1/t) with |lam| = |eta| + r.  They are produced four ways:
 
 * the layered recursion through interpolation polynomial evaluations,
+  each coefficient summed in parts over one common denominator and
+  normalised once (the q,t-binomials of ``istar.binomial_recursive``
+  are summed over one denominator the same way),
 * the r = 1 closed form through the one-step ratio,
 * the r = 1 product form through the a-hat/b-hat factors,
 * a brute-force expansion oracle over the monic triangular basis.
@@ -51,11 +54,14 @@ def interpolation_expansion(eta: Composition, r: int,
     """The layers of the expansion of (e_r(z) - e_r(eta-bar)) Estar_eta.
 
     Layer one is a pure evaluation ratio; layer i subtracts the contributions
-    of every earlier layer that stays below the target.  Each coefficient's
-    numerator is summed over one common denominator and divided by the
-    principal value of its target once.  Every kept target's principal value
-    is taken, zero numerator or not, so a point where one vanishes raises
-    instead of dropping coefficients.
+    of every earlier layer that stays below the target.  Each coefficient is
+    summed in parts (``ScalarContext.parts``): the e_r gap times the spectral
+    value, less a_mu times the spectral value of every earlier mu below the
+    target, over the running lcm of their denominators (one
+    ``lcm_cofactors`` per mu), and divided by the principal value of the
+    target in the one normalisation ``ctx.quotient`` takes.  Every kept
+    target's principal value is taken, zero numerator or not, so a point
+    where one vanishes raises instead of dropping coefficients.
 
     With a ``ceiling``, only the targets lam <=' ceiling are kept.  This is
     exact for them: the successor order is transitive, so a label above the
@@ -77,16 +83,19 @@ def interpolation_expansion(eta: Composition, r: int,
             front = {lam for lam in front if comb.is_successor(lam, ceiling)}
         layer = {}
         for lam in sorted(front):
-            principal = istar.principal_value(lam, ctx)
-            terms = [comb.spectral_e_gap(eta, lam, r, ctx)
-                     * istar.spectral_evaluate(eta, lam, ctx)]
+            pn, pd = ctx.parts(istar.principal_value(lam, ctx))
+            gn, gd = ctx.parts(comb.spectral_e_gap(eta, lam, r, ctx))
+            vn, vd = ctx.parts(istar.spectral_evaluate(eta, lam, ctx))
+            num, den = gn * vn, gd * vd
             for prev_layer in layers:
                 for mu, a in prev_layer.items():
                     if comb.is_successor(mu, lam):
-                        terms.append(-a * istar.spectral_evaluate(mu, lam, ctx))
-            total = ctx.fsum(terms)
-            if total:
-                layer[lam] = total / principal
+                        an, ad = ctx.parts(a)
+                        vn, vd = ctx.parts(istar.spectral_evaluate(mu, lam, ctx))
+                        den, up, across = ctx.lcm_cofactors(den, ad * vd)
+                        num = num * up - an * vn * across
+            if num:
+                layer[lam] = ctx.quotient(num * pd, den * pn)
         layers.append(layer)
     return ExpansionTable(eta, r, tuple(layers))
 

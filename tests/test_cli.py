@@ -220,6 +220,12 @@ def test_degenerate_point_is_a_clean_failure(capsys):
      "P_2,0(t^delta)"),
     (["verify", "--suite", "symmetric-pieri", "--max-n", "2", "--max-mod", "1",
       "--params", "q=-1,t=1"], "1 - t"),
+    # the coefficient of z^kappa in the Hecke symmetrization of E_kappa
+    (["psi", "--eta", "0,0", "--lam", "1,0", "--params", "q=2,t=-1"], "t + 1"),
+    (["psi", "--eta", "1,0", "--lam", "2,0", "--params", "q=1/4,t=2"],
+     "(q*t^2 - 1)/(q*t - 1)"),
+    (["verify", "--suite", "symmetric-pieri", "--max-n", "2", "--max-mod", "1",
+      "--params", "q=2,t=-1"], "t + 1"),
 ])
 def test_degenerate_point_names_the_vanishing_factor(argv, factor, capsys):
     # a principal value, a Hecke coefficient or a norm denominator vanishes

@@ -298,6 +298,43 @@ def test_binomial_recursive_examples():
         istar.binomial_direct((0, 0), (1, 1))
 
 
+# the recursion in field arithmetic, normalising after every operation: the
+# reference for the sum in parts over a running lcm
+
+def field_binomial_recursive(eta, nu, ctx):
+    gap = comb.modulus(nu) - comb.modulus(eta)
+    if not comb.is_successor(eta, nu):
+        return ctx.zero
+    if gap == 1:
+        return istar.one_step_ratio(eta, nu, ctx)
+    pos = istar.recursion_position(eta, nu, ctx)
+    eb = comb.spectral_vector(eta, ctx)
+    nb = comb.spectral_vector(nu, ctx)
+    denom = nb[pos - 1] / eb[pos - 1] - ctx.one
+    total = ctx.zero
+    for lab in istar.expand_eigenword(eta, pos, ctx):
+        if not comb.is_successor(lab, nu):
+            continue
+        lb = comb.spectral_vector(lab, ctx)
+        weight = (lb[pos - 1] / eb[pos - 1] - ctx.one) / denom
+        total = total + (weight * istar.one_step_ratio(eta, lab, ctx)
+                         * field_binomial_recursive(lab, nu, ctx))
+    return total
+
+
+@SUM_CONTEXTS
+def test_binomial_recursive_is_the_field_recursion_and_the_binomial(ctx):
+    for n in range(1, 4):
+        labels = list(comb.compositions_up_to(n, 4))
+        for nu in labels:
+            for eta in labels:
+                if comb.modulus(eta) >= comb.modulus(nu):
+                    continue
+                got = istar.binomial_recursive(eta, nu, ctx)
+                assert got == field_binomial_recursive(eta, nu, ctx), (eta, nu)
+                assert got == istar.binomial_direct(eta, nu, ctx), (eta, nu)
+
+
 def test_binomial_recursive_requires_larger_modulus():
     with pytest.raises(AlgebraError):
         istar.binomial_recursive((1, 0), (1, 0))

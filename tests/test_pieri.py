@@ -77,6 +77,44 @@ def test_pieri_homogeneous_residual_is_zero():
             assert pieri.homogeneous_residual(eta, r, table).is_zero, (eta, r)
 
 
+# the layered recursion in field arithmetic, normalising after every
+# operation: the reference for the sums in parts over a running lcm
+
+def field_interpolation_expansion(eta, r, ctx, ceiling=None):
+    layers = []
+    front = {eta}
+    for _ in range(r):
+        front = {lam for mu in front for lam in comb.successors_one_step(mu)}
+        if ceiling is not None:
+            front = {lam for lam in front if comb.is_successor(lam, ceiling)}
+        layer = {}
+        for lam in sorted(front):
+            principal = istar.principal_value(lam, ctx)
+            total = (comb.spectral_e_gap(eta, lam, r, ctx)
+                     * istar.spectral_evaluate(eta, lam, ctx))
+            for prev_layer in layers:
+                for mu, a in prev_layer.items():
+                    if comb.is_successor(mu, lam):
+                        total = total - a * istar.spectral_evaluate(mu, lam, ctx)
+            if total:
+                layer[lam] = total / principal
+        layers.append(layer)
+    return tuple(layers)
+
+
+@SUM_CONTEXTS
+def test_expansion_is_the_field_recursion(ctx):
+    for eta in _labels(3, 3):
+        ceiling = comb.add_box_everywhere(eta, 1)
+        for r in range(1, len(eta) + 1):
+            for top in (None, ceiling):
+                got = pieri.interpolation_expansion(eta, r, ctx, top).layers
+                want = field_interpolation_expansion(eta, r, ctx, top)
+                for i, (layer, expected) in enumerate(zip(got, want)):
+                    assert layer == expected, (eta, r, top, i + 1)
+                assert len(got) == len(want) == r
+
+
 # the two residuals in field arithmetic, normalising after every operation:
 # the reference for the sums over a running lcm
 

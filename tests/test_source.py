@@ -127,3 +127,15 @@ def test_residuals_are_independent_of_the_expansion(name):
     used = _references("pieri.py", None, name)
     assert not used & EXPANSION_PATHS, \
         f"{name} references {sorted(used & EXPANSION_PATHS)}"
+
+
+# binomial_recursive is the independent check of binomial_direct, so it must
+# not reach binomial_direct's route through the spectral evaluation
+BINOMIAL_DIRECT_PATHS = {"spectral_evaluate", "binomial_direct",
+                         "principal_value", "monomial_sum"}
+
+
+def test_binomial_recursion_is_independent_of_the_direct_route():
+    used = _references("istar.py", None, "binomial_recursive")
+    assert not used & BINOMIAL_DIRECT_PATHS, \
+        f"binomial_recursive references {sorted(used & BINOMIAL_DIRECT_PATHS)}"
