@@ -14,7 +14,6 @@ from .algebra import (
     divided_difference,
     elementary_symmetric,
     elementary_symmetric_at,
-    scalar_canonicalize,
     specialized,
     subst_t_power,
 )
@@ -38,17 +37,13 @@ from .comb import (
     successors_layered,
 )
 from .emac import (
-    act_T_basis,
     apply_phi_q,
-    apply_T,
     generate_E,
     norm_N,
     psi_coefficient,
     symmetrize_P,
 )
 from .istar import (
-    apply_H,
-    apply_phi_star,
     binomial_direct,
     binomial_recursive,
     extra_vanishing_test,
@@ -56,7 +51,6 @@ from .istar import (
     principal_value,
     spectral_evaluate,
     vanishing_solve_oracle,
-    xi_apply,
 )
 from .pieri import (
     ExpansionTable,

@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from sympy.polys.domains import ZZ
@@ -56,26 +56,6 @@ class SpecializationError(AlgebraError):
 # ---------------------------------------------------------------------------
 # bivariate integer polynomials (numerators / denominators)
 # ---------------------------------------------------------------------------
-
-def _to_ring_poly(p):
-    """Coerce an int, {(i,j): c} dict or ring element to a ZZ[q,t] element."""
-    if isinstance(p, int):
-        return _RING.from_dict({(0, 0): p}) if p else _RING.zero
-    if isinstance(p, dict):
-        return _RING.from_dict({(int(i), int(j)): c for (i, j), c in p.items()})
-    if isinstance(p, _RING.dtype):
-        return p
-    raise AlgebraError(f"cannot interpret {p!r} as an integer polynomial in q,t")
-
-
-def scalar_canonicalize(num, den=1):
-    """Build the canonical reduced scalar num/den; raises on zero denominator."""
-    num_p = _to_ring_poly(num)
-    den_p = _to_ring_poly(den)
-    if not den_p:
-        raise AlgebraError("zero denominator")
-    return _FIELD.new(num_p, den_p)
-
 
 def _ring_poly_text(p) -> str:
     """Canonical text of an integer polynomial, grlex-descending terms."""
@@ -202,10 +182,13 @@ class ScalarContext:
     ``qval`` and ``tval`` are the generators q, t of Q(q,t) (symbolic
     arithmetic), their reciprocals (symbolic arithmetic at reciprocal
     parameters), or two nonzero ``Fraction``s (exact rational arithmetic).
+    ``reciprocal`` marks a context that :meth:`inverted` made from the
+    point the caller gave; it takes no part in equality.
     """
 
     qval: object
     tval: object
+    reciprocal: bool = field(default=False, compare=False)
 
     @property
     def generic(self) -> bool:
@@ -236,8 +219,11 @@ class ScalarContext:
         where it vanishes, so that no division by it fails unnamed."""
         x = self.one - self.monomial(a, b)
         if not x:
-            raise SpecializationError(f"factor 1 - {_monomial_text(a, b)} "
-                                      f"vanishes at {self.params_label()}")
+            # at reciprocal parameters q^a t^b is q^-a t^-b at the given point
+            point, sign = (self.inverted(), -1) if self.reciprocal else (self, 1)
+            raise SpecializationError(
+                f"factor 1 - {_monomial_text(sign * a, sign * b)} "
+                f"vanishes at {point.params_label()}")
         return x
 
     def from_int(self, k: int):
@@ -251,7 +237,7 @@ class ScalarContext:
 
     def inverted(self) -> "ScalarContext":
         """The context at the reciprocal point (1/q, 1/t); an involution."""
-        return ScalarContext(1 / self.qval, 1 / self.tval)
+        return ScalarContext(1 / self.qval, 1 / self.tval, not self.reciprocal)
 
     def parts(self, x) -> tuple[object, object]:
         """(N, D) with x == N / D: integer polynomials in q,t symbolically,

@@ -111,14 +111,6 @@ def cache_load(kind: str, n: int, inputs: dict, params: str,
         return None
 
 
-def cache_roundtrip(doc: ResultDocument, cache_dir: str) -> ResultDocument:
-    cache_store(doc, cache_dir)
-    loaded = cache_load(doc.kind, doc.n, doc.inputs, doc.params, cache_dir)
-    if loaded is None:
-        raise AlgebraError("cache round-trip failed")
-    return loaded
-
-
 # ---------------------------------------------------------------------------
 # payload construction
 # ---------------------------------------------------------------------------

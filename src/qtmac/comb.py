@@ -29,6 +29,12 @@ def label_args(eta, ctx: ScalarContext = GENERIC):
     return as_composition(eta), ctx
 
 
+def form_args(eta, star: bool = False, ctx: ScalarContext = GENERIC):
+    """(normalised label, star, ctx): the memo key of a generator of the
+    form of E_eta, or of Estar_eta when ``star``."""
+    return as_composition(eta), bool(star), ctx
+
+
 def modulus(eta: Composition) -> int:
     return sum(eta)
 

@@ -8,6 +8,10 @@ operator Phi_q = z_n T_{n-1}^{-1} ... T_1^{-1}.  One recursion,
 Estar_eta of :mod:`qtmac.istar`, over a common denominator in ring
 arithmetic.
 
+The operators on such forms live here alone, and the recursion, the Hecke
+symmetrization and the eigenoperators of :mod:`qtmac.istar` run them:
+:func:`hecke_step` (T_i, or H_i of the Estar_eta) and :func:`phi_form`.
+
 Also here: the norms N_eta (up to the common <1,1> factor), Hecke
 symmetrization to the symmetric Macdonald polynomial P_kappa, and the
 classical vertical-strip branching coefficients used as a cross-check.
@@ -31,34 +35,47 @@ from .comb import Composition
 
 
 # ---------------------------------------------------------------------------
-# operators
+# operators on forms
 # ---------------------------------------------------------------------------
+# A form (D, P) stands for P / D (see ``algebra.ring_form``); the operators
+# act on P with the parts tn / td of t and qn / qd of q.
 
-def apply_T(i: int, p: ZPolynomial, ctx: ScalarContext = GENERIC) -> ZPolynomial:
-    """T_i p = t p + (t z_i - z_{i+1}) * (s_i p - p)/(z_i - z_{i+1})."""
-    return demazure_lustig(i, p, ctx.t, ctx.t, -ctx.one)
+def hecke_step(i: int, p: ZPolynomial, ctx: ScalarContext = GENERIC,
+               star: bool = False) -> ZPolynomial:
+    """td T_i P, or td H_i P when ``star``, for ring numerators P.
+
+    T_i p = t p + (t z_i - z_{i+1}) (s_i p - p)/(z_i - z_{i+1}) switches
+    the E_eta, and H_i p = t p + (z_i - t z_{i+1}) (s_i p - p)/(z_i - z_{i+1})
+    the Estar_eta; both satisfy (X - t)(X + 1) = 0.
+    """
+    tn, td = ctx.parts(ctx.t)
+    a, b = (td, -tn) if star else (tn, -td)
+    return demazure_lustig(i, p, tn, a, b)
 
 
-def apply_T_inverse(i: int, p: ZPolynomial, ctx: ScalarContext = GENERIC) -> ZPolynomial:
-    """T_i^{-1} = t^{-1} - 1 + t^{-1} T_i, from the quadratic Hecke relation."""
-    tinv = ctx.monomial(0, -1)
-    return p.scale(tinv - ctx.one) + apply_T(i, p, ctx).scale(tinv)
-
-
-def apply_phi_q_poly(p: ZPolynomial, ctx: ScalarContext = GENERIC) -> ZPolynomial:
-    """The raising operator on polynomials: z_n T_{n-1}^{-1} ... T_1^{-1}."""
+def phi_form(den, p: ZPolynomial, ctx: ScalarContext = GENERIC,
+             qpower: int = 0) -> tuple[object, ZPolynomial]:
+    """q^qpower Phi (P / D) as a form, from the form (D, P), in one pass
+    over P: Phi p = (z_n - t^(1-n)) p(z_n/q, z_1, ..., z_{n-1}) raises the
+    Estar_eta."""
+    if p.is_zero:
+        return den, p
     n = p.nvars
-    out = p
-    for i in range(1, n):
-        out = apply_T_inverse(i, out, ctx)
-    zn = ZPolynomial.monomial(n, tuple(0 if j < n - 1 else 1 for j in range(n)),
-                              ctx.one, p.laurent)
-    return zn * out
-
-
-def act_T_basis(i: int, eta: Composition, ctx: ScalarContext = GENERIC) -> dict:
-    """Expansion of T_i E_eta over {eta, s_i eta}."""
-    return comb.basis_action(i, eta, ctx.t, ctx)
+    qn, qd = ctx.parts(ctx.q)
+    tn, td = ctx.parts(ctx.t)
+    # with lo..hi the range of the exponents e_1 of z_1 in P, q^(k - e_1)
+    # = q^(k - hi) qn^(hi - e_1) qd^(e_1 - lo) / qd^(hi - lo), k = qpower
+    firsts = [e[0] for e in p.terms]
+    lo, hi = min(firsts), max(firsts)
+    sn, sd = ctx.parts(ctx.monomial(qpower - hi, 0))
+    moved = ZPolynomial(n, {
+        e[1:] + e[:1]: c * qn ** (hi - e[0]) * qd ** (e[0] - lo)
+        for e, c in p.terms.items()}, p.laurent)
+    # z_n - t^(1-n) = (tn^(n-1) z_n - td^(n-1)) / tn^(n-1)
+    un, ud = tn ** (n - 1), td ** (n - 1)
+    zn = (0,) * (n - 1) + (1,)
+    mult = ZPolynomial(n, {zn: un * sn, (0,) * n: -ud * sn}, p.laurent)
+    return den * sd * qd ** (hi - lo) * un, mult * moved
 
 
 def apply_phi_q(eta: Composition, ctx: ScalarContext = GENERIC):
@@ -70,10 +87,6 @@ def apply_phi_q(eta: Composition, ctx: ScalarContext = GENERIC):
 # ---------------------------------------------------------------------------
 # recursive generation
 # ---------------------------------------------------------------------------
-
-def _form_args(eta, star: bool = False, ctx: ScalarContext = GENERIC):
-    return comb.as_composition(eta), bool(star), ctx
-
 
 def common_form(eta: Composition, star: bool = False,
                 ctx: ScalarContext = GENERIC) -> tuple[object, ZPolynomial]:
@@ -89,21 +102,21 @@ def common_form(eta: Composition, star: bool = False,
     common monomial, and each denominator of a Hecke coefficient that went
     into D as soon as it divides every numerator.
     """
-    den, p, _ = _generate(*_form_args(eta, star, ctx))
+    den, p, _ = _generate(*comb.form_args(eta, star, ctx))
     return den, p
 
 
-@memo(_form_args)
+@memo(comb.form_args)
 def _generate(eta: Composition, star: bool = False,
               ctx: ScalarContext = GENERIC):
     """:func:`common_form` and the factors of D not yet divided out.
 
     Switching from mu = s_i eta is E_eta = (T_i - c) E_mu / t and
-    Estar_eta = (H_i - c) Estar_mu, with c the diagonal coefficient of
-    :func:`comb.basis_action`.  Raising from mu is
+    Estar_eta = (H_i - c) Estar_mu (:func:`hecke_step`), with c the
+    diagonal coefficient of :func:`comb.basis_action`.  Raising from mu is
     E_eta = t^count Phi_q E_mu with Phi_q = z_n T_{n-1}^-1 ... T_1^-1 (see
-    :func:`apply_phi_q`), and Estar_eta = q^(mu_1) Phi Estar_mu with
-    Phi p = (z_n - t^(1-n)) p(z_n/q, z_1, ..., z_{n-1}).
+    :func:`apply_phi_q`), and Estar_eta = q^(mu_1) Phi Estar_mu
+    (:func:`phi_form`).
     """
     n = len(eta)
     step = comb.generation_step(eta)
@@ -117,28 +130,13 @@ def _generate(eta: Composition, star: bool = False,
         table = comb.basis_action(i, mu, ctx.one if star else ctx.t, ctx)
         cn, factor = ctx.parts(table[mu])
         factors += (factor,)
-        # td H_i is demazure_lustig(tn, td, -tn), td T_i (tn, tn, -td)
-        a, b = (td, -tn) if star else (tn, -td)
-        p = demazure_lustig(i, p, tn, a, b).scale(factor) - p.scale(td * cn)
+        p = hecke_step(i, p, ctx, star).scale(factor) - p.scale(td * cn)
         den = den * td * factor
         if not star:
             fn, fd = ctx.parts(table[eta])
             p, den = p.scale(fd), den * fn
     elif star:
-        # with lo..hi the range of the exponents e_1 of z_1 in P,
-        # q^(mu_1 - e_1) = q^(mu_1 - hi) qn^(hi - e_1) qd^(e_1 - lo) / qd^(hi - lo)
-        qn, qd = ctx.parts(ctx.q)
-        firsts = [e[0] for e in p.terms]
-        lo, hi = min(firsts), max(firsts)
-        sn, sd = ctx.parts(ctx.monomial(mu[0] - hi, 0))
-        moved = ZPolynomial(n, {
-            e[1:] + e[:1]: c * qn ** (hi - e[0]) * qd ** (e[0] - lo)
-            for e, c in p.terms.items()})
-        # z_n - t^(1-n) = (tn^(n-1) z_n - td^(n-1)) / tn^(n-1)
-        un, ud = tn ** (n - 1), td ** (n - 1)
-        zn = (0,) * (n - 1) + (1,)
-        p = ZPolynomial(n, {zn: un * sn, (0,) * n: -ud * sn}) * moved
-        den = den * sd * qd ** (hi - lo) * un
+        den, p = phi_form(den, p, ctx, mu[0])
     else:
         # tn T_j^-1 = td + (tn z_j - td z_{j+1}) * divided difference
         for j in range(1, n):
@@ -175,12 +173,12 @@ def hecke_symmetrize(den, p: ZPolynomial,
     """The sum of T_w (P / D) over all permutations w, one reduced word per
     w, as a form (D', S) from the form (D, P) (see ``algebra.ring_form``).
 
-    Each step applies td T_i, which is demazure_lustig with (tn, tn, -td),
-    and the partial sum is multiplied by td once per length, so S sums
-    td^(L - l(w)) td^l(w) T_w P with L the longest length and D' = D td^L.
+    Each step applies td T_i (:func:`hecke_step`), and the partial sum is
+    multiplied by td once per length, so S sums td^(L - l(w)) td^l(w) T_w P
+    with L the longest length and D' = D td^L.
     """
     n = p.nvars
-    tn, td = ctx.parts(ctx.t)
+    _, td = ctx.parts(ctx.t)
     identity = tuple(range(1, n + 1))
     frontier = {identity: p}
     total = p
@@ -194,7 +192,7 @@ def hecke_symmetrize(den, p: ZPolynomial,
                     sw = tuple(i + 1 if v == i else (i if v == i + 1 else v)
                                for v in w)
                     if sw not in nxt:
-                        nxt[sw] = demazure_lustig(i, tw, tn, tn, -td)
+                        nxt[sw] = hecke_step(i, tw, ctx)
         if not nxt:
             return den, total
         den, total = den * td, total.scale(td)

@@ -5,11 +5,13 @@ z^eta and vanishes at every spectral point mu-bar with |mu| <= |eta|,
 mu != eta.  The family is generated recursively from 1 by the Hecke
 operators H_i and the inhomogeneous raising operator
 Phi = (z_n - t^(1-n)) Delta, where Delta cycles the variables and divides
-the new last variable by q; :func:`emac.common_form` runs that recursion.
+the new last variable by q; :func:`emac.common_form` runs that recursion,
+and :mod:`qtmac.emac` holds these operators on forms.
 
-Also here: the eigenoperators Xi_i, spectral evaluation, the independent
-linear-algebra construction from the vanishing conditions, the extra
-vanishing predicate, and the generalized q,t-binomial coefficients.
+Also here: the eigenoperators Xi_i as words in those operators, spectral
+evaluation, the independent linear-algebra construction from the vanishing
+conditions, the extra vanishing predicate, and the generalized
+q,t-binomial coefficients.
 """
 
 from __future__ import annotations
@@ -22,83 +24,41 @@ from .algebra import (
     ScalarContext,
     SpecializationError,
     ZPolynomial,
-    demazure_lustig,
     field_view,
     memo,
-    ring_form,
 )
 from . import comb, emac
 from .comb import Composition
 
 
 # ---------------------------------------------------------------------------
-# operators
+# eigenoperators
 # ---------------------------------------------------------------------------
-
-def apply_H(i: int, p: ZPolynomial, ctx: ScalarContext = GENERIC) -> ZPolynomial:
-    """H_i p = t p + (z_i - t z_{i+1}) * (s_i p - p)/(z_i - z_{i+1})."""
-    return demazure_lustig(i, p, ctx.t, ctx.one, -ctx.t)
-
-
-def phi_form(den, p: ZPolynomial,
-             ctx: ScalarContext = GENERIC) -> tuple[object, ZPolynomial]:
-    """Phi (P / D) = (z_n - t^(1-n)) (P / D)(z_n/q, z_1, ..., z_{n-1}) as
-    a form, from the form (D, P) (see ``algebra.ring_form``)."""
-    if p.is_zero:
-        return den, p
-    n = p.nvars
-    qn, qd = ctx.parts(ctx.q)
-    tn, td = ctx.parts(ctx.t)
-    # with lo..hi the range of the exponents e_1 of z_1 in P,
-    # q^-e_1 = q^-hi qn^(hi - e_1) qd^(e_1 - lo) / qd^(hi - lo)
-    firsts = [e[0] for e in p.terms]
-    lo, hi = min(firsts), max(firsts)
-    sn, sd = ctx.parts(ctx.monomial(-hi, 0))
-    moved = ZPolynomial(n, {
-        e[1:] + e[:1]: c * qn ** (hi - e[0]) * qd ** (e[0] - lo)
-        for e, c in p.terms.items()}, p.laurent)
-    # z_n - t^(1-n) = (tn^(n-1) z_n - td^(n-1)) / tn^(n-1)
-    un, ud = tn ** (n - 1), td ** (n - 1)
-    zn = (0,) * (n - 1) + (1,)
-    mult = ZPolynomial(n, {zn: un * sn, (0,) * n: -ud * sn}, p.laurent)
-    return den * sd * qd ** (hi - lo) * un, mult * moved
-
-
-def apply_phi_star(p: ZPolynomial, ctx: ScalarContext = GENERIC) -> ZPolynomial:
-    """(z_n - t^(1-n)) * p(z_n/q, z_1, ..., z_{n-1}): the view of
-    :func:`phi_form`."""
-    return field_view(*phi_form(*ring_form(p, ctx), ctx), ctx)
-
 
 def xi_form(i: int, den, p: ZPolynomial,
             ctx: ScalarContext = GENERIC) -> tuple[object, ZPolynomial]:
-    """Xi_i (P / D) as a form, from the form (D, P): see :func:`xi_apply`.
+    """Xi_i (P / D) as a form, from the form (D, P), for
+    Xi_i p = z_i^-1 p + z_i^-1 H_i ... H_{n-1} Phi H_1 ... H_{i-1} p.
 
-    The word runs on P alone, td H_j being demazure_lustig with
-    (tn, td, -tn), and collects what it divides by in one factor F; then
-    Xi_i (P / D) = z_i^-1 (F P + word) / (D F).
+    The word runs on P alone through :func:`emac.hecke_step` and
+    :func:`emac.phi_form`, and collects what it divides by in one factor F;
+    then Xi_i (P / D) = z_i^-1 (F P + word) / (D F).
     """
     n = p.nvars
     if not 1 <= i <= n:
         raise AlgebraError(f"eigenoperator index {i} out of range for n={n}")
-    tn, td = ctx.parts(ctx.t)
+    _, td = ctx.parts(ctx.t)
     factor, _ = ctx.parts(ctx.one)
     word = p
     for j in range(i - 1, 0, -1):
-        factor, word = factor * td, demazure_lustig(j, word, tn, td, -tn)
-    factor, word = phi_form(factor, word, ctx)
+        factor, word = factor * td, emac.hecke_step(j, word, ctx, star=True)
+    factor, word = emac.phi_form(factor, word, ctx)
     for j in range(n - 1, i - 1, -1):
-        factor, word = factor * td, demazure_lustig(j, word, tn, td, -tn)
+        factor, word = factor * td, emac.hecke_step(j, word, ctx, star=True)
     total = p.scale(factor) + word
     return den * factor, ZPolynomial(n, {
         e[:i - 1] + (e[i - 1] - 1,) + e[i:]: c for e, c in total.terms.items()},
         laurent=True)
-
-
-def xi_apply(i: int, p: ZPolynomial, ctx: ScalarContext = GENERIC) -> ZPolynomial:
-    """Xi_i p = z_i^{-1} p + z_i^{-1} H_i ... H_{n-1} Phi H_1 ... H_{i-1} p:
-    the view of :func:`xi_form`."""
-    return field_view(*xi_form(i, *ring_form(p, ctx), ctx), ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -100,11 +100,7 @@ def interpolation_expansion(eta: Composition, r: int,
     return ExpansionTable(eta, r, tuple(layers))
 
 
-def _form_args(eta, star: bool, ctx: ScalarContext = GENERIC):
-    return comb.as_composition(eta), bool(star), ctx
-
-
-@memo(_form_args)
+@memo(comb.form_args)
 def _label_form(eta: Composition, star: bool, ctx: ScalarContext = GENERIC):
     """Estar_eta when ``star``, else E_eta, as a form over the least common
     denominator of its coefficients, memoised."""

@@ -1,0 +1,42 @@
+"""The Hecke and raising operators in field arithmetic, normalising after
+every operation: the references for the operators on forms of
+``qtmac.emac``."""
+
+from qtmac.algebra import ZPolynomial, demazure_lustig
+
+
+def field_T(i, p, ctx):
+    """T_i p = t p + (t z_i - z_{i+1}) (s_i p - p)/(z_i - z_{i+1})."""
+    return demazure_lustig(i, p, ctx.t, ctx.t, -ctx.one)
+
+
+def field_H(i, p, ctx):
+    """H_i p = t p + (z_i - t z_{i+1}) (s_i p - p)/(z_i - z_{i+1})."""
+    return demazure_lustig(i, p, ctx.t, ctx.one, -ctx.t)
+
+
+def field_T_inverse(i, p, ctx):
+    """T_i^{-1} = t^{-1} - 1 + t^{-1} T_i, from the quadratic relation."""
+    tinv = ctx.monomial(0, -1)
+    return p.scale(tinv - ctx.one) + field_T(i, p, ctx).scale(tinv)
+
+
+def field_phi_q(p, ctx):
+    """The raising operator of E: z_n T_{n-1}^{-1} ... T_1^{-1}."""
+    n = p.nvars
+    for i in range(1, n):
+        p = field_T_inverse(i, p, ctx)
+    zn = ZPolynomial.monomial(n, (0,) * (n - 1) + (1,), ctx.one, p.laurent)
+    return zn * p
+
+
+def field_phi_star(p, ctx):
+    """The raising operator of Estar:
+    (z_n - t^(1-n)) * p(z_n/q, z_1, ..., z_{n-1})."""
+    n = p.nvars
+    moved = ZPolynomial(n, {e[1:] + e[:1]: c * ctx.monomial(-e[0], 0)
+                            for e, c in p.terms.items()}, p.laurent)
+    zn = tuple(0 if j < n - 1 else 1 for j in range(n))
+    mult = ZPolynomial(n, {zn: ctx.one, (0,) * n: -ctx.monomial(0, 1 - n)},
+                       p.laurent)
+    return mult * moved

@@ -17,7 +17,6 @@ from qtmac.algebra import (
     form_sum,
     memo,
     ring_form,
-    scalar_canonicalize,
     scalar_eval,
     specialized,
     subst_t_power,
@@ -31,42 +30,40 @@ Q, T = G.q, G.t
 # scalar canonical form
 # ---------------------------------------------------------------------------
 
+def qt(coeffs):
+    """The integer polynomial, sum of c q^i t^j over {(i, j): c}, in Q(q,t)."""
+    return sum((G.monomial(i, j) * c for (i, j), c in coeffs.items()), G.zero)
+
+
 def test_canonicalize_cancels_common_factor():
     # (qt - q)/(t - 1) reduces to q
-    assert scalar_canonicalize({(1, 1): 1, (1, 0): -1}, {(0, 1): 1, (0, 0): -1}) == Q
+    assert qt({(1, 1): 1, (1, 0): -1}) / qt({(0, 1): 1, (0, 0): -1}) == Q
 
 
 def test_canonicalize_zero_numerator():
-    assert scalar_canonicalize(0, {(0, 1): -1, (0, 0): 1}) == G.zero
+    assert qt({}) / qt({(0, 1): -1, (0, 0): 1}) == G.zero
 
 
 def test_canonicalize_sign_rule():
     # (1 - q)/(q - 1) is -1 after gcd and sign normalization
-    assert scalar_canonicalize({(0, 0): 1, (1, 0): -1},
-                               {(1, 0): 1, (0, 0): -1}) == -G.one
-
-
-def test_canonicalize_rejects_zero_denominator():
-    with pytest.raises(AlgebraError):
-        scalar_canonicalize({(0, 0): 1}, 0)
+    assert qt({(0, 0): 1, (1, 0): -1}) / qt({(1, 0): 1, (0, 0): -1}) == -G.one
 
 
 def test_denominator_leading_coefficient_positive():
-    x = scalar_canonicalize({(1, 0): 1}, {(0, 1): -1, (0, 0): 1})  # q/(1-t)
+    x = qt({(1, 0): 1}) / qt({(0, 1): -1, (0, 0): 1})  # q/(1-t)
     assert x.denom.LC > 0
     assert G.text(x) == "-q/(t - 1)"
 
 
 def test_canonical_text_form():
-    x = scalar_canonicalize({(2, 1): 1, (1, 0): -3, (0, 0): 1},
-                            {(0, 1): 1, (0, 0): -1})
+    x = qt({(2, 1): 1, (1, 0): -3, (0, 0): 1}) / qt({(0, 1): 1, (0, 0): -1})
     num, den = G.num_den_text(x)
     assert num == "q^2*t - 3*q + 1"
     assert den == "t - 1"
 
 
 def test_common_content_removed():
-    x = scalar_canonicalize({(0, 0): 6}, {(0, 0): 4})
+    x = qt({(0, 0): 6}) / qt({(0, 0): 4})
     assert G.num_den_text(x) == ("3", "2")
 
 
@@ -83,7 +80,7 @@ small_polys = st.dictionaries(
 def scalars(draw):
     num = draw(small_polys)
     den = draw(small_polys.filter(lambda d: any(d.values())))
-    return scalar_canonicalize(num, den)
+    return qt(num) / qt(den)
 
 
 @settings(max_examples=40, deadline=None)
@@ -145,6 +142,20 @@ def test_inverted_is_an_involution():
 
     assert probe(G) == probe(G.inverted().inverted()) == Q
     assert len(calls) == 1
+
+
+def test_one_minus_names_the_factor_at_the_given_point():
+    # 1 - q t vanishes at (1/2, 2), the reciprocal of the point given
+    ctx = specialized(2, Fraction(1, 2))
+    message = "factor 1 - q^-1*t^-1 vanishes at q=2,t=1/2"
+    for point, a, b in ((ctx, -1, -1), (ctx.inverted(), 1, 1),
+                        (ctx.inverted().inverted(), -1, -1)):
+        with pytest.raises(AlgebraError) as err:
+            point.one_minus(a, b)
+        assert str(err.value) == message
+    with pytest.raises(AlgebraError) as err:
+        specialized(Fraction(1, 2), 2).one_minus(1, 1)
+    assert str(err.value) == "factor 1 - q*t vanishes at q=1/2,t=2"
 
 
 def test_inverted_context_example():

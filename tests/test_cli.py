@@ -226,6 +226,11 @@ def test_degenerate_point_is_a_clean_failure(capsys):
      "(q*t^2 - 1)/(q*t - 1)"),
     (["verify", "--suite", "symmetric-pieri", "--max-n", "2", "--max-mod", "1",
       "--params", "q=2,t=-1"], "t + 1"),
+    # a factor of E_eta(z; 1/q, 1/t), named at the point given
+    (["verify", "--suite", "oracle-e", "--max-n", "2", "--max-mod", "2",
+      "--params", "q=2,t=1/2"], "1 - q^-1*t^-1"),
+    (["verify", "--suite", "pieri-agreement", "--max-n", "2", "--max-mod", "2",
+      "--params", "q=2,t=1/2"], "1 - q^-1*t^-1"),
 ])
 def test_degenerate_point_names_the_vanishing_factor(argv, factor, capsys):
     # a principal value, a Hecke coefficient or a norm denominator vanishes
@@ -505,7 +510,9 @@ def test_verify_params_rejected_for_symbolic_suites(suite, capsys):
 def test_cache_roundtrip(tmp_path):
     doc = cli.ResultDocument(kind="e", n=2, inputs={"eta": "0,1"},
                              params="symbolic", payload="z2")
-    again = cli.cache_roundtrip(doc, str(tmp_path))
+    cli.cache_store(doc, str(tmp_path))
+    again = cli.cache_load(doc.kind, doc.n, doc.inputs, doc.params,
+                           str(tmp_path))
     assert again == doc
 
 

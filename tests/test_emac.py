@@ -8,6 +8,7 @@ from qtmac.algebra import (GENERIC, AlgebraError, ZPolynomial,
                            elementary_symmetric, field_view, ring_form)
 from qtmac import comb, emac
 
+from field_operators import field_phi_q, field_T, field_T_inverse
 from test_algebra import SUM_CONTEXTS
 
 G = GENERIC
@@ -26,19 +27,27 @@ small_polys = st.dictionaries(
 
 
 # ---------------------------------------------------------------------------
-# the switching operator
+# the switching operators on forms
 # ---------------------------------------------------------------------------
+
+def hecke_view(i, p, ctx=G, star=False):
+    """T_i p, or H_i p when ``star``: the view of td T_i (td H_i) on the
+    form of p."""
+    den, num = ring_form(p, ctx)
+    _, td = ctx.parts(ctx.t)
+    return field_view(den * td, emac.hecke_step(i, num, ctx, star), ctx)
+
 
 def test_apply_T_examples():
     one = ZPolynomial.constant(2, G.one)
-    assert emac.apply_T(1, one) == one.scale(T)
-    assert emac.apply_T(1, zvar(2)) == ZPolynomial(2, {(1, 0): T, (0, 1): T - 1})
+    assert hecke_view(1, one) == one.scale(T)
+    assert hecke_view(1, zvar(2)) == ZPolynomial(2, {(1, 0): T, (0, 1): T - 1})
 
 
 def test_quadratic_hecke_relation_on_z1():
     p = zvar(1)
-    step = emac.apply_T(1, p) - p.scale(T)      # (T_1 - t) z1
-    out = emac.apply_T(1, step) + step          # (T_1 + 1)(T_1 - t) z1
+    step = hecke_view(1, p) - p.scale(T)      # (T_1 - t) z1
+    out = hecke_view(1, step) + step          # (T_1 + 1)(T_1 - t) z1
     assert out.is_zero
 
 
@@ -46,22 +55,70 @@ def test_quadratic_hecke_relation_on_z1():
 @given(small_polys)
 def test_hecke_relations_on_random_polynomials(p):
     for i in (1, 2):
-        ti = emac.apply_T(i, p)
-        assert emac.apply_T(i, ti) == ti.scale(T - 1) + p.scale(T)  # quadratic
-    lhs = emac.apply_T(1, emac.apply_T(2, emac.apply_T(1, p)))
-    rhs = emac.apply_T(2, emac.apply_T(1, emac.apply_T(2, p)))
+        ti = hecke_view(i, p)
+        assert hecke_view(i, ti) == ti.scale(T - 1) + p.scale(T)  # quadratic
+    lhs = hecke_view(1, hecke_view(2, hecke_view(1, p)))
+    rhs = hecke_view(2, hecke_view(1, hecke_view(2, p)))
     assert lhs == rhs  # braid
 
 
 def test_commuting_relation_distant_indices():
     p = ZPolynomial(4, {(1, 0, 2, 0): G.one, (0, 1, 0, 1): T})
-    assert emac.apply_T(1, emac.apply_T(3, p)) == \
-        emac.apply_T(3, emac.apply_T(1, p))
+    assert hecke_view(1, hecke_view(3, p)) == hecke_view(3, hecke_view(1, p))
 
 
 def test_apply_T_inverse():
+    # the reference T_1^-1 inverts the T_1 that the package runs
     p = zvar(1) + zvar(2).scale(Q)
-    assert emac.apply_T(1, emac.apply_T_inverse(1, p)) == p
+    assert hecke_view(1, field_T_inverse(1, p, G)) == p
+
+
+# n = 4, then {exponents: (k, a, b, c, d)} for the coefficient
+# k q^a t^b / (1 - q^c t^d); exponents from -1 make a Laurent polynomial
+laurent_terms = st.dictionaries(
+    st.tuples(*[st.integers(-1, 2)] * 4),
+    st.tuples(st.sampled_from([1, -1, 2]), st.integers(-2, 2),
+              st.integers(-2, 2), st.integers(1, 2), st.integers(0, 2)),
+    max_size=4)
+
+
+def laurent_form(ctx, terms, n=4):
+    """The form of the polynomial that ``terms`` describes."""
+    p = ZPolynomial(n, {
+        e: ctx.from_int(k) * ctx.monomial(a, b) / ctx.one_minus(c, d)
+        for e, (k, a, b, c, d) in terms.items()}, laurent=True)
+    return ring_form(p, ctx)
+
+
+@SUM_CONTEXTS
+@settings(max_examples=20, deadline=None)
+@given(laurent_terms)
+def test_hecke_step_satisfies_the_hecke_relations_on_ring_forms(ctx, terms):
+    # X = td T_i (td H_i when star): X^2 = (tn - td) X + tn td, the braid
+    # relation, and X_1 X_3 = X_3 X_1, on ring numerators
+    _, p = laurent_form(ctx, terms)
+    tn, td = ctx.parts(ctx.t)
+    for star in (False, True):
+        def x(i, r):
+            return emac.hecke_step(i, r, ctx, star)
+
+        for i in (1, 2, 3):
+            xp = x(i, p)
+            assert x(i, xp) == xp.scale(tn - td) + p.scale(tn * td), (star, i)
+        for i in (1, 2):
+            assert x(i, x(i + 1, x(i, p))) == x(i + 1, x(i, x(i + 1, p))), \
+                (star, i)
+        assert x(1, x(3, p)) == x(3, x(1, p)), star
+
+
+@SUM_CONTEXTS
+@settings(max_examples=20, deadline=None)
+@given(laurent_terms, st.integers(-3, 3))
+def test_phi_form_power_of_q_is_a_scale(ctx, terms, k):
+    den, p = laurent_form(ctx, terms)
+    raised = field_view(*emac.phi_form(den, p, ctx, k), ctx)
+    assert raised == field_view(*emac.phi_form(den, p, ctx), ctx).scale(
+        ctx.monomial(k, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -69,10 +126,10 @@ def test_apply_T_inverse():
 # ---------------------------------------------------------------------------
 
 def test_act_T_basis_examples():
-    table = emac.act_T_basis(1, (0, 1))
+    table = comb.basis_action(1, (0, 1), T, G)
     assert table == {(0, 1): (T - 1) / (1 - Q * T), (1, 0): T}
-    assert emac.act_T_basis(1, (1, 1)) == {(1, 1): T}
-    table = emac.act_T_basis(1, (1, 0))
+    assert comb.basis_action(1, (1, 1), T, G) == {(1, 1): T}
+    table = comb.basis_action(1, (1, 0), T, G)
     delta = Q * T
     assert table[(1, 0)] == (T - 1) / (1 - 1 / delta)
     assert table[(0, 1)] == (1 - T * delta) * (1 - delta / T) / (1 - delta) ** 2
@@ -82,11 +139,11 @@ def test_act_T_basis_consistency_with_operator():
     for eta in comb.compositions_up_to(3, 3):
         p = emac.generate_E(eta)
         for i in (1, 2):
-            table = emac.act_T_basis(i, eta)
+            table = comb.basis_action(i, eta, T, G)
             expected = ZPolynomial.zero(3)
             for lam, c in table.items():
                 expected = expected + emac.generate_E(lam).scale(c)
-            assert emac.apply_T(i, p) == expected, (eta, i)
+            assert hecke_view(i, p) == expected, (eta, i)
 
 
 def test_apply_phi_q_examples():
@@ -101,7 +158,7 @@ def test_apply_phi_q_examples():
 def test_phi_q_operator_matches_basis_action():
     for eta in comb.compositions_up_to(2, 2):
         scalar, label = emac.apply_phi_q(eta)
-        lhs = emac.apply_phi_q_poly(emac.generate_E(eta))
+        lhs = field_phi_q(emac.generate_E(eta), G)
         assert lhs == emac.generate_E(label).scale(scalar), eta
 
 
@@ -205,7 +262,7 @@ def field_hecke_symmetrize(p, ctx):
                     sw = tuple(i + 1 if v == i else (i if v == i + 1 else v)
                                for v in w)
                     if sw not in nxt:
-                        nxt[sw] = emac.apply_T(i, tw, ctx)
+                        nxt[sw] = field_T(i, tw, ctx)
         for v in nxt.values():
             total = total + v
         frontier = nxt

@@ -3,7 +3,8 @@
 ``emac.common_form`` generates both families in ring arithmetic and
 normalises each coefficient once.  The reference here is the recursion it
 replaced: the same steps along ``comb.generation_step``, in field
-arithmetic over the public operators, normalising after every operation.
+arithmetic over the reference operators of ``field_operators``,
+normalising after every operation.
 """
 
 import pathlib
@@ -13,6 +14,8 @@ import pytest
 
 from qtmac import cli, comb, emac, istar
 from qtmac.algebra import GENERIC, ZPolynomial, specialized
+
+from field_operators import field_H, field_phi_q, field_phi_star, field_T
 
 CONTEXTS = [
     GENERIC,
@@ -36,13 +39,13 @@ def field_generate(eta, star, ctx, table):
         mu, i = step
         p = field_generate(mu, star, ctx, table)
         if i is None and star:
-            poly = istar.apply_phi_star(p, ctx).scale(ctx.monomial(mu[0], 0))
+            poly = field_phi_star(p, ctx).scale(ctx.monomial(mu[0], 0))
         elif i is None:
             scalar, _ = emac.apply_phi_q(mu, ctx)
-            poly = emac.apply_phi_q_poly(p, ctx).scale(scalar ** -1)
+            poly = field_phi_q(p, ctx).scale(scalar ** -1)
         else:
             action = comb.basis_action(i, mu, ctx.one if star else ctx.t, ctx)
-            op = istar.apply_H if star else emac.apply_T
+            op = field_H if star else field_T
             poly = (op(i, p, ctx) - p.scale(action[mu])) \
                 .scale(action[eta] ** -1)
     table[eta] = poly

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from qtmac.algebra import GENERIC, AlgebraError, ZPolynomial, specialized
-from qtmac import comb, istar
+from qtmac.algebra import (GENERIC, AlgebraError, ZPolynomial, field_view,
+                           ring_form, specialized)
+from qtmac import comb, emac, istar
 
+from field_operators import field_H, field_phi_star
 from test_algebra import SUM_CONTEXTS
+from test_emac import hecke_view
 
 G = GENERIC
 Q, T = G.q, G.t
@@ -20,17 +23,27 @@ TINV = G.monomial(0, -1)
 # operators
 # ---------------------------------------------------------------------------
 
+def phi_view(p, ctx=G):
+    """Phi p: the view of emac.phi_form on the form of p."""
+    return field_view(*emac.phi_form(*ring_form(p, ctx), ctx), ctx)
+
+
+def xi_view(i, p, ctx=G):
+    """Xi_i p: the view of xi_form on the form of p."""
+    return field_view(*istar.xi_form(i, *ring_form(p, ctx), ctx), ctx)
+
+
 def test_apply_H_examples():
     one = ZPolynomial.constant(2, G.one)
-    assert istar.apply_H(1, one) == one.scale(T)
+    assert hecke_view(1, one, star=True) == one.scale(T)
     z2 = ZPolynomial.variable(2, 2)
-    assert istar.apply_H(1, z2) == ZPolynomial.variable(2, 1)
+    assert hecke_view(1, z2, star=True) == ZPolynomial.variable(2, 1)
 
 
 def test_H_quadratic_relation():
     z1 = ZPolynomial.variable(2, 1)
-    step = istar.apply_H(1, z1) - z1.scale(T)
-    assert (istar.apply_H(1, step) + step).is_zero
+    step = hecke_view(1, z1, star=True) - z1.scale(T)
+    assert (hecke_view(1, step, star=True) + step).is_zero
 
 
 small_polys = st.dictionaries(
@@ -43,61 +56,52 @@ small_polys = st.dictionaries(
 @settings(max_examples=20, deadline=None)
 @given(small_polys)
 def test_H_hecke_relations(p):
+    def h(i, r):
+        return hecke_view(i, r, star=True)
+
     for i in (1, 2):
-        hi = istar.apply_H(i, p)
-        assert istar.apply_H(i, hi) == hi.scale(T - 1) + p.scale(T)
-    assert istar.apply_H(1, istar.apply_H(2, istar.apply_H(1, p))) == \
-        istar.apply_H(2, istar.apply_H(1, istar.apply_H(2, p)))
+        hi = h(i, p)
+        assert h(i, hi) == hi.scale(T - 1) + p.scale(T)
+    assert h(1, h(2, h(1, p))) == h(2, h(1, h(2, p)))
 
 
 def test_apply_phi_star_examples():
     one = ZPolynomial.constant(2, G.one)
-    assert istar.apply_phi_star(one) == ZPolynomial(
+    assert phi_view(one) == ZPolynomial(
         2, {(0, 1): G.one, (0, 0): -TINV})
     # a second application builds the (1,1) polynomial
-    p = istar.apply_phi_star(istar.apply_phi_star(one))
+    p = phi_view(phi_view(one))
     expected = (ZPolynomial(2, {(0, 1): G.one, (0, 0): -TINV})
                 * ZPolynomial(2, {(1, 0): G.one, (0, 0): -TINV}))
     assert p == expected
     c = ZPolynomial.constant(2, Q)
-    assert istar.apply_phi_star(c) == ZPolynomial(
+    assert phi_view(c) == ZPolynomial(
         2, {(0, 1): Q, (0, 0): -Q * TINV})
 
 
 def test_xi_examples():
     one = ZPolynomial.constant(2, G.one)
-    assert istar.xi_apply(1, one) == one
+    assert xi_view(1, one) == one
     p01 = istar.generate_Estar((0, 1))
-    assert istar.xi_apply(2, p01) == p01.scale(Q ** -1)
+    assert xi_view(2, p01) == p01.scale(Q ** -1)
     for n in (2, 3):
         zero = ZPolynomial.constant(n, G.one)
         for i in range(1, n + 1):
-            assert istar.xi_apply(i, zero) == zero.scale(G.monomial(0, i - 1))
+            assert xi_view(i, zero) == zero.scale(G.monomial(0, i - 1))
 
 
 # the eigenoperator word in field arithmetic, normalising after every
 # operation: the reference for the ring word of xi_form and phi_form
-
-def field_phi_star(p, ctx):
-    """(z_n - t^(1-n)) * p(z_n/q, z_1, ..., z_{n-1})."""
-    n = p.nvars
-    moved = ZPolynomial(n, {e[1:] + e[:1]: c * ctx.monomial(-e[0], 0)
-                            for e, c in p.terms.items()}, p.laurent)
-    zn = tuple(0 if j < n - 1 else 1 for j in range(n))
-    mult = ZPolynomial(n, {zn: ctx.one, (0,) * n: -ctx.monomial(0, 1 - n)},
-                       p.laurent)
-    return mult * moved
-
 
 def field_xi(i, p, ctx):
     """z_i^-1 p + z_i^-1 H_i ... H_{n-1} Phi H_1 ... H_{i-1} p."""
     n = p.nvars
     word = p
     for j in range(i - 1, 0, -1):
-        word = istar.apply_H(j, word, ctx)
+        word = field_H(j, word, ctx)
     word = field_phi_star(word, ctx)
     for j in range(n - 1, i - 1, -1):
-        word = istar.apply_H(j, word, ctx)
+        word = field_H(j, word, ctx)
     zi_inv = ZPolynomial.monomial(
         n, tuple(-1 if j == i - 1 else 0 for j in range(n)), ctx.one,
         laurent=True)
@@ -109,9 +113,9 @@ def test_ring_eigenword_is_the_field_word_on_Estar(ctx):
     for n in (1, 2, 3):
         for eta in comb.compositions_up_to(n, 3):
             p = istar.generate_Estar(eta, ctx)
-            assert istar.apply_phi_star(p, ctx) == field_phi_star(p, ctx), eta
+            assert phi_view(p, ctx) == field_phi_star(p, ctx), eta
             for i in range(1, n + 1):
-                assert istar.xi_apply(i, p, ctx) == field_xi(i, p, ctx), \
+                assert xi_view(i, p, ctx) == field_xi(i, p, ctx), \
                     (eta, i)
 
 
@@ -137,9 +141,9 @@ def test_ring_eigenword_is_the_field_word_on_any_polynomial(ctx, spec):
         e: ctx.from_int(k) * ctx.monomial(a, b) / ctx.one_minus(c, d)
         for e, (k, a, b, c, d) in terms.items()},
         laurent=any(x < 0 for e in terms for x in e))
-    assert istar.apply_phi_star(p, ctx) == field_phi_star(p, ctx)
+    assert phi_view(p, ctx) == field_phi_star(p, ctx)
     for i in range(1, n + 1):
-        assert istar.xi_apply(i, p, ctx) == field_xi(i, p, ctx), i
+        assert xi_view(i, p, ctx) == field_xi(i, p, ctx), i
 
 
 # ---------------------------------------------------------------------------
