@@ -98,18 +98,17 @@ def common_form(eta: Composition, star: bool = False,
     (``ScalarContext.parts``).  A step multiplies P by the numerators of
     its scalars and D by their denominators, so no step normalises a
     coefficient.  ``ScalarContext.cancel_common`` then divides out what D
-    shares with P: the integer gcd at a rational point; symbolically a
-    common monomial, and each denominator of a Hecke coefficient that went
-    into D as soon as it divides every numerator.
+    shares with P: the integer gcd at a rational point; symbolically each
+    factor of D, which stays factored, as often as it divides every
+    numerator exactly.
     """
-    den, p, _ = _generate(*comb.form_args(eta, star, ctx))
-    return den, p
+    return _generate(*comb.form_args(eta, star, ctx))
 
 
 @memo(comb.form_args)
 def _generate(eta: Composition, star: bool = False,
               ctx: ScalarContext = GENERIC):
-    """:func:`common_form` and the factors of D not yet divided out.
+    """The memoised recursion behind :func:`common_form`.
 
     Switching from mu = s_i eta is E_eta = (T_i - c) E_mu / t and
     Estar_eta = (H_i - c) Estar_mu (:func:`hecke_step`), with c the
@@ -122,14 +121,13 @@ def _generate(eta: Composition, star: bool = False,
     step = comb.generation_step(eta)
     if step is None:
         one, _ = ctx.parts(ctx.one)
-        return one, ZPolynomial.constant(n, one), ()
+        return one, ZPolynomial.constant(n, one)
     mu, i = step
-    den, p, factors = _generate(mu, star, ctx)
+    den, p = _generate(mu, star, ctx)
     tn, td = ctx.parts(ctx.t)
     if i is not None:
         table = comb.basis_action(i, mu, ctx.one if star else ctx.t, ctx)
         cn, factor = ctx.parts(table[mu])
-        factors += (factor,)
         p = hecke_step(i, p, ctx, star).scale(factor) - p.scale(td * cn)
         den = den * td * factor
         if not star:
@@ -147,8 +145,8 @@ def _generate(eta: Composition, star: bool = False,
         scalar, _ = apply_phi_q(mu, ctx)
         sn, sd = ctx.parts(scalar)
         p, den = p.scale(sd), den * sn
-    den, terms, factors = ctx.cancel_common(den, p.terms, factors)
-    return den, ZPolynomial(n, terms), factors
+    den, terms = ctx.cancel_common(den, p.terms)
+    return den, ZPolynomial(n, terms)
 
 
 @memo(comb.label_args)

@@ -83,8 +83,8 @@ def test_one_one_has_nonnegative_integer_coefficients():
         w = ctnorm.specialized_weight(n, k)
         one = ZPolynomial.constant(n, G.one)
         val = ctnorm.ct_inner_product(one, one, w)
-        assert val.denom == 1
-        assert all(int(c) > 0 for _, c in val.numer.terms())
+        assert val.denom_terms() == [((0, 0), 1)]
+        assert all(int(c) > 0 for _, c in val.numer_terms())
 
 
 def test_norm_symmetry_under_parameter_inversion():

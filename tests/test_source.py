@@ -152,3 +152,28 @@ def test_binomial_recursion_is_independent_of_the_direct_route():
     used = _references("istar.py", None, "binomial_recursive")
     assert not used & BINOMIAL_DIRECT_PATHS, \
         f"binomial_recursive references {sorted(used & BINOMIAL_DIRECT_PATHS)}"
+
+
+def _imported_modules(path):
+    """Every module path an import statement of the file names, with
+    ``from a import b`` counted as both a and a.b."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+# Q(q,t) keeps its denominators factored in algebra.py, which alone asks
+# sympy for factors it cannot find; sympy's field is the tests' reference
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_only_the_scalar_layer_imports_sympy(path):
+    names = {name for name in _imported_modules(path)
+             if name == "sympy" or name.startswith("sympy.")}
+    fields = {name for name in names if name == "sympy.polys.fields"
+              or name.startswith("sympy.polys.fields.")}
+    assert not fields, f"{path.name} imports {sorted(fields)}"
+    if path.name != "algebra.py":
+        assert not names, f"{path.name} imports {sorted(names)}"
