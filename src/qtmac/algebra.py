@@ -18,8 +18,9 @@ division along each line of the numerator's support.  A polynomial that
 becomes a denominator is factored by trial division: by the cyclotomic
 factors of the edge polynomials of its Newton polygon (every line factor
 divides one of those), then by the factors sympy found before.  Only a
-cofactor left over after that goes to sympy's ``factor_list``; such calls
-are memoised and counted by reason in :data:`FALLBACKS`.
+cofactor left over after that goes to sympy's ``factor_list``, which is
+imported at the first such call; the calls are memoised and counted by
+reason in :data:`FALLBACKS`.
 
 A "specialized" mode replaces the symbolic field by exact ``Fraction``
 arithmetic after substituting rational values for (q,t).  Both modes expose
@@ -51,12 +52,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-from sympy.polys.domains import ZZ
-from sympy.polys.orderings import grlex
-from sympy.polys.rings import ring as _sym_ring
-
-_SYM_RING = _sym_ring("q,t", ZZ, grlex)[0]
 
 
 class AlgebraError(ValueError):
@@ -530,6 +525,16 @@ FALLBACKS: collections.Counter = collections.Counter()
 _FALLBACK_MEMO: dict = {}
 
 
+@functools.lru_cache(maxsize=None)
+def _sympy_ring():
+    """sympy's ring Z[q,t] in grlex order, imported at the first fallback."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.orderings import grlex
+    from sympy.polys.rings import ring
+
+    return ring("q,t", ZZ, grlex)[0]
+
+
 def _sympy_factors(p: Poly) -> list:
     """[(Factor, multiplicity)] of a primitive p with no monomial factor,
     from sympy's factor_list, memoised and counted in FALLBACKS."""
@@ -537,7 +542,7 @@ def _sympy_factors(p: Poly) -> list:
     found = _FALLBACK_MEMO.get(key)
     if found is None:
         FALLBACKS["line" if _on_one_line(p) else "general"] += 1
-        _, pairs = _SYM_RING.from_dict(
+        _, pairs = _sympy_ring().from_dict(
             {(k >> _SHIFT, k & _MASK): c for k, c in p.items()}).factor_list()
         found = []
         for f, m in pairs:

@@ -1,8 +1,10 @@
-"""The command lines of the benchmark's two CLI workloads never ask sympy
-for a factorisation: every denominator they divide by splits into factors
-that trial division finds.  That is what lets a later change import sympy
-only at the first fallback."""
+"""The command lines of the benchmark's three workloads never ask sympy for
+a factorisation: every denominator they divide by splits into factors that
+trial division finds.  So sympy, which ``algebra`` imports only at the first
+fallback, stays out of the process: after ``import qtmac.cli`` and after
+each of these command lines."""
 
+import json
 import subprocess
 import sys
 
@@ -34,21 +36,54 @@ CLI_SPECIALIZED = tuple(argv + POINT for argv in (
     ("e", "--eta", "2,1,0,2,1"),
     ("estar", "--eta", "2,1,0,2,1"),
 ))
+# the verify-battery workload: each suite at the battery's (max_n, max_mod)
+VERIFY_BATTERY = tuple(
+    ("verify", "--suite", suite, "--max-n", str(max_n), "--max-mod", str(max_mod))
+    for suite, max_n, max_mod in (
+        ("oracle-e", 3, 2),
+        ("oracle-estar", 3, 2),
+        ("eigen", 2, 3),
+        ("vanishing", 2, 3),
+        ("pieri-agreement", 2, 3),
+        ("pieri-general", 2, 2),
+        ("duality", 2, 3),
+        ("binomials", 2, 2),
+        ("norms", 2, 3),
+        ("symmetric-pieri", 3, 1),
+    ))
 
+# prints, as JSON, the command lines after which sympy was loaded ("import"
+# standing for the import of qtmac.cli) and the fallback counts
 RUN = """
-import contextlib, io, sys
+import contextlib, io, json, sys
 from qtmac import cli
 from qtmac.algebra import FALLBACKS
+loaded = ["import"] if "sympy" in sys.modules else []
 for argv in {commands!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         if cli.main(list(argv)) != 0:
             sys.exit(f"{{argv}} failed")
-print(dict(FALLBACKS))
+    if "sympy" in sys.modules:
+        loaded.append(" ".join(argv))
+print(json.dumps({{"loaded": loaded, "fallbacks": dict(FALLBACKS)}}))
 """
 
 
-def test_cli_workloads_never_fall_back_to_sympy():
-    commands = CLI_SYMBOLIC + CLI_SPECIALIZED
+def run_fresh(commands) -> dict:
+    """Run the command lines one after another in a fresh process."""
     out = subprocess.run([sys.executable, "-c", RUN.format(commands=commands)],
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "{}"
+    return json.loads(out)
+
+
+def test_import_leaves_sympy_out():
+    assert run_fresh(()) == {"loaded": [], "fallbacks": {}}
+
+
+def test_cli_workloads_never_fall_back_to_sympy():
+    assert run_fresh(CLI_SYMBOLIC + CLI_SPECIALIZED) == \
+        {"loaded": [], "fallbacks": {}}
+
+
+def test_verify_battery_never_falls_back_to_sympy():
+    assert run_fresh(VERIFY_BATTERY) == {"loaded": [], "fallbacks": {}}

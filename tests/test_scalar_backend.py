@@ -148,13 +148,16 @@ def test_integers_and_ring_views_agree(expr, k):
 
 
 def test_fallback_is_counted_once():
-    # q^2 t + q - 1 is no line factor, so the first division by it asks
-    # sympy for its factors; later ones find it by trial division
+    # q^2 t + q - 1 is no line factor, so the first division by it imports
+    # sympy and asks it for its factors; later ones find it by trial division
     code = (
+        "import sys\n"
         "from qtmac.algebra import GENERIC as G, FALLBACKS\n"
         "q, t = G.q, G.t\n"
         "p = q ** 2 * t + q - 1\n"
+        "assert 'sympy' not in sys.modules\n"
         "x = (1 - q * t) / p\n"
+        "assert 'sympy' in sys.modules\n"
         "y = x / p + 1 / (p * (1 - t))\n"
         "z = y * (q - t) / (p ** 2 * (q * t + 1))\n"
         "assert x * p == 1 - q * t\n"
