@@ -93,6 +93,158 @@ PIERI_0001_R3 = (
 )
 
 
+# The other three n = 5 tables of the specialized benchmark queries, the
+# heaviest spectral evaluations the CLI makes.
+PIERI_10201_R2 = (
+    '{"schema": "1", "kind": "pieri", "n": 5, "eta": "1,0,2,0,1", "r": 2, '
+    '"params": "q=11/13,t=17/19", "payload": {"entries": [["0,0,1,2,3", '
+    '{"num": "641389963290556982331401", "den": '
+    '"237577796642290449096864000"}], ["0,0,1,3,2", {"num": '
+    '"78887159789581", "den": "37051215680841600"}], ["0,0,2,1,3", {"num": '
+    '"437791795826123800919", "den": "62768242177619669510400"}], '
+    '["0,0,2,2,2", {"num": "24093195201757376695", "den": '
+    '"427904710725561668608"}], ["0,0,2,3,1", {"num": "-94982606624477", '
+    '"den": "6368440604295360"}], ["0,0,3,1,2", {"num": "-702559", "den": '
+    '"17191470"}], ["0,0,3,2,1", {"num": "13348621", "den": "213738193"}], '
+    '["0,1,0,2,3", {"num": "-3643719023520956809", "den": '
+    '"26032911502238572608000"}], ["0,1,0,3,2", {"num": '
+    '"-484130499628658597", "den": "355546567014543993600"}], '
+    '["0,1,2,0,3", {"num": "100465937", "den": "15472323000"}], '
+    '["0,1,2,1,2", {"num": "-3222326639378365366953105", "den": '
+    '"61302591644143097158536448"}], ["0,1,2,2,1", {"num": '
+    '"7782102050167632672485", "den": "323923866019250183136256"}], '
+    '["0,1,3,0,2", {"num": "-41327", "den": "681300"}], ["0,2,0,1,3", '
+    '{"num": "-484130499628658597", "den": "578888193797469158400"}], '
+    '["0,2,0,2,2", {"num": "-23756426008101697548495", "den": '
+    '"17173541552522802358435856"}], ["0,2,0,3,1", {"num": '
+    '"9198479492944513343", "den": "5143573669477069774080"}], '
+    '["0,2,1,0,3", {"num": "616559455369", "den": "97143495699600"}], '
+    '["0,2,1,1,2", {"num": "-1140595073290712134095", "den": '
+    '"161961933009625091568128"}], ["0,2,1,2,1", {"num": '
+    '"2333277321595033455647005", "den": "724910803011909669418801152"}], '
+    '["0,2,2,0,2", {"num": "7860249102420", "den": "122482457760457"}], '
+    '["0,2,2,1,1", {"num": "3224100841339370717725", "den": '
+    '"79800836967405291657728"}], ["0,2,3,0,1", {"num": "785213", "den": '
+    '"9856140"}], ["1,0,0,2,3", {"num": "1498856036002039", "den": '
+    '"1146319308773164800"}], ["1,0,0,3,2", {"num": "199148704084187", '
+    '"den": "15655947468716160"}], ["1,0,1,1,3", {"num": '
+    '"1084193784079081951275", "den": "23021811579392456472904"}], '
+    '["1,0,1,3,1", {"num": "-955413278399151", "den": '
+    '"46746283783995152"}], ["1,0,2,0,3", {"num": "-41327", "den": '
+    '"681300"}], ["1,0,2,1,2", {"num": "86217378065363823109573", "den": '
+    '"323923866019250183136256"}], ["1,0,2,2,1", {"num": '
+    '"-61508510103310008739", "den": "1283714132176685005824"}], '
+    '["1,0,3,0,2", {"num": "17", "den": "30"}], ["1,0,3,1,1", {"num": '
+    '"170175780", "den": "433798093"}], ["1,1,0,1,3", {"num": '
+    '"-932164888624771659", "den": "60823808664180862544"}], ["1,1,0,3,1", '
+    '{"num": "651485698837287743", "den": "49842361338890704288"}], '
+    '["1,1,1,0,3", {"num": "7860249102420", "den": "122482457760457"}], '
+    '["1,1,2,0,2", {"num": "197737710", "den": "433798093"}], '
+    '["1,1,2,1,1", {"num": "121847902791271192329325", "den": '
+    '"323923866019250183136256"}], ["1,1,3,0,1", {"num": "333678", "den": '
+    '"573049"}], ["1,2,0,1,2", {"num": "-301089259025801245857", "den": '
+    '"46043623158784912945808"}], ["1,2,0,2,1", {"num": '
+    '"20216252720619875953033", "den": "17173541552522802358435856"}], '
+    '["1,2,1,0,2", {"num": "2538860460081660", "den": '
+    '"92719220524665949"}], ["1,2,1,1,1", {"num": '
+    '"378724992326852501505175", "den": "7514862529762314024093696"}], '
+    '["1,2,2,0,1", {"num": "-6688917863628", "den": "122482457760457"}], '
+    '["2,0,0,1,3", {"num": "-616559455369", "den": "58733763298560"}], '
+    '["2,0,0,2,2", {"num": "-2016983587731541", "den": '
+    '"160696984581719584"}], ["2,0,0,3,1", {"num": "11714629652011", '
+    '"den": "521864915623872"}], ["2,0,1,0,3", {"num": "785213", "den": '
+    '"9856140"}], ["2,0,1,1,2", {"num": "-922627651549650131085", "den": '
+    '"23021811579392456472904"}], ["2,0,1,2,1", {"num": '
+    '"1600662241122097701971137", "den": "171735415525228023584358560"}], '
+    '["2,0,2,0,2", {"num": "333678", "den": "573049"}], ["2,0,2,1,1", '
+    '{"num": "3035284787961044596407", "den": "11343158224915985705704"}], '
+    '["2,0,3,0,1", {"num": "1", "den": "1"}], ["2,1,0,1,2", {"num": '
+    '"3966270212383832353", "den": "304119043320904312720"}], '
+    '["2,1,0,2,1", {"num": "-9754285196782649034083", "den": '
+    '"1361178986989918284684480"}], ["2,1,1,0,2", {"num": '
+    '"-6688917863628", "den": "122482457760457"}], ["2,1,2,0,1", {"num": '
+    '"268948674619", "den": "808999060505"}], ["2,2,0,1,1", {"num": '
+    '"-2254275774523487", "den": "160696984581719584"}], ["2,2,1,0,1", '
+    '{"num": "17225459394", "den": "161799812101"}]]}}\n'
+)
+
+PIERI_01010_R3 = (
+    '{"schema": "1", "kind": "pieri", "n": 5, "eta": "0,1,0,1,0", "r": 3, '
+    '"params": "q=11/13,t=17/19", "payload": {"entries": [["0,0,1,2,2", '
+    '{"num": "635685784357663325", "den": "29256217012693915584"}], '
+    '["0,0,2,1,2", {"num": "-178185682601641", "den": '
+    '"38647578616504512"}], ["0,0,2,2,1", {"num": "366486389555", "den": '
+    '"13203819137856"}], ["0,1,0,2,2", {"num": "-1307486763996371387", '
+    '"den": "41739384905824872960"}], ["0,1,1,1,2", {"num": '
+    '"-7478656286560745", "den": "333378831174242622"}], ["0,1,1,2,1", '
+    '{"num": "18463984257020825", "den": "86220626989717002"}], '
+    '["0,1,2,0,2", {"num": "-3385527969431179", "den": '
+    '"1977658652840216760"}], ["0,1,2,1,1", {"num": "-5175540682741", '
+    '"den": "113897789946786"}], ["0,1,2,2,0", {"num": "-13348621", "den": '
+    '"398833020"}], ["0,2,0,1,2", {"num": "-702559", "den": "11078695"}], '
+    '["0,2,0,2,1", {"num": "289", "den": "757"}], ["0,2,1,0,2", {"num": '
+    '"4311604583", "den": "148758394140"}], ["0,2,1,1,1", {"num": '
+    '"10644880055", "den": "38912808318"}], ["0,2,1,2,0", {"num": "17", '
+    '"den": "30"}], ["1,0,0,2,2", {"num": "87984191606597", "den": '
+    '"1837929762475776"}], ["1,0,1,1,2", {"num": "1147412840765582301625", '
+    '"den": "85632947196155090914368"}], ["1,0,1,2,1", {"num": '
+    '"-124285886669325103723", "den": "1845579689884107841424"}], '
+    '["1,0,2,0,2", {"num": "64325031419192401", "den": '
+    '"24587844252346207044"}], ["1,0,2,1,1", {"num": "794057329249537925", '
+    '"den": "29256217012693915584"}], ["1,0,2,2,0", {"num": "253623799", '
+    '"den": "4958613138"}], ["1,1,0,1,2", {"num": '
+    '"-472002721802690070707", "den": "24434235923869880630784"}], '
+    '["1,1,0,2,1", {"num": "193402559491317864271", "den": '
+    '"877686510380817467520"}], ["1,1,1,0,2", {"num": '
+    '"158811465849907585", "den": "5379620414766596352"}], ["1,1,1,1,1", '
+    '{"num": "47358136975", "den": "150459431898"}], ["1,1,1,2,0", {"num": '
+    '"125233883", "den": "308423844"}], ["1,1,2,0,1", {"num": '
+    '"689095861883", "den": "147284979483630"}], ["1,1,2,1,0", {"num": '
+    '"-283461893", "den": "10063886538"}], ["1,2,0,0,2", {"num": '
+    '"253623799", "den": "4958613138"}], ["1,2,0,1,1", {"num": '
+    '"626169415", "den": "1677314423"}], ["1,2,0,2,0", {"num": "1", "den": '
+    '"1"}], ["1,2,1,0,1", {"num": "-877591", "den": "11078695"}], '
+    '["1,2,1,1,0", {"num": "361", "den": "757"}]]}}\n'
+)
+
+PIERI_10101_R3 = (
+    '{"schema": "1", "kind": "pieri", "n": 5, "eta": "1,0,1,0,1", "r": 3, '
+    '"params": "q=11/13,t=17/19", "payload": {"entries": [["0,0,2,2,2", '
+    '{"num": "87984191606597", "den": "1837929762475776"}], ["0,1,1,2,2", '
+    '{"num": "1026632541737626269875", "den": "85632947196155090914368"}], '
+    '["0,1,2,1,2", {"num": "-111203161756764566489", "den": '
+    '"1845579689884107841424"}], ["0,1,2,2,1", {"num": '
+    '"710472347223270775", "den": "29256217012693915584"}], ["0,2,0,2,2", '
+    '{"num": "64325031419192401", "den": "24587844252346207044"}], '
+    '["0,2,1,1,2", {"num": "710472347223270775", "den": '
+    '"29256217012693915584"}], ["0,2,1,2,1", {"num": "-199148704084187", '
+    '"den": "38647578616504512"}], ["0,2,2,0,2", {"num": "253623799", '
+    '"den": "4958613138"}], ["0,2,2,1,1", {"num": "409602435385", "den": '
+    '"13203819137856"}], ["1,0,1,2,2", {"num": "-422318224770827958001", '
+    '"den": "24434235923869880630784"}], ["1,0,2,1,2", {"num": '
+    '"173044395334337036453", "den": "877686510380817467520"}], '
+    '["1,0,2,2,1", {"num": "-1461308736231238609", "den": '
+    '"41739384905824872960"}], ["1,1,0,2,2", {"num": "142094469444654155", '
+    '"den": "5379620414766596352"}], ["1,1,1,1,2", {"num": "37912746775", '
+    '"den": "150459431898"}], ["1,1,1,2,1", {"num": "-9341850932347505", '
+    '"den": "333378831174242622"}], ["1,1,2,0,2", {"num": "112051369", '
+    '"den": "308423844"}], ["1,1,2,1,1", {"num": "23064008016555425", '
+    '"den": "86220626989717002"}], ["1,2,0,1,2", {"num": "616559455369", '
+    '"den": "147284979483630"}], ["1,2,0,2,1", {"num": '
+    '"-3783825377599553", "den": "1977658652840216760"}], ["1,2,1,0,2", '
+    '{"num": "-253623799", "den": "10063886538"}], ["1,2,1,1,1", {"num": '
+    '"-6464948742109", "den": "113897789946786"}], ["1,2,2,0,1", {"num": '
+    '"-14919047", "den": "398833020"}], ["2,0,0,2,2", {"num": "253623799", '
+    '"den": "4958613138"}], ["2,0,1,1,2", {"num": "560256845", "den": '
+    '"1677314423"}], ["2,0,1,2,1", {"num": "-785213", "den": "11078695"}], '
+    '["2,0,2,0,2", {"num": "1", "den": "1"}], ["2,0,2,1,1", {"num": "323", '
+    '"den": "757"}], ["2,1,0,1,2", {"num": "-785213", "den": "11078695"}], '
+    '["2,1,0,2,1", {"num": "4818852181", "den": "148758394140"}], '
+    '["2,1,1,0,2", {"num": "323", "den": "757"}], ["2,1,1,1,1", {"num": '
+    '"13296891695", "den": "38912808318"}], ["2,1,2,0,1", {"num": "19", '
+    '"den": "30"}]]}}\n'
+)
+
 @pytest.mark.parametrize("argv, expected", [
     (["pieri", "--eta", "0,1,2", "--r", "2"], PIERI_012_R2),
     (["pieri", "--eta", "1,0,1,0", "--r", "1", "--params", "q=-2/3,t=5/7"],
@@ -100,6 +252,12 @@ PIERI_0001_R3 = (
     (["pieri", "--eta", "0,0,1,0,0", "--r", "4", "--params",
       "q=11/13,t=17/19"], PIERI_00100_R4),
     (["pieri", "--eta", "0,0,0,1", "--r", "3"], PIERI_0001_R3),
+    (["pieri", "--eta", "1,0,2,0,1", "--r", "2", "--params",
+      "q=11/13,t=17/19"], PIERI_10201_R2),
+    (["pieri", "--eta", "0,1,0,1,0", "--r", "3", "--params",
+      "q=11/13,t=17/19"], PIERI_01010_R3),
+    (["pieri", "--eta", "1,0,1,0,1", "--r", "3", "--params",
+      "q=11/13,t=17/19"], PIERI_10101_R3),
 ])
 def test_pieri_golden_stdout(argv, expected, capsys):
     code, out, _ = run_cli(argv, capsys)
