@@ -50,6 +50,9 @@ import functools
 import heapq
 import itertools
 import math
+import operator
+import struct
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -77,6 +80,15 @@ _OFFSET = 1 << (_SHIFT - 1)
 
 def _pack(i: int, j: int) -> int:
     return i << _SHIFT | j
+
+
+def monomial_key(a: int, b: int) -> int:
+    """The key (a << 32) + b of the Laurent monomial q^a t^b, as
+    :meth:`ScalarContext.monomial_sum` takes it.  Keys add as monomials
+    multiply while the exponent of t stays in [-2^31, 2^31)."""
+    if not -_OFFSET <= b < _OFFSET:
+        raise AlgebraError(f"exponent {b} of t leaves the 32 bits of its key")
+    return (a << _SHIFT) + b
 
 
 def _grlex_key(k: int) -> int:
@@ -1150,12 +1162,21 @@ class ScalarContext:
     arithmetic), their reciprocals (symbolic arithmetic at reciprocal
     parameters), or two nonzero ``Fraction``s (exact rational arithmetic).
     ``reciprocal`` marks a context that :meth:`inverted` made from the
-    point the caller gave; it takes no part in equality.
+    point the caller gave; it takes no part in equality or the hash.
     """
 
     qval: object
     tval: object
     reciprocal: bool = field(default=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # every memo lookup hashes its context, and a Fraction's hash takes
+        # a modular inverse, so the point is hashed once
+        object.__setattr__(self, "_hash", hash((self.qval, self.tval)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def generic(self) -> bool:
@@ -1323,20 +1344,23 @@ class ScalarContext:
         return self.quotient(sum(nums.values()), den)
 
     def monomial_sum(self, den, terms):
-        """The scalar sum of N q^a t^b over (N, a, b) in terms, over den.
+        """The scalar sum of N q^a t^b over den, for (N, key) in terms with
+        key = :func:`monomial_key` (a, b).
 
         ``den`` and every N are as :meth:`common_denominator` returns them;
         a and b may be negative.  The sum is accumulated exactly without
         normalising and reduced once at the end.
         """
         acc: dict = {}
+        get = acc.get
         if self.generic:
             # q^a t^b of this context is q^(a qi + b ti) t^(a qj + b tj) in
             # Q(q,t); the exponent of t is offset by _OFFSET while packed, so
             # that it may go negative
             (qi, qj), (ti, tj) = _exponents(self.qval), _exponents(self.tval)
-            get = acc.get
-            for num, a, b in terms:
+            for num, key in terms:
+                a = (key + _OFFSET) >> _SHIFT
+                b = key - (a << _SHIFT)
                 shift = ((a * qi + b * ti) << _SHIFT) + a * qj + b * tj \
                     + _OFFSET
                 for k, c in _expand(num).items():
@@ -1351,21 +1375,23 @@ class ScalarContext:
             shift = (sq << _SHIFT) + st - _OFFSET
             return _quotient(Poly({k + shift: c for k, c in acc.items()}),
                              den * Factored(1, _pack(sq, st), _NO_FACTORS))
-        for num, a, b in terms:
-            key = (a, b)
-            acc[key] = acc.get(key, 0) + num
-        acc = {k: c for k, c in acc.items() if c}
+        for num, key in terms:
+            acc[key] = get(key, 0) + num
         if not acc:
             return Fraction(0)
+        qs = [(k + _OFFSET) >> _SHIFT for k in acc]
+        ts = [k - (a << _SHIFT) for k, a in zip(acc, qs)]
         # q^a t^b = qn^a qd^-a tn^b td^-b: with qn^alo qd^-ahi tn^blo td^-bhi
-        # factored out every term is an integer, so one Fraction reduces it
+        # factored out, every monomial is one entry of each power table, so
+        # the sum is an integer and one Fraction reduces it
         qn, qd = self.qval.numerator, self.qval.denominator
         tn, td = self.tval.numerator, self.tval.denominator
-        alo, ahi = min(a for a, _ in acc), max(a for a, _ in acc)
-        blo, bhi = min(b for _, b in acc), max(b for _, b in acc)
-        total = sum(c * qn ** (a - alo) * qd ** (ahi - a)
-                    * tn ** (b - blo) * td ** (bhi - b)
-                    for (a, b), c in acc.items())
+        alo, ahi, blo, bhi = min(qs), max(qs), min(ts), max(ts)
+        qpow = dict(zip(range(alo, ahi + 1), _power_table(qn, qd, ahi - alo)))
+        tpow = dict(zip(range(blo, bhi + 1), _power_table(tn, td, bhi - blo)))
+        total = sum(map(operator.mul, acc.values(),
+                        map(operator.mul, map(qpow.__getitem__, qs),
+                            map(tpow.__getitem__, ts))))
         for base, exp in ((qn, alo), (qd, -ahi), (tn, blo), (td, -bhi)):
             if exp >= 0:
                 total *= base ** exp
@@ -1404,6 +1430,71 @@ def specialized(qval, tval) -> ScalarContext:
     return ScalarContext(qv, tv)
 
 
+def _power_table(n: int, d: int, span: int) -> list:
+    """[n^i d^(span - i) for i = 0..span], each entry the last times n
+    divided exactly by d."""
+    table = [d ** span]
+    for _ in range(span):
+        table.append(table[-1] // d * n)
+    return table
+
+
+# keys of many monomials at once: 64 bits per term, and a monomial_key
+# fits a signed 64-bit lane while both its exponents stay below 2^31
+_LANE = 64
+
+
+class ExponentLanes:
+    """The exponent vectors of a list of terms, one int per variable.
+
+    The int of variable i holds the i-th exponent of term k in lane k, the
+    bits 64k to 64k + 63.  For weights w_i = monomial_key(a_i, b_i), the
+    int sum_i w_i column_i then holds in lane k the key of
+    q^(sum_i e_i a_i) t^(sum_i e_i b_i), the monomial that z^e of term k
+    takes at the point z_i = q^a_i t^b_i: n big-int multiply-adds give the
+    keys of all terms.  Lanes convert to and from ints through bytes.  A
+    signed lane x is held as x + 2^63, which lies in [0, 2^64), so no lane
+    borrows from the next; its bits are those of x in two's complement
+    with the top bit flipped, and one xor with the top bits flips them back.
+    """
+
+    __slots__ = ("count", "columns", "reach", "_top")
+
+    def __init__(self, nvars: int, exps):
+        exps = list(exps)
+        columns = list(zip(*exps)) or [()] * nvars
+        # the largest |e_i| over the terms
+        self.reach = tuple(max(map(abs, col), default=0) for col in columns)
+        if max(self.reach) >= _OFFSET:
+            raise AlgebraError(f"an exponent of {max(self.reach)} leaves "
+                               f"its {_LANE}-bit lane")
+        self.count = len(exps)
+        top = self._top = int.from_bytes(
+            (1 << _LANE - 1).to_bytes(_LANE // 8, sys.byteorder) * self.count,
+            sys.byteorder)
+        self.columns = tuple(
+            (int.from_bytes(struct.pack(f"={len(col)}q", *col), sys.byteorder)
+             ^ top) - top for col in columns)
+
+    def keys(self, weights) -> memoryview:
+        """The key sum_i e_i w_i of every term, in the order of the terms.
+
+        Raises AlgebraError where an exponent sum of q or t could reach
+        2^31, which would leave its lane."""
+        reach_q = reach_t = 0
+        for w, r in zip(weights, self.reach):
+            a = (w + _OFFSET) >> _SHIFT
+            reach_q += abs(a) * r
+            reach_t += abs(w - (a << _SHIFT)) * r
+        if reach_q >= _OFFSET or reach_t >= _OFFSET:
+            raise AlgebraError(
+                f"exponent sums up to q^{reach_q} t^{reach_t} leave their "
+                f"{_LANE}-bit lanes")
+        total = sum(map(operator.mul, weights, self.columns), self._top)
+        return memoryview((total ^ self._top).to_bytes(
+            _LANE // 8 * self.count, sys.byteorder)).cast("q")
+
+
 # ---------------------------------------------------------------------------
 # sparse polynomials in z1..zn over the scalar field
 # ---------------------------------------------------------------------------
@@ -1421,18 +1512,21 @@ class ZPolynomial:
     def __init__(self, nvars: int, terms=None, laurent: bool = False):
         if nvars < 1:
             raise AlgebraError("nvars must be positive")
-        clean: dict[tuple[int, ...], object] = {}
-        for exps, c in (terms or {}).items():
-            if len(exps) != nvars:
-                raise AlgebraError(
-                    f"exponent vector {exps} has length {len(exps)}, expected {nvars}")
-            if not laurent and any(e < 0 for e in exps):
-                raise AlgebraError(
-                    f"negative exponent in non-Laurent polynomial: {exps}")
-            if c:
-                clean[tuple(exps)] = c
+        terms = terms or {}
+        # one pass over all terms at C speed; the first bad term, in order,
+        # is named as a per-term check would name it
+        if terms and (set(map(len, terms)) != {nvars}
+                      or not laurent and min(map(min, terms)) < 0):
+            for exps in terms:
+                if len(exps) != nvars:
+                    raise AlgebraError(
+                        f"exponent vector {exps} has length {len(exps)}, "
+                        f"expected {nvars}")
+                if not laurent and any(e < 0 for e in exps):
+                    raise AlgebraError(
+                        f"negative exponent in non-Laurent polynomial: {exps}")
         self.nvars = nvars
-        self.terms = clean
+        self.terms = {tuple(exps): c for exps, c in terms.items() if c}
         self.laurent = laurent
 
     # -- constructors ------------------------------------------------------

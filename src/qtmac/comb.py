@@ -10,12 +10,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import GENERIC, AlgebraError, ScalarContext
+from .algebra import GENERIC, AlgebraError, ScalarContext, memo, monomial_key
 
 Composition = tuple[int, ...]
 
 
 def as_composition(parts) -> Composition:
+    """parts as a tuple of nonnegative ints; a label that already is one,
+    as every memo key met after the first is, is returned as it is."""
+    if (type(parts) is tuple and parts and set(map(type, parts)) == {int}
+            and min(parts) >= 0):
+        return parts
     eta = tuple(int(x) for x in parts)
     if not eta:
         raise AlgebraError("compositions must have length >= 1")
@@ -159,20 +164,27 @@ def spectral_vector(eta: Composition, ctx: ScalarContext = GENERIC):
     return tuple(ctx.monomial(a, b) for a, b in spectral_exponents(eta))
 
 
+@memo(lambda eta: (as_composition(eta),))
+def spectral_keys(eta: Composition) -> tuple[int, ...]:
+    """The :func:`algebra.monomial_key` of every entry of the spectral
+    point, q^(eta_i) t^(-l'(i)), memoised."""
+    return tuple(monomial_key(a, b) for a, b in spectral_exponents(eta))
+
+
 def spectral_e_gap(eta: Composition, lam: Composition, r: int,
                    ctx: ScalarContext = GENERIC):
     """e_r(lam-bar) - e_r(eta-bar), normalised once.
 
-    At a spectral point each r-subset of positions contributes one monomial
-    q^a t^b, so the gap is one monomial sum over denominator 1: sign +1 for
-    the subsets of lam, -1 for those of eta.
+    At a spectral point each r-subset of positions contributes one monomial,
+    whose key is the sum of the keys of its entries (:func:`spectral_keys`;
+    the exponents of t stay above -r n), so the gap is one monomial sum over
+    denominator 1: sign +1 for the subsets of lam, -1 for those of eta.
     """
     one, den = ctx.parts(ctx.one)
     terms = []
-    for sign, mu in ((1, lam), (-1, eta)):
-        for subset in itertools.combinations(spectral_exponents(mu), r):
-            terms.append((sign * one, sum(a for a, _ in subset),
-                          sum(b for _, b in subset)))
+    for sign, mu in ((one, lam), (-one, eta)):
+        terms += ((sign, sum(subset))
+                  for subset in itertools.combinations(spectral_keys(mu), r))
     return ctx.monomial_sum(den, terms)
 
 

@@ -16,11 +16,10 @@ q,t-binomial coefficients.
 
 from __future__ import annotations
 
-from operator import mul
-
 from .algebra import (
     GENERIC,
     AlgebraError,
+    ExponentLanes,
     ScalarContext,
     SpecializationError,
     ZPolynomial,
@@ -80,22 +79,30 @@ def _evaluation_args(eta, mu, ctx: ScalarContext = GENERIC):
     return eta, mu, ctx
 
 
+@memo(comb.label_args)
+def _lane_form(eta: Composition, ctx: ScalarContext = GENERIC):
+    """(D, numerators, lanes) for Estar_eta == P / D: the numerators of P
+    and their exponent vectors packed into :class:`algebra.ExponentLanes`,
+    in the same order; memoised."""
+    den, p = emac.common_form(eta, True, ctx)
+    return den, list(p.terms.values()), ExponentLanes(p.nvars, p.terms)
+
+
 @memo(_evaluation_args)
 def spectral_evaluate(eta: Composition, mu: Composition,
                       ctx: ScalarContext = GENERIC):
     """Estar_eta evaluated at the spectral point of mu, memoised.
 
-    There z^e is the monomial q^(sum e_i mu_i) t^(-sum e_i l'_i(mu)), so
-    the value is one sum of numerators times monomials over the common
-    denominator of Estar_eta (:func:`emac.common_form`), normalised once.
-    ``at_point`` on the spectral vector is the general evaluator that
-    checks this one.
+    There z^e is the monomial q^(sum e_i mu_i) t^(-sum e_i l'_i(mu)), whose
+    key is sum e_i w_i for the keys w_i of the entries of the point
+    (:func:`comb.spectral_keys`).  The lanes of Estar_eta give the keys of
+    all its terms at once, and the value is one sum of numerators times
+    monomials over the common denominator of Estar_eta
+    (:func:`emac.common_form`), normalised once.  ``at_point`` on the
+    spectral vector is the general evaluator that checks this one.
     """
-    den, p = emac.common_form(eta, True, ctx)
-    lp = comb.leg_colength_vector(mu)
-    return ctx.monomial_sum(den, (
-        (num, sum(map(mul, e, mu)), -sum(map(mul, e, lp)))
-        for e, num in p.terms.items()))
+    den, nums, lanes = _lane_form(eta, ctx)
+    return ctx.monomial_sum(den, zip(nums, lanes.keys(comb.spectral_keys(mu))))
 
 
 def principal_value(eta: Composition, ctx: ScalarContext = GENERIC):

@@ -67,29 +67,25 @@ def interpolation_expansion(eta: Composition, r: int,
     exact for them: the successor order is transitive, so a label above the
     ceiling never precedes a kept target and its coefficient never enters
     one.  Without it every successor of eta is kept, which the residual
-    check needs.
+    check needs.  The earlier labels below each target are read off the
+    layered front (:func:`_kept_fronts`).
     """
     eta = comb.as_composition(eta)
     n = len(eta)
     if not 1 <= r <= n:
         raise AlgebraError(f"r={r} out of range for n={n}")
     layers: list[dict] = []
-    # the labels kept at the current gap: every chain of one-step successors
-    # from eta to a kept label stays below it, hence below the ceiling
-    front = {eta}
-    for _ in range(r):
-        front = {lam for mu in front for lam in comb.successors_one_step(mu)}
-        if ceiling is not None:
-            front = {lam for lam in front if comb.is_successor(lam, ceiling)}
+    for below in _kept_fronts(eta, r, ceiling):
         layer = {}
-        for lam in sorted(front):
+        for lam in sorted(below):
             pn, pd = ctx.parts(istar.principal_value(lam, ctx))
             gn, gd = ctx.parts(comb.spectral_e_gap(eta, lam, r, ctx))
             vn, vd = ctx.parts(istar.spectral_evaluate(eta, lam, ctx))
             num, den = gn * vn, gd * vd
+            under = below[lam]
             for prev_layer in layers:
                 for mu, a in prev_layer.items():
-                    if comb.is_successor(mu, lam):
+                    if mu in under:
                         an, ad = ctx.parts(a)
                         vn, vd = ctx.parts(istar.spectral_evaluate(mu, lam, ctx))
                         den, up, across = ctx.lcm_cofactors(den, ad * vd)
@@ -98,6 +94,33 @@ def interpolation_expansion(eta: Composition, r: int,
                 layer[lam] = ctx.quotient(num * pd, den * pn)
         layers.append(layer)
     return ExpansionTable(eta, r, tuple(layers))
+
+
+def _kept_fronts(eta: Composition, r: int, ceiling: Composition | None):
+    """For each gap 1..r, {lam: the kept labels below lam} over the kept
+    labels lam of that gap: the successors of eta, those <=' ceiling if one
+    is given.
+
+    Every chain of one-step successors from eta to a kept label stays below
+    it, hence below the ceiling, so each front is the one-step image of the
+    last one, filtered.  Each successor mu <=' lam with
+    |lam| = |mu| + k is a chain of k one-step successors
+    (:func:`comb.successors_layered`), and every label on the chain lies
+    between two kept labels, so it is kept.  The labels below lam are
+    therefore its one-step predecessors and the labels below those.
+    """
+    below = {eta: frozenset()}
+    for _ in range(r):
+        preds: dict = {}
+        for mu in below:
+            for lam in comb.successors_one_step(mu):
+                preds.setdefault(lam, []).append(mu)
+        if ceiling is not None:
+            preds = {lam: ps for lam, ps in preds.items()
+                     if comb.is_successor(lam, ceiling)}
+        below = {lam: frozenset(ps).union(*(below[mu] for mu in ps))
+                 for lam, ps in preds.items()}
+        yield below
 
 
 @memo(comb.form_args)

@@ -9,6 +9,8 @@ import hypothesis.strategies as st
 from qtmac.algebra import (
     GENERIC,
     AlgebraError,
+    ExponentLanes,
+    ScalarContext,
     ZPolynomial,
     divided_difference,
     elementary_symmetric,
@@ -16,6 +18,7 @@ from qtmac.algebra import (
     field_view,
     form_sum,
     memo,
+    monomial_key,
     ring_form,
     scalar_eval,
     specialized,
@@ -145,6 +148,30 @@ def test_inverted_is_an_involution():
     assert len(calls) == 1
 
 
+def test_context_hash_is_the_points():
+    # the hash is taken once, from (q, t) alone: equal points hash equal
+    # whether or not inverted() made them
+    for ctx in (G, specialized(Fraction(-2, 3), Fraction(5, 7))):
+        inv = ctx.inverted()
+        twin = ScalarContext(inv.qval, inv.tval)
+        assert inv.reciprocal and not twin.reciprocal
+        assert inv == twin and hash(inv) == hash(twin)
+        assert hash(ctx) == hash((ctx.qval, ctx.tval))
+
+    # and an inverted() context hits the memo entry of the point it equals
+    calls = []
+
+    @memo(lambda ctx: (ctx,))
+    def probe(ctx):
+        calls.append(ctx)
+        return ctx.q
+
+    given_point = specialized(Fraction(-3, 2), Fraction(7, 5))
+    inv = specialized(Fraction(-2, 3), Fraction(5, 7)).inverted()
+    assert probe(given_point) == probe(inv) == Fraction(-3, 2)
+    assert calls == [given_point]
+
+
 def test_one_minus_names_the_factor_at_the_given_point():
     # 1 - q t vanishes at (1/2, 2), the reciprocal of the point given
     ctx = specialized(2, Fraction(1, 2))
@@ -194,10 +221,71 @@ def test_monomial_sum_over_common_denominator(ctx, terms):
     den, nums = ctx.common_denominator(coeffs)
     expected = ctx.zero
     for k, c in coeffs.items():
-        assert ctx.monomial_sum(den, [(nums[k], 0, 0)]) == c
+        assert ctx.monomial_sum(den, [(nums[k], 0)]) == c
         expected = expected + c * ctx.monomial(*terms[k][1])
-    got = ctx.monomial_sum(den, ((nums[k], *terms[k][1]) for k in coeffs))
+    got = ctx.monomial_sum(den, ((nums[k], monomial_key(*terms[k][1]))
+                                 for k in coeffs))
     assert got == expected
+
+
+@SUM_CONTEXTS
+def test_monomial_sum_on_packed_keys(ctx):
+    one, den = ctx.parts(ctx.one)
+    # keys add as monomials multiply, negative exponents included
+    assert monomial_key(-3, -2) + monomial_key(1, -5) == monomial_key(-2, -7)
+    assert monomial_key(0, -1) == -1
+    terms = [(2 * one, monomial_key(-3, -2)), (-one, monomial_key(1, -5)),
+             (3 * one, monomial_key(-2, 4)), (one, monomial_key(-3, -2))]
+    expected = (3 * ctx.monomial(-3, -2) - ctx.monomial(1, -5)
+                + 3 * ctx.monomial(-2, 4))
+    assert ctx.monomial_sum(den, terms) == expected
+    assert ctx.monomial_sum(den * 7, terms) == expected / 7
+    # a sum that cancels to zero, and an empty one
+    cancelling = [(one, monomial_key(2, -3)), (-2 * one, monomial_key(-1, 1)),
+                  (-one, monomial_key(2, -3)), (2 * one, monomial_key(-1, 1))]
+    assert ctx.monomial_sum(den, cancelling) == ctx.zero
+    assert ctx.monomial_sum(den, []) == ctx.zero
+
+
+def test_monomial_key_range():
+    # the exponent of t fills 32 signed bits of the key; both ends decode
+    # exactly, one key at a time (at q = t = -1, so the powers stay small)
+    ctx = specialized(-1, -1)
+    for a, b in ((3, -2 ** 31), (2, 2 ** 31 - 1), (-5, -2 ** 31),
+                 (-4, 2 ** 31 - 1)):
+        assert ctx.monomial_sum(1, [(1, monomial_key(a, b))]) == \
+            Fraction(-1) ** (a + b), (a, b)
+    for b in (2 ** 31, -2 ** 31 - 1):
+        with pytest.raises(AlgebraError) as err:
+            monomial_key(0, b)
+        assert str(err.value) == \
+            f"exponent {b} of t leaves the 32 bits of its key"
+
+
+def test_exponent_lanes_are_the_dot_products():
+    exps = [(0, 0, 0), (3, 0, 1), (-2, 5, 0), (1, -1, -4), (7, 2, 2)]
+    lanes = ExponentLanes(3, exps)
+    for point in (((2, -1), (0, -2), (1, 0)), ((-3, 4), (5, 0), (0, -7)),
+                  ((0, 0), (0, 0), (0, 0))):
+        weights = [monomial_key(a, b) for a, b in point]
+        want = [monomial_key(sum(e * a for e, (a, _) in zip(exp, point)),
+                             sum(e * b for e, (_, b) in zip(exp, point)))
+                for exp in exps]
+        assert list(lanes.keys(weights)) == want, point
+    assert list(ExponentLanes(2, []).keys([1, 2])) == []
+
+
+def test_exponent_lanes_guard_their_range():
+    # sums of q or t exponents that could reach 2^31 leave their lanes
+    lanes = ExponentLanes(2, [(1, 0), (2 ** 15, 2 ** 15)])
+    lanes.keys([monomial_key(2 ** 15 - 1, -(2 ** 15 - 1))] * 2)
+    for weight in (monomial_key(2 ** 16, 0), monomial_key(0, -2 ** 16),
+                   monomial_key(-2 ** 16, 1)):
+        with pytest.raises(AlgebraError, match="leave their 64-bit lanes"):
+            lanes.keys([weight, 0])
+    with pytest.raises(AlgebraError) as err:
+        ExponentLanes(1, [(2 ** 31,)])
+    assert str(err.value) == "an exponent of 2147483648 leaves its 64-bit lane"
 
 
 @SUM_CONTEXTS
@@ -334,6 +422,27 @@ def test_non_laurent_rejects_negative_exponents():
     with pytest.raises(AlgebraError):
         ZPolynomial(2, {(-1, 0): G.one})
     ZPolynomial(2, {(-1, 0): G.one}, laurent=True)
+
+
+@pytest.mark.parametrize("nvars, terms, laurent, message", [
+    (2, {(1, 0): 1, (2, -1): 1}, False,
+     "negative exponent in non-Laurent polynomial: (2, -1)"),
+    (2, {(1, 0): 1, (1, 0, 0): 1}, False,
+     "exponent vector (1, 0, 0) has length 3, expected 2"),
+    (2, {(1,): 1}, True, "exponent vector (1,) has length 1, expected 2"),
+    # a zero coefficient is checked too
+    (1, {(-1,): 0}, False,
+     "negative exponent in non-Laurent polynomial: (-1,)"),
+    # the first bad term, in order, is the one named
+    (2, {(-1, 0): 1, (1,): 1}, False,
+     "negative exponent in non-Laurent polynomial: (-1, 0)"),
+    (2, {(1,): 1, (-1, 0): 1}, False,
+     "exponent vector (1,) has length 1, expected 2"),
+])
+def test_zpolynomial_names_the_first_bad_term(nvars, terms, laurent, message):
+    with pytest.raises(AlgebraError) as err:
+        ZPolynomial(nvars, {e: G.one * c for e, c in terms.items()}, laurent)
+    assert str(err.value) == message
 
 
 def test_elementary_symmetric():

@@ -284,3 +284,30 @@ def test_comp_str_roundtrip():
         comb.parse_comp("1,x")
     with pytest.raises(AlgebraError):
         comb.parse_comp("1,-2")
+
+
+def test_as_composition_normalises_and_keeps_labels():
+    eta = (1, 0, 2)
+    assert comb.as_composition(eta) is eta
+    assert comb.as_composition([1, 0, 2]) == eta
+    assert comb.as_composition(("1", "0", "2")) == eta
+    # bools are ints to Python, but a label holds plain ints
+    got = comb.as_composition((True, False))
+    assert got == (1, 0) and {type(x) for x in got} == {int}
+
+
+@pytest.mark.parametrize("parts, error, message", [
+    ((), AlgebraError, "compositions must have length >= 1"),
+    ([], AlgebraError, "compositions must have length >= 1"),
+    ((1, -2), AlgebraError, "composition parts must be nonnegative: (1, -2)"),
+    (["1", "-2"], AlgebraError,
+     "composition parts must be nonnegative: (1, -2)"),
+    (("1", "x"), ValueError, "invalid literal for int() with base 10: 'x'"),
+    # Python words this one differently from version to version
+    ((1, None), TypeError, None),
+])
+def test_as_composition_errors(parts, error, message):
+    with pytest.raises(error) as err:
+        comb.as_composition(parts)
+    assert type(err.value) is error
+    assert message is None or str(err.value) == message

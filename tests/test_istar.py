@@ -191,13 +191,20 @@ def test_spectral_evaluate_examples():
     assert istar.spectral_evaluate((0, 1), (2, 0)) == G.zero
 
 
-@pytest.mark.parametrize("ctx", [
-    G, specialized(Fraction(-2, 3), Fraction(5, 7)),
-    specialized(3, Fraction(1, 2))], ids=lambda ctx: ctx.params_label())
+# symbolic, and two rational points with their reciprocal points
+EVALUATION_CONTEXTS = [G, *(point for ctx in (
+    specialized(Fraction(-2, 3), Fraction(5, 7)),
+    specialized(3, Fraction(1, 2))) for point in (ctx, ctx.inverted()))]
+
+
+@pytest.mark.parametrize("ctx", EVALUATION_CONTEXTS,
+                         ids=lambda ctx: ctx.params_label())
 def test_spectral_evaluate_matches_at_point(ctx):
-    # the single-normalisation fast path against the general evaluator
-    for n in (1, 2, 3):
-        for eta in comb.compositions_up_to(n, 3):
+    # the packed-key fast path against the general evaluator: |eta| <= 3 up
+    # to n = 3, and |eta| <= 2 at n = 4 and 5, the sizes of the benchmark's
+    # specialized queries
+    for n, max_mod in ((1, 3), (2, 3), (3, 3), (4, 2), (5, 2)):
+        for eta in comb.compositions_up_to(n, max_mod):
             poly = istar.generate_Estar(eta, ctx)
             for mu in comb.compositions_up_to(n, comb.modulus(eta) + 2):
                 expected = poly.at_point(comb.spectral_vector(mu, ctx), ctx)

@@ -102,9 +102,23 @@ def field_interpolation_expansion(eta, r, ctx, ceiling=None):
     return tuple(layers)
 
 
-@SUM_CONTEXTS
-def test_expansion_is_the_field_recursion(ctx):
-    for eta in _labels(3, 3):
+# (ctx, sizes, max_mod): every eta with n in sizes and |eta| <= max_mod;
+# n = 4 symbolically to |eta| <= 1, since |eta| = 2 takes some 15 s more
+FIELD_RANGES = [
+    *(pytest.param(ctx, range(1, 4), 3, id=ctx.params_label())
+      for ctx in (G, G.inverted(),
+                  specialized(Fraction(-2, 3), Fraction(5, 7)),
+                  specialized(3, Fraction(-1, 2)))),
+    pytest.param(G, (4,), 1, id="n=4,symbolic"),
+    pytest.param(specialized(Fraction(-2, 3), Fraction(5, 7)), (4,), 2,
+                 id="n=4,q=-2/3,t=5/7")]
+
+
+@pytest.mark.parametrize("ctx, sizes, max_mod", FIELD_RANGES)
+def test_expansion_is_the_field_recursion(ctx, sizes, max_mod):
+    # the recursion that tests comb.is_successor for every pair
+    for eta in (eta for n in sizes
+                for eta in comb.compositions_up_to(n, max_mod)):
         ceiling = comb.add_box_everywhere(eta, 1)
         for r in range(1, len(eta) + 1):
             for top in (None, ceiling):
@@ -218,6 +232,28 @@ def test_pruned_expansion_is_the_full_one_below_the_ceiling(ctx, max_n,
             pruned = pieri.interpolation_expansion(eta, r, ctx, ceiling)
             assert pruned.layers == tuple(_below(layer, ceiling)
                                           for layer in full.layers), (eta, r)
+
+
+@pytest.mark.parametrize("pruned", [False, True], ids=["full", "pruned"])
+def test_labels_below_are_the_successor_filter(pruned):
+    # the sets read off the layered front are the successor test over the
+    # same layers, and the fronts are the layered successors, filtered
+    for eta in _labels(4, 2):
+        ceiling = comb.add_box_everywhere(eta, 1) if pruned else None
+        for r in range(1, len(eta) + 1):
+            earlier = [eta]
+            fronts = list(pieri._kept_fronts(eta, r, ceiling))
+            assert len(fronts) == r
+            for k, below in enumerate(fronts, start=1):
+                layered = comb.successors_layered(eta, k)
+                assert sorted(below) == [
+                    lam for lam in layered
+                    if ceiling is None or comb.is_successor(lam, ceiling)]
+                for lam, under in below.items():
+                    assert under == {mu for mu in earlier
+                                     if comb.is_successor(mu, lam)}, \
+                        (eta, r, lam)
+                earlier += below
 
 
 @pytest.mark.parametrize("ctx, max_n, max_mod", PRUNING_RANGES)
