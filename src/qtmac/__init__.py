@@ -19,8 +19,6 @@ from .algebra import (
 )
 from .comb import (
     Composition,
-    HookTable,
-    SuccessorWitness,
     c_I_apply,
     c_I_operator_word,
     chi_r,

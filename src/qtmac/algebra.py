@@ -53,7 +53,6 @@ import math
 import operator
 import struct
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 
@@ -885,14 +884,6 @@ class Scalar:
 
     # -- views ---------------------------------------------------------------
 
-    def numer_terms(self) -> list:
-        """[((i, j), c)]: the terms of the numerator, grlex-descending."""
-        return _expand(self.num).terms()
-
-    def denom_terms(self) -> list:
-        """[((i, j), c)]: the terms of the denominator, grlex-descending."""
-        return self.den.expand().terms()
-
     def _factored_num(self) -> Factored:
         if self._num_factored is None:
             self._num_factored = _as_factored(self.num)
@@ -1154,7 +1145,6 @@ def _exponents(x: Scalar) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ScalarContext:
     """The point (q, t) that coefficients are computed at.
 
@@ -1163,20 +1153,37 @@ class ScalarContext:
     parameters), or two nonzero ``Fraction``s (exact rational arithmetic).
     ``reciprocal`` marks a context that :meth:`inverted` made from the
     point the caller gave; it takes no part in equality or the hash.
+    Immutable, since every memo table keys on it.
     """
 
-    qval: object
-    tval: object
-    reciprocal: bool = field(default=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("qval", "tval", "reciprocal", "_hash")
 
-    def __post_init__(self):
+    def __init__(self, qval, tval, reciprocal: bool = False):
+        init = object.__setattr__
+        init(self, "qval", qval)
+        init(self, "tval", tval)
+        init(self, "reciprocal", reciprocal)
         # every memo lookup hashes its context, and a Fraction's hash takes
         # a modular inverse, so the point is hashed once
-        object.__setattr__(self, "_hash", hash((self.qval, self.tval)))
+        init(self, "_hash", hash((qval, tval)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not ScalarContext:
+            return NotImplemented
+        return (self.qval, self.tval) == (other.qval, other.tval)
 
     def __hash__(self):
         return self._hash
+
+    def __repr__(self):
+        return (f"ScalarContext(qval={self.qval!r}, tval={self.tval!r}, "
+                f"reciprocal={self.reciprocal!r})")
 
     @property
     def generic(self) -> bool:
@@ -1543,12 +1550,6 @@ class ZPolynomial:
     def monomial(cls, nvars: int, exps, c, laurent: bool = False) -> "ZPolynomial":
         return cls(nvars, {tuple(exps): c}, laurent)
 
-    @classmethod
-    def variable(cls, nvars: int, i: int, ctx: ScalarContext = GENERIC) -> "ZPolynomial":
-        """z_i, 1-based."""
-        exps = tuple(1 if j == i - 1 else 0 for j in range(nvars))
-        return cls(nvars, {exps: ctx.one})
-
     # -- basic structure ----------------------------------------------------
 
     @property
@@ -1621,21 +1622,6 @@ class ZPolynomial:
 
     # -- substitutions ------------------------------------------------------
 
-    def swap_vars(self, i: int) -> "ZPolynomial":
-        """Exchange z_i and z_{i+1} (1-based)."""
-        acc = {}
-        for e, c in self.terms.items():
-            le = list(e)
-            le[i - 1], le[i] = le[i], le[i - 1]
-            acc[tuple(le)] = c
-        return ZPolynomial(self.nvars, acc, self.laurent)
-
-    def invert_vars(self) -> "ZPolynomial":
-        """z^mu -> z^(-mu); always Laurent."""
-        return ZPolynomial(self.nvars,
-                           {tuple(-x for x in e): c for e, c in self.terms.items()},
-                           laurent=True)
-
     def at_point(self, point, ctx: ScalarContext = GENERIC):
         """Exact evaluation at a tuple of scalars, normalised once.
 
@@ -1699,10 +1685,6 @@ class ZPolynomial:
         return ZPolynomial(self.nvars,
                            {e: c for e, c in self.terms.items() if sum(e) == d},
                            self.laurent)
-
-    def constant_term(self):
-        """Coefficient of the all-zero exponent vector (bare 0 if absent)."""
-        return self.terms.get((0,) * self.nvars, 0)
 
     # -- printing ------------------------------------------------------------
 

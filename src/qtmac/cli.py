@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
@@ -34,35 +33,25 @@ class UsageError(Exception):
 SCHEMA_VERSION = "1"
 
 
-@dataclass
-class ResultDocument:
-    """One computed result, JSON-serializable with a fixed field order."""
+# the inputs a result document may carry, in the order it carries them
+INPUT_KEYS = ("eta", "nu", "lam", "r", "k")
 
-    kind: str
-    n: int
-    inputs: dict
-    params: str
-    payload: object
-    schema: str = SCHEMA_VERSION
 
-    def to_dict(self) -> dict:
-        doc = {"schema": self.schema, "kind": self.kind, "n": self.n}
-        for key in ("eta", "nu", "lam", "r", "k"):
-            if key in self.inputs:
-                doc[key] = self.inputs[key]
-        doc["params"] = self.params
-        doc["payload"] = self.payload
-        return doc
+def result_document(kind: str, n: int, inputs: dict, params: str,
+                    payload) -> dict:
+    """One computed result as the dict that is printed and cached, its
+    keys in a fixed order."""
+    doc = {"schema": SCHEMA_VERSION, "kind": kind, "n": n}
+    for key in INPUT_KEYS:
+        if key in inputs:
+            doc[key] = inputs[key]
+    doc["params"] = params
+    doc["payload"] = payload
+    return doc
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), separators=(", ", ": "))
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ResultDocument":
-        inputs = {k: doc[k] for k in ("eta", "nu", "lam", "r", "k") if k in doc}
-        return cls(kind=doc["kind"], n=doc["n"], inputs=inputs,
-                   params=doc["params"], payload=doc["payload"],
-                   schema=doc["schema"])
+def to_json(doc: dict) -> str:
+    return json.dumps(doc, separators=(", ", ": "))
 
 
 # ---------------------------------------------------------------------------
@@ -70,8 +59,10 @@ class ResultDocument:
 # ---------------------------------------------------------------------------
 
 def cache_key(kind: str, n: int, inputs: dict, params: str) -> str:
+    """The file name of an entry; only the INPUT_KEYS of ``inputs`` are
+    read, so a result document serves as its own inputs."""
     parts = [kind, f"n{n}"]
-    for key in ("eta", "nu", "lam", "r", "k"):
+    for key in INPUT_KEYS:
         if key in inputs:
             parts.append(f"{key}_{inputs[key]}")
     parts.append(params)
@@ -79,15 +70,15 @@ def cache_key(kind: str, n: int, inputs: dict, params: str) -> str:
         + ".json"
 
 
-def cache_store(doc: ResultDocument, cache_dir: str) -> str:
+def cache_store(doc: dict, cache_dir: str) -> str:
     """Atomic publish: write a temp file in the target dir, then rename."""
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir,
-                        cache_key(doc.kind, doc.n, doc.inputs, doc.params))
+                        cache_key(doc["kind"], doc["n"], doc, doc["params"]))
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(doc.to_json())
+            fh.write(to_json(doc))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -96,19 +87,18 @@ def cache_store(doc: ResultDocument, cache_dir: str) -> str:
 
 
 def cache_load(kind: str, n: int, inputs: dict, params: str,
-               cache_dir: str) -> ResultDocument | None:
+               cache_dir: str) -> dict | None:
     """Load a cached document; corrupt or mismatched entries are ignored."""
     path = os.path.join(cache_dir, cache_key(kind, n, inputs, params))
     try:
         with open(path) as fh:
             doc = json.load(fh)
-        loaded = ResultDocument.from_dict(doc)
-        if (loaded.schema, loaded.kind, loaded.n, loaded.params) != \
-                (SCHEMA_VERSION, kind, n, params) or loaded.inputs != inputs:
-            return None
-        return loaded
-    except (OSError, ValueError, KeyError, TypeError):
+    except (OSError, ValueError):
         return None
+    if not isinstance(doc, dict) or "payload" not in doc:
+        return None
+    expected = result_document(kind, n, inputs, params, doc["payload"])
+    return expected if doc == expected else None
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +185,7 @@ def parse_request(args) -> tuple[str, int, dict, ScalarContext]:
 
 
 def compute_document(kind: str, n: int, inputs: dict,
-                     ctx: ScalarContext) -> ResultDocument:
+                     ctx: ScalarContext) -> dict:
     eta = comb.parse_comp(inputs["eta"])
     if kind == "e":
         payload = emac.generate_E(eta, ctx).text(ctx)
@@ -220,8 +210,7 @@ def compute_document(kind: str, n: int, inputs: dict,
             ctnorm.specialize_E(eta, k, ctx),
             ctnorm.specialize_E(nu, k, ctx.inverted()), w, ctx)
         payload = _coeff_obj(value, ctx)
-    return ResultDocument(kind=kind, n=n, inputs=inputs,
-                          params=ctx.params_label(), payload=payload)
+    return result_document(kind, n, inputs, ctx.params_label(), payload)
 
 
 def cmd_compute(args) -> int:
@@ -234,18 +223,18 @@ def cmd_compute(args) -> int:
         if args.cache_dir:
             cache_store(doc, args.cache_dir)
     if args.format == "json":
-        sys.stdout.write(doc.to_json() + "\n")
+        sys.stdout.write(to_json(doc) + "\n")
     else:
         sys.stdout.write(format_text(doc) + "\n")
     return 0
 
 
-def format_text(doc: ResultDocument) -> str:
-    lines = [f"{doc.kind} n={doc.n} params={doc.params}"]
-    for key in ("eta", "nu", "lam", "r", "k"):
-        if key in doc.inputs:
-            lines.append(f"  {key} = {doc.inputs[key]}")
-    payload = doc.payload
+def format_text(doc: dict) -> str:
+    lines = [f"{doc['kind']} n={doc['n']} params={doc['params']}"]
+    for key in INPUT_KEYS:
+        if key in doc:
+            lines.append(f"  {key} = {doc[key]}")
+    payload = doc["payload"]
     if isinstance(payload, str):
         lines.append(f"  value = {payload}")
     elif isinstance(payload, dict) and "entries" in payload:
@@ -291,11 +280,8 @@ def cmd_verify(args) -> int:
     if args.k is not None and args.suite not in ("norms", "all"):
         raise UsageError("--k restricts the norms suite only; drop --k")
     ks = (args.k,) if args.k is not None else (1, 2)
-    try:
-        reports = verify.run_suite(args.suite, args.max_n, args.max_mod,
-                                   ctx=ctx, ks=ks)
-    except KeyError as exc:
-        raise UsageError(f"unknown suite {args.suite!r}") from exc
+    reports = verify.run_suite(args.suite, args.max_n, args.max_mod,
+                               ctx=ctx, ks=ks)
     return report_suites((report, None) for report in reports)
 
 

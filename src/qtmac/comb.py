@@ -8,7 +8,6 @@ Compositions are plain tuples of nonnegative integers.  All public indices
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .algebra import GENERIC, AlgebraError, ScalarContext, memo, monomial_key
 
@@ -21,12 +20,21 @@ def as_composition(parts) -> Composition:
     if (type(parts) is tuple and parts and set(map(type, parts)) == {int}
             and min(parts) >= 0):
         return parts
-    eta = tuple(int(x) for x in parts)
+    eta = tuple(_part(x) for x in parts)
     if not eta:
         raise AlgebraError("compositions must have length >= 1")
     if any(x < 0 for x in eta):
         raise AlgebraError(f"composition parts must be nonnegative: {eta}")
     return eta
+
+
+def _part(x) -> int:
+    """x as an int: a numeral string, or an integral number; int() alone
+    would round 1.5 toward zero."""
+    k = int(x)
+    if k != x and not isinstance(x, str):
+        raise AlgebraError(f"composition parts must be integers: {x!r}")
+    return k
 
 
 def label_args(eta, ctx: ScalarContext = GENERIC):
@@ -193,18 +201,6 @@ def n_stat(lam: Composition) -> int:
     return sum(i * x for i, x in enumerate(lam))
 
 
-@dataclass(frozen=True)
-class HookTable:
-    """Per-node arm/leg data of a composition diagram and the four products."""
-
-    eta: Composition
-    nodes: dict  # (i, j) 1-based -> (arm, arm_colength, leg, leg_colength)
-    d: object
-    d_prime: object
-    e: object
-    e_prime: object
-
-
 def hook_nodes(eta: Composition):
     """Yield (i, j, arm, leg) for every node (i, j) of the diagram, 1-based.
 
@@ -219,8 +215,8 @@ def hook_nodes(eta: Composition):
             yield i, j, eta[i - 1] - j, leg
 
 
-def hook_products(eta: Composition, ctx: ScalarContext = GENERIC) -> HookTable:
-    """Arm/leg statistics per node and the aggregate products d, d', e, e'.
+def hook_products(eta: Composition, ctx: ScalarContext = GENERIC):
+    """The products (d, d', e, e') over the nodes of the diagram.
 
     Node (i,j) of the diagram has the arm and leg of :func:`hook_nodes`, arm
     colength j - 1, and leg colength equal to the row statistic l'(i).
@@ -229,7 +225,6 @@ def hook_products(eta: Composition, ctx: ScalarContext = GENERIC) -> HookTable:
     """
     n = len(eta)
     lp = leg_colength_vector(eta)
-    nodes = {}
     d = ctx.one
     d_prime = ctx.one
     e = ctx.one
@@ -237,12 +232,11 @@ def hook_products(eta: Composition, ctx: ScalarContext = GENERIC) -> HookTable:
     for i, j, arm, leg in hook_nodes(eta):
         arm_co = j - 1
         leg_co = lp[i - 1]
-        nodes[(i, j)] = (arm, arm_co, leg, leg_co)
         d = d * ctx.one_minus(arm + 1, leg + 1)
         d_prime = d_prime * (ctx.one - ctx.monomial(arm + 1, leg))
         e = e * (ctx.one - ctx.monomial(arm_co + 1, n - leg_co))
         e_prime = e_prime * ctx.one_minus(arm_co + 1, n - 1 - leg_co)
-    return HookTable(eta, nodes, d, d_prime, e, e_prime)
+    return d, d_prime, e, e_prime
 
 
 def hook_d_prime_inverted(eta: Composition, ctx: ScalarContext = GENERIC):
@@ -270,12 +264,6 @@ def perm_compose(sigma: tuple[int, ...], rho: tuple[int, ...]) -> tuple[int, ...
     return tuple(sigma[r - 1] for r in rho)
 
 
-def apply_perm(sigma: tuple[int, ...], eta: Composition) -> Composition:
-    """(sigma eta)_j = eta_{sigma^{-1}(j)}."""
-    inv = perm_inverse(sigma)
-    return tuple(eta[inv[j] - 1] for j in range(len(eta)))
-
-
 def sorting_permutation(eta: Composition) -> tuple[int, ...]:
     """The shortest permutation w with w^{-1}(eta) = eta+.
 
@@ -290,13 +278,6 @@ def sorting_permutation(eta: Composition) -> tuple[int, ...]:
 # the successor order
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SuccessorWitness:
-    """A permutation certifying that lam is a successor of eta."""
-
-    sigma: tuple[int, ...]
-
-
 def is_defining_permutation(eta: Composition, lam: Composition,
                             sigma: tuple[int, ...]) -> bool:
     for i in range(1, len(eta) + 1):
@@ -310,26 +291,15 @@ def is_defining_permutation(eta: Composition, lam: Composition,
     return True
 
 
-def successor_test(eta: Composition, lam: Composition,
-                   oracle: bool = False) -> SuccessorWitness | None:
-    """Witness for eta <=' lam, or None.
-
-    The fast path checks the single candidate w_lam o w_eta^{-1}; oracle mode
-    searches all permutations instead (independent cross-check, n <= 7).
-    """
+def successor_test(eta: Composition, lam: Composition) -> tuple[int, ...] | None:
+    """The permutation w_lam o w_eta^{-1} if it defines eta <=' lam, else
+    None, since it does whenever any permutation does."""
     if len(eta) != len(lam):
         raise AlgebraError("successor_test requires equal lengths")
-    if oracle:
-        if len(eta) > 7:
-            raise AlgebraError("oracle successor search is limited to n <= 7")
-        for perm in itertools.permutations(range(1, len(eta) + 1)):
-            if is_defining_permutation(eta, lam, perm):
-                return SuccessorWitness(perm)
-        return None
     sigma = perm_compose(sorting_permutation(lam),
                          perm_inverse(sorting_permutation(eta)))
     if is_defining_permutation(eta, lam, sigma):
-        return SuccessorWitness(sigma)
+        return sigma
     return None
 
 

@@ -158,8 +158,8 @@ def generate_E(eta: Composition, ctx: ScalarContext = GENERIC) -> ZPolynomial:
 
 def norm_N(eta: Composition, ctx: ScalarContext = GENERIC):
     """N_eta divided by the common <1,1> factor: d' e / (d e')."""
-    h = comb.hook_products(eta, ctx)
-    return h.d_prime * h.e / (h.d * h.e_prime)
+    d, d_prime, e, e_prime = comb.hook_products(eta, ctx)
+    return d_prime * e / (d * e_prime)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,12 @@ E_lam(z; 1/q, 1/t) with |lam| = |eta| + r.  They are produced four ways:
 * a brute-force expansion oracle over the monic triangular basis.
 
 Duality transfers a coefficient to the complementary one at reciprocal
-parameters, which is the cheaper route when r exceeds n/2.
+parameters: the check of acceptance criterion 08, not a route to the tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import (
     GENERIC,
@@ -35,17 +35,13 @@ from . import comb, emac, istar
 from .comb import Composition
 
 
-@dataclass(frozen=True)
-class ExpansionTable:
-    """Layers of branching coefficients over successor compositions.
+ExpansionTable = namedtuple("ExpansionTable", "base r layers")
+ExpansionTable.__doc__ = """Layers of branching coefficients over successor
+compositions.
 
-    layers[i-1] maps each lam with |lam| = |base| + i to its coefficient;
-    zero coefficients are never stored.
-    """
-
-    base: Composition
-    r: int
-    layers: tuple
+layers[i-1] maps each lam with |lam| = |base| + i to its coefficient;
+zero coefficients are never stored.
+"""
 
 
 def interpolation_expansion(eta: Composition, r: int,
@@ -186,19 +182,10 @@ def pieri_r1_closed(eta: Composition, ctx: ScalarContext = GENERIC) -> dict:
 # r = 1 product form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PieriProductForms:
-    """The factored r = 1 coefficient data for one maximal index set."""
-
-    index_set: tuple[int, ...]
-    lam: Composition
-    delta: object
-    beta: object
-    aI: object
-    bI: object
-    g0: tuple[int, ...]
-    g1: tuple[int, ...]
-    coefficient: object
+PieriProductForms = namedtuple(
+    "PieriProductForms", "index_set lam aI bI g0 g1 coefficient")
+PieriProductForms.__doc__ = (
+    "The factored r = 1 coefficient data for one maximal index set.")
 
 
 def _a_hat(x, y, ctx):
@@ -256,8 +243,7 @@ def pieri_r1_product_form(eta: Composition,
         coeff = ((ctx.q - ctx.one) * dpr_eta * a_val * b_val
                  / (comb.hook_d_prime_inverted(lam, ctx)
                     * ctx.monomial(eta[t1 - 1] + 1, 0) * ctx.one_minus(0, 1)))
-        witness = comb.successor_test(eta, lam)
-        sigma = witness.sigma
+        sigma = comb.successor_test(eta, lam)
         g0 = tuple(i for i in range(1, n + 1)
                    if lam[sigma[i - 1] - 1] == eta[i - 1])
         g1 = tuple(i for i in range(1, n + 1)
@@ -265,8 +251,6 @@ def pieri_r1_product_form(eta: Composition,
         out.append(PieriProductForms(
             index_set=tuple(sorted(index_set)),
             lam=lam,
-            delta=istar.delta_factor(eta, index_set, ctx),
-            beta=istar.beta_factor(eta, index_set, ctx),
             aI=a_val,
             bI=b_val,
             g0=g0,

@@ -7,7 +7,7 @@ counterexample witness per failure.  The suites back the command line
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import (GENERIC, ScalarContext, SpecializationError,
                       ZPolynomial, ring_form, scalar_eval, subst_t_power)
@@ -17,11 +17,8 @@ from . import comb, ctnorm, emac, istar, pieri
 MAX_GAP = 3
 
 
-@dataclass
-class SuiteReport:
-    suite: str
-    checked: int
-    failures: list
+class SuiteReport(namedtuple("SuiteReport", "suite checked failures")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

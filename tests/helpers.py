@@ -1,0 +1,62 @@
+"""Constructions that only the tests need: variables and substitutions of
+``ZPolynomial``, the terms of a scalar, permutations acting on labels, and
+the exhaustive successor search that ``comb.successor_test`` is checked
+against."""
+
+import itertools
+
+from qtmac.algebra import GENERIC, ZPolynomial, _expand
+from qtmac.comb import is_defining_permutation, perm_inverse
+
+
+def variable(nvars, i, ctx=GENERIC):
+    """z_i, 1-based."""
+    exps = tuple(1 if j == i - 1 else 0 for j in range(nvars))
+    return ZPolynomial(nvars, {exps: ctx.one})
+
+
+def swap_vars(p, i):
+    """p with z_i and z_{i+1} exchanged (1-based)."""
+    acc = {}
+    for e, c in p.terms.items():
+        le = list(e)
+        le[i - 1], le[i] = le[i], le[i - 1]
+        acc[tuple(le)] = c
+    return ZPolynomial(p.nvars, acc, p.laurent)
+
+
+def invert_vars(p):
+    """z^mu -> z^(-mu); always Laurent."""
+    return ZPolynomial(p.nvars,
+                       {tuple(-x for x in e): c for e, c in p.terms.items()},
+                       laurent=True)
+
+
+def constant_term(p):
+    """Coefficient of the all-zero exponent vector (bare 0 if absent)."""
+    return p.terms.get((0,) * p.nvars, 0)
+
+
+def numer_terms(x):
+    """[((i, j), c)]: the terms of a scalar's numerator, grlex-descending."""
+    return _expand(x.num).terms()
+
+
+def denom_terms(x):
+    """[((i, j), c)]: the terms of a scalar's denominator, grlex-descending."""
+    return x.den.expand().terms()
+
+
+def apply_perm(sigma, eta):
+    """(sigma eta)_j = eta_{sigma^{-1}(j)}."""
+    inv = perm_inverse(sigma)
+    return tuple(eta[inv[j] - 1] for j in range(len(eta)))
+
+
+def successor_search(eta, lam):
+    """The first defining permutation of eta <=' lam among all of them, or
+    None: the exhaustive reference for ``comb.successor_test``."""
+    for perm in itertools.permutations(range(1, len(eta) + 1)):
+        if is_defining_permutation(eta, lam, perm):
+            return perm
+    return None

@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from qtmac import cli, emac, istar, pieri
+from qtmac import cli, emac, istar, pieri, verify
 from qtmac.algebra import GENERIC, ZPolynomial
 
 
@@ -348,6 +348,17 @@ def test_usage_errors_exit_one(argv, capsys):
     assert err.strip()
 
 
+def test_verify_fault_is_not_a_usage_error(monkeypatch):
+    # argparse's choices reject unknown suite names; a KeyError raised inside
+    # a suite is a fault of the suite and surfaces as itself
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setitem(verify.SUITES, "eigen", broken)
+    with pytest.raises(KeyError, match="internal"):
+        cli.main(["verify", "--suite", "eigen", "--max-n", "2", "--max-mod", "1"])
+
+
 def test_degenerate_point_is_a_clean_failure(capsys):
     # q = t = 1 collapses Hecke denominators; must exit 1, not crash
     code, _, err = run_cli(
@@ -666,12 +677,11 @@ def test_verify_params_rejected_for_symbolic_suites(suite, capsys):
 # ---------------------------------------------------------------------------
 
 def test_cache_roundtrip(tmp_path):
-    doc = cli.ResultDocument(kind="e", n=2, inputs={"eta": "0,1"},
-                             params="symbolic", payload="z2")
+    doc = cli.result_document("e", 2, {"eta": "0,1"}, "symbolic", "z2")
     cli.cache_store(doc, str(tmp_path))
-    again = cli.cache_load(doc.kind, doc.n, doc.inputs, doc.params,
-                           str(tmp_path))
+    again = cli.cache_load("e", 2, {"eta": "0,1"}, "symbolic", str(tmp_path))
     assert again == doc
+    assert list(again) == list(doc)
 
 
 def test_cache_transparency(tmp_path, capsys):
@@ -714,9 +724,29 @@ def test_cache_ignores_corruption(tmp_path, capsys):
         json.load(fh)  # recomputed file is valid again
 
 
+# each entry, if served, would print another document than the query's
+@pytest.mark.parametrize("mismatch", [
+    lambda doc: [doc],
+    lambda doc: {**doc, "params": "q=1/2,t=1/3", "payload": "z1"},
+    lambda doc: {**doc, "eta": "1,0", "payload": "z1"},
+    lambda doc: {key: value for key, value in doc.items() if key != "payload"},
+], ids=["list", "params", "inputs", "no-payload"])
+def test_cache_rewrites_another_querys_document(mismatch, tmp_path, capsys):
+    argv = ["e", "--eta", "0,1", "--cache-dir", str(tmp_path)]
+    first = run_cli(argv, capsys)
+    (path,) = [os.path.join(tmp_path, p) for p in os.listdir(tmp_path)
+               if p.endswith(".json")]
+    with open(path) as fh:
+        stored = fh.read()
+    with open(path, "w") as fh:
+        json.dump(mismatch(json.loads(stored)), fh)
+    assert run_cli(argv, capsys) == first
+    with open(path) as fh:
+        assert fh.read() == stored
+
+
 def test_cache_concurrent_duplicate_store(tmp_path):
-    doc = cli.ResultDocument(kind="e", n=2, inputs={"eta": "2,1"},
-                             params="symbolic", payload="x")
+    doc = cli.result_document("e", 2, {"eta": "2,1"}, "symbolic", "x")
     errors = []
 
     def store():

@@ -1,6 +1,7 @@
 """Composition combinatorics: statistics, orders, successors, index sets."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,8 @@ import hypothesis.strategies as st
 
 from qtmac.algebra import GENERIC, AlgebraError
 from qtmac import comb
+
+from helpers import apply_perm, successor_search
 
 G = GENERIC
 
@@ -40,24 +43,24 @@ def test_spectral_entries_pairwise_distinct(eta):
 
 def test_hook_products_examples():
     q, t, one = G.q, G.t, G.one
-    h = comb.hook_products((0, 1))
-    assert (h.d, h.d_prime, h.e, h.e_prime) == \
+    # each node (i, j, arm, leg) has arm colength j - 1 and leg colength l'(i)
+    assert comb.hook_products((0, 1)) == \
         (one - q * t ** 2, one - q * t, one - q * t ** 2, one - q * t)
-    assert h.nodes[(2, 1)] == (0, 0, 1, 0)
+    assert list(comb.hook_nodes((0, 1))) == [(2, 1, 0, 1)]
+    assert comb.leg_colength_vector((0, 1))[1] == 0
 
-    h = comb.hook_products((1, 0))
-    assert (h.d, h.d_prime, h.e, h.e_prime) == \
+    assert comb.hook_products((1, 0)) == \
         (one - q * t, one - q, one - q * t ** 2, one - q * t)
-    assert h.nodes[(1, 1)] == (0, 0, 0, 0)
+    assert list(comb.hook_nodes((1, 0))) == [(1, 1, 0, 0)]
+    assert comb.leg_colength_vector((1, 0))[0] == 0
 
-    h = comb.hook_products((0, 0, 0))
-    assert (h.d, h.d_prime, h.e, h.e_prime) == (one, one, one, one)
-    assert not h.nodes
+    assert comb.hook_products((0, 0, 0)) == (one, one, one, one)
+    assert not list(comb.hook_nodes((0, 0, 0)))
 
 
 def test_hook_d_prime_inverted_consistent():
     for eta in comb.compositions_up_to(3, 3):
-        direct = comb.hook_products(eta, G.inverted()).d_prime
+        _, direct, _, _ = comb.hook_products(eta, G.inverted())
         assert comb.hook_d_prime_inverted(eta) == direct
 
 
@@ -121,10 +124,10 @@ def inversions(sigma):
 @given(comps)
 def test_sorting_permutation_is_shortest(eta):
     w = comb.sorting_permutation(eta)
-    assert comb.apply_perm(comb.perm_inverse(w), eta) == comb.partition_of(eta)
+    assert apply_perm(comb.perm_inverse(w), eta) == comb.partition_of(eta)
     best = min(
         (inversions(p) for p in itertools.permutations(range(1, len(eta) + 1))
-         if comb.apply_perm(comb.perm_inverse(p), eta) == comb.partition_of(eta)),
+         if apply_perm(comb.perm_inverse(p), eta) == comb.partition_of(eta)),
     )
     assert inversions(w) == best
 
@@ -137,16 +140,15 @@ def test_successor_example_with_two_defining_permutations():
     eta, lam = (1, 2, 1), (1, 2, 2)
     assert comb.is_defining_permutation(eta, lam, (1, 2, 3))
     assert comb.is_defining_permutation(eta, lam, (3, 2, 1))
-    witness = comb.successor_test(eta, lam)
-    assert witness is not None
+    sigma = comb.successor_test(eta, lam)
+    assert sigma is not None
     # the canonical witness fixes a position only when the entries agree
-    sigma = witness.sigma
     assert all(eta[i - 1] == lam[i - 1]
                for i in range(1, 4) if sigma[i - 1] == i)
 
 
 def test_successor_reflexive_and_absent():
-    assert comb.successor_test((1, 2), (1, 2)).sigma == (1, 2)
+    assert comb.successor_test((1, 2), (1, 2)) == (1, 2)
     assert comb.successor_test((0, 2), (2, 0)) is None
     with pytest.raises(AlgebraError):
         comb.successor_test((0, 1), (0, 1, 2))
@@ -156,7 +158,7 @@ def test_successor_reflexive_and_absent():
 @given(comps3, st.lists(st.integers(0, 4), min_size=3, max_size=3).map(tuple))
 def test_successor_fast_path_matches_exhaustive(eta, lam):
     fast = comb.successor_test(eta, lam)
-    slow = comb.successor_test(eta, lam, oracle=True)
+    slow = successor_search(eta, lam)
     assert (fast is None) == (slow is None)
 
 
@@ -166,7 +168,7 @@ def test_successor_fast_path_matches_exhaustive_dense():
         for gap in range(0, 4):
             for lam in comb.compositions(3, m + gap):
                 fast = comb.successor_test(eta, lam)
-                slow = comb.successor_test(eta, lam, oracle=True)
+                slow = successor_search(eta, lam)
                 assert (fast is None) == (slow is None), (eta, lam)
 
 
@@ -174,9 +176,9 @@ def test_successor_fast_path_matches_exhaustive_dense():
 @given(comps3)
 def test_transitivity_witness_composition(eta):
     for mu in comb.successors_one_step(eta):
-        sigma = comb.successor_test(eta, mu).sigma
+        sigma = comb.successor_test(eta, mu)
         for lam in comb.successors_one_step(mu):
-            rho = comb.successor_test(mu, lam).sigma
+            rho = comb.successor_test(mu, lam)
             assert comb.is_defining_permutation(
                 eta, lam, comb.perm_compose(rho, sigma))
 
@@ -227,7 +229,7 @@ def test_maximal_sets_biject_with_one_step_successors():
             images = [comb.c_I_apply(eta, I) for I in sets]
             assert len(set(images)) == len(images), eta
             filt = {lam for lam in comb.compositions(n, comb.modulus(eta) + 1)
-                    if comb.successor_test(eta, lam, oracle=True)}
+                    if successor_search(eta, lam)}
             assert set(images) == filt, eta
 
 
@@ -246,7 +248,7 @@ def test_successors_layered_matches_filter():
             layered = comb.successors_layered(eta, k)
             filt = sorted(
                 lam for lam in comb.compositions(n, comb.modulus(eta) + k)
-                if comb.successor_test(eta, lam, oracle=True))
+                if successor_search(eta, lam))
             assert layered == filt, (eta, k)
 
 
@@ -284,6 +286,8 @@ def test_comp_str_roundtrip():
         comb.parse_comp("1,x")
     with pytest.raises(AlgebraError):
         comb.parse_comp("1,-2")
+    with pytest.raises(AlgebraError, match="cannot parse composition '1.5,0'"):
+        comb.parse_comp("1.5,0")
 
 
 def test_as_composition_normalises_and_keeps_labels():
@@ -291,6 +295,7 @@ def test_as_composition_normalises_and_keeps_labels():
     assert comb.as_composition(eta) is eta
     assert comb.as_composition([1, 0, 2]) == eta
     assert comb.as_composition(("1", "0", "2")) == eta
+    assert comb.as_composition((1.0, 0, Fraction(2))) == eta
     # bools are ints to Python, but a label holds plain ints
     got = comb.as_composition((True, False))
     assert got == (1, 0) and {type(x) for x in got} == {int}
@@ -305,6 +310,11 @@ def test_as_composition_normalises_and_keeps_labels():
     (("1", "x"), ValueError, "invalid literal for int() with base 10: 'x'"),
     # Python words this one differently from version to version
     ((1, None), TypeError, None),
+    # int() would round these toward zero, to another label
+    ((1.5, 0), AlgebraError, "composition parts must be integers: 1.5"),
+    ([0.9, 2], AlgebraError, "composition parts must be integers: 0.9"),
+    ((Fraction(3, 2),), AlgebraError,
+     "composition parts must be integers: Fraction(3, 2)"),
 ])
 def test_as_composition_errors(parts, error, message):
     with pytest.raises(error) as err:

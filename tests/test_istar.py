@@ -11,6 +11,7 @@ from qtmac.algebra import (GENERIC, AlgebraError, ZPolynomial, field_view,
 from qtmac import comb, emac, istar
 
 from field_operators import field_H, field_phi_star
+from helpers import variable
 from test_algebra import SUM_CONTEXTS
 from test_emac import hecke_view
 
@@ -36,12 +37,12 @@ def xi_view(i, p, ctx=G):
 def test_apply_H_examples():
     one = ZPolynomial.constant(2, G.one)
     assert hecke_view(1, one, star=True) == one.scale(T)
-    z2 = ZPolynomial.variable(2, 2)
-    assert hecke_view(1, z2, star=True) == ZPolynomial.variable(2, 1)
+    z2 = variable(2, 2)
+    assert hecke_view(1, z2, star=True) == variable(2, 1)
 
 
 def test_H_quadratic_relation():
-    z1 = ZPolynomial.variable(2, 1)
+    z1 = variable(2, 1)
     step = hecke_view(1, z1, star=True) - z1.scale(T)
     assert (hecke_view(1, step, star=True) + step).is_zero
 

@@ -413,8 +413,7 @@ def test_oracle_support_law():
             for lam, c in pieri.product_expand_oracle(eta, r).items():
                 assert comb.is_successor(eta, lam), (eta, r, lam)
                 assert comb.is_successor(lam, ceiling), (eta, r, lam)
-                witness = comb.successor_test(eta, lam)
-                sigma = witness.sigma
+                sigma = comb.successor_test(eta, lam)
                 for i in range(1, n + 1):
                     assert lam[sigma[i - 1] - 1] - eta[i - 1] in (0, 1)
 

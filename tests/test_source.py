@@ -202,3 +202,12 @@ def test_no_sympy_import_at_module_level(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = list(_sympy_imports_outside_functions(tree))
     assert not lines, f"{path.name}: sympy imported at module level, lines {lines}"
+
+
+# importing dataclasses costs every process several milliseconds of start-up
+# (it imports inspect); the package's records are plain classes
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_dataclasses_import(path):
+    names = {name for name in _imported_modules(path)
+             if name.split(".")[0] == "dataclasses"}
+    assert not names, f"{path.name} imports {sorted(names)}"
