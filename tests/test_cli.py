@@ -245,6 +245,70 @@ PIERI_10101_R3 = (
     '"den": "30"}]]}}\n'
 )
 
+# The four other queries of the specialized benchmark, each at the point
+# q=11/13,t=17/19.
+PIERI_00000_R5 = (
+    '{"schema": "1", "kind": "pieri", "n": 5, "eta": "0,0,0,0,0", "r": 5, '
+    '"params": "q=11/13,t=17/19", "payload": {"entries": [["1,1,1,1,1", '
+    '{"num": "1", "den": "1"}]]}}\n'
+)
+
+PIERI_21010_R1 = (
+    '{"schema": "1", "kind": "pieri", "n": 5, "eta": "2,1,0,1,0", "r": 1, '
+    '"params": "q=11/13,t=17/19", "payload": {"entries": [["0,1,0,1,3", '
+    '{"num": "137011196278077102867600", "den": '
+    '"8119829456880762011443957"}], ["0,1,1,0,3", {"num": '
+    '"-23552077103818565874", "den": "10726326891520161177601"}], '
+    '["0,1,1,3,0", {"num": "-4999084559183", "den": "351105592259170"}], '
+    '["0,1,3,1,0", {"num": "189965213248954", "den": "7667531295654289"}], '
+    '["1,0,0,1,3", {"num": "509906625036666", "den": '
+    '"37989604679032549"}], ["1,0,1,0,3", {"num": "-78887159789581", '
+    '"den": "45165976500831300"}], ["1,0,1,3,0", {"num": "-100465937", '
+    '"den": "8870526000"}], ["1,0,3,1,0", {"num": "1908852803", "den": '
+    '"96858377100"}], ["1,1,0,0,3", {"num": "32450497651", "den": '
+    '"1988814465030"}], ["1,1,0,3,0", {"num": "41327", "den": "390600"}], '
+    '["1,3,0,1,0", {"num": "2431", "den": "17310"}], ["2,0,0,1,2", {"num": '
+    '"34958633281", "den": "808999060505"}], ["2,0,1,0,2", {"num": '
+    '"-32450497651", "den": "5770931211000"}], ["2,0,1,2,0", {"num": '
+    '"-41327", "den": "810000"}], ["2,0,2,1,0", {"num": "785213", "den": '
+    '"11718000"}], ["2,1,0,0,2", {"num": "13348621", "den": "254114100"}], '
+    '["2,1,0,1,1", {"num": "16121824582287513600", "den": '
+    '"34582799466207273493"}], ["2,1,0,2,0", {"num": "12869", "den": '
+    '"27000"}], ["2,1,1,0,1", {"num": "-2771324285393664", "den": '
+    '"45684015146905249"}], ["2,1,1,1,0", {"num": "34199806072320", "den": '
+    '"60348765055357"}], ["2,2,0,1,0", {"num": "757", "den": "900"}], '
+    '["3,1,0,1,0", {"num": "1", "den": "1"}]]}}\n'
+)
+
+PIERI_1021_R2 = (
+    '{"schema": "1", "kind": "pieri", "n": 4, "eta": "1,0,2,1", "r": 2, '
+    '"params": "q=11/13,t=17/19", "payload": {"entries": [["0,1,2,3", '
+    '{"num": "100465937", "den": "15472323000"}], ["0,1,3,2", {"num": '
+    '"-41327", "den": "681300"}], ["0,2,1,3", {"num": "616559455369", '
+    '"den": "97143495699600"}], ["0,2,2,2", {"num": "7860249102420", '
+    '"den": "122482457760457"}], ["0,2,3,1", {"num": "785213", "den": '
+    '"9856140"}], ["1,0,2,3", {"num": "-41327", "den": "681300"}], '
+    '["1,0,3,2", {"num": "17", "den": "30"}], ["1,1,1,3", {"num": '
+    '"7860249102420", "den": "122482457760457"}], ["1,1,2,2", {"num": '
+    '"197737710", "den": "433798093"}], ["1,1,3,1", {"num": "333678", '
+    '"den": "573049"}], ["1,2,1,2", {"num": "2538860460081660", "den": '
+    '"92719220524665949"}], ["1,2,2,1", {"num": "-6688917863628", "den": '
+    '"122482457760457"}], ["2,0,1,3", {"num": "785213", "den": '
+    '"9856140"}], ["2,0,2,2", {"num": "333678", "den": "573049"}], '
+    '["2,0,3,1", {"num": "1", "den": "1"}], ["2,1,1,2", {"num": '
+    '"-6688917863628", "den": "122482457760457"}], ["2,1,2,1", {"num": '
+    '"268948674619", "den": "808999060505"}], ["2,2,1,1", {"num": '
+    '"17225459394", "den": "161799812101"}]]}}\n'
+)
+
+BINOM_01010_12011 = (
+    '{"schema": "1", "kind": "binom", "n": 5, "eta": "0,1,0,1,0", "nu": '
+    '"1,2,0,1,1", "params": "q=11/13,t=17/19", "payload": {"num": '
+    '"-11710456064315160503548978885", "den": '
+    '"572299062560631840143980512"}}\n'
+)
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["pieri", "--eta", "0,1,2", "--r", "2"], PIERI_012_R2),
     (["pieri", "--eta", "1,0,1,0", "--r", "1", "--params", "q=-2/3,t=5/7"],
@@ -258,11 +322,24 @@ PIERI_10101_R3 = (
       "q=11/13,t=17/19"], PIERI_01010_R3),
     (["pieri", "--eta", "1,0,1,0,1", "--r", "3", "--params",
       "q=11/13,t=17/19"], PIERI_10101_R3),
+    (["pieri", "--eta", "0,0,0,0,0", "--r", "5", "--params",
+      "q=11/13,t=17/19"], PIERI_00000_R5),
+    (["pieri", "--eta", "2,1,0,1,0", "--r", "1", "--params",
+      "q=11/13,t=17/19"], PIERI_21010_R1),
+    (["pieri", "--eta", "1,0,2,1", "--r", "2", "--params",
+      "q=11/13,t=17/19"], PIERI_1021_R2),
 ])
 def test_pieri_golden_stdout(argv, expected, capsys):
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
     assert out == expected
+
+
+def test_binom_golden_stdout(capsys):
+    code, out, _ = run_cli(["binom", "--eta", "0,1,0,1,0", "--nu", "1,2,0,1,1",
+                            "--params", "q=11/13,t=17/19"], capsys)
+    assert code == 0
+    assert out == BINOM_01010_12011
 
 
 def test_estar_golden_payload(capsys):
@@ -400,6 +477,13 @@ def test_degenerate_point_is_a_clean_failure(capsys):
       "--params", "q=2,t=1/2"], "1 - q^-1*t^-1"),
     (["verify", "--suite", "pieri-agreement", "--max-n", "2", "--max-mod", "2",
       "--params", "q=2,t=1/2"], "1 - q^-1*t^-1"),
+    # a hook factor of d' with leg 2, in a principal value
+    (["pieri", "--eta", "0,1,1", "--r", "1", "--params", "q=4,t=1/2"],
+     "1 - q^-1*t^-2"),
+    # a factor of d' of a principal value taken at the reciprocal point by
+    # the duality check, named at the point given
+    (["verify", "--suite", "duality", "--max-n", "2", "--max-mod", "2",
+      "--params", "q=2,t=1/4"], "1 - q^2*t"),
 ])
 def test_degenerate_point_names_the_vanishing_factor(argv, factor, capsys):
     # a principal value, a Hecke coefficient or a norm denominator vanishes
