@@ -81,15 +81,6 @@ def _pack(i: int, j: int) -> int:
     return i << _SHIFT | j
 
 
-def monomial_key(a: int, b: int) -> int:
-    """The key (a << 32) + b of the Laurent monomial q^a t^b, as
-    :meth:`ScalarContext.monomial_sum` takes it.  Keys add as monomials
-    multiply while the exponent of t stays in [-2^31, 2^31)."""
-    if not -_OFFSET <= b < _OFFSET:
-        raise AlgebraError(f"exponent {b} of t leaves the 32 bits of its key")
-    return (a << _SHIFT) + b
-
-
 def _grlex_key(k: int) -> int:
     """An int that orders packed monomials as grlex with q before t does."""
     i = k >> _SHIFT
@@ -1350,24 +1341,47 @@ class ScalarContext:
         den, nums = self.common_denominator(dict(enumerate(values)))
         return self.quotient(sum(nums.values()), den)
 
-    def monomial_sum(self, den, terms):
-        """The scalar sum of N q^a t^b over den, for (N, key) in terms with
-        key = :func:`monomial_key` (a, b).
+    def one_minus_product(self, pairs):
+        """The product of the factors 1 - q^a t^b over the exponent pairs
+        (a, b), multiplied out in parts and normalised once.  The first
+        factor that vanishes is named as :meth:`one_minus` names it."""
+        if self.generic:
+            return self.product([self.one_minus(a, b) for a, b in pairs])
+        qn, qd = self.qval.numerator, self.qval.denominator
+        tn, td = self.tval.numerator, self.tval.denominator
+        num = den = 1
+        for a, b in pairs:
+            # q^a t^b = n / d
+            n, d = (qn ** a, qd ** a) if a >= 0 else (qd ** -a, qn ** -a)
+            m, e = (tn ** b, td ** b) if b >= 0 else (td ** -b, tn ** -b)
+            n, d = n * m, d * e
+            if n == d:
+                self.one_minus(a, b)  # raises, naming the factor
+            num *= d - n
+            den *= d
+        return Fraction(num, den)
+
+    def monomial_sum(self, den, nums, qexps, texps):
+        """The scalar sum of N q^a t^b over den, for the entries N, a and b
+        of nums, qexps and texps taken in step.
 
         ``den`` and every N are as :meth:`common_denominator` returns them;
-        a and b may be negative.  The sum is accumulated exactly without
-        normalising and reduced once at the end.
+        a and b may be negative.  Equal monomials are not grouped: at a
+        rational point the sum is one pass over the terms, at C speed, and
+        either way it is accumulated exactly and reduced once at the end.
         """
-        acc: dict = {}
-        get = acc.get
         if self.generic:
             # q^a t^b of this context is q^(a qi + b ti) t^(a qj + b tj) in
             # Q(q,t); the exponent of t is offset by _OFFSET while packed, so
             # that it may go negative
             (qi, qj), (ti, tj) = _exponents(self.qval), _exponents(self.tval)
-            for num, key in terms:
-                a = (key + _OFFSET) >> _SHIFT
-                b = key - (a << _SHIFT)
+            reach = max(map(abs, texps), default=0)
+            if reach >= _OFFSET:
+                raise AlgebraError(f"an exponent of t of {reach} leaves the "
+                                   f"32 bits of a packed monomial")
+            acc: dict = {}
+            get = acc.get
+            for num, a, b in zip(nums, qexps, texps):
                 shift = ((a * qi + b * ti) << _SHIFT) + a * qj + b * tj \
                     + _OFFSET
                 for k, c in _expand(num).items():
@@ -1382,23 +1396,19 @@ class ScalarContext:
             shift = (sq << _SHIFT) + st - _OFFSET
             return _quotient(Poly({k + shift: c for k, c in acc.items()}),
                              den * Factored(1, _pack(sq, st), _NO_FACTORS))
-        for num, key in terms:
-            acc[key] = get(key, 0) + num
-        if not acc:
+        if not len(qexps):
             return Fraction(0)
-        qs = [(k + _OFFSET) >> _SHIFT for k in acc]
-        ts = [k - (a << _SHIFT) for k, a in zip(acc, qs)]
         # q^a t^b = qn^a qd^-a tn^b td^-b: with qn^alo qd^-ahi tn^blo td^-bhi
         # factored out, every monomial is one entry of each power table, so
         # the sum is an integer and one Fraction reduces it
         qn, qd = self.qval.numerator, self.qval.denominator
         tn, td = self.tval.numerator, self.tval.denominator
-        alo, ahi, blo, bhi = min(qs), max(qs), min(ts), max(ts)
-        qpow = dict(zip(range(alo, ahi + 1), _power_table(qn, qd, ahi - alo)))
-        tpow = dict(zip(range(blo, bhi + 1), _power_table(tn, td, bhi - blo)))
-        total = sum(map(operator.mul, acc.values(),
-                        map(operator.mul, map(qpow.__getitem__, qs),
-                            map(tpow.__getitem__, ts))))
+        alo, ahi, blo, bhi = min(qexps), max(qexps), min(texps), max(texps)
+        qpow = _powers(qn, qd, alo, ahi)
+        tpow = _powers(tn, td, blo, bhi)
+        total = sum(map(operator.mul, nums,
+                        map(operator.mul, map(qpow.__getitem__, qexps),
+                            map(tpow.__getitem__, texps))))
         for base, exp in ((qn, alo), (qd, -ahi), (tn, blo), (td, -bhi)):
             if exp >= 0:
                 total *= base ** exp
@@ -1437,32 +1447,34 @@ def specialized(qval, tval) -> ScalarContext:
     return ScalarContext(qv, tv)
 
 
-def _power_table(n: int, d: int, span: int) -> list:
-    """[n^i d^(span - i) for i = 0..span], each entry the last times n
-    divided exactly by d."""
-    table = [d ** span]
-    for _ in range(span):
+@memo(lambda n, d, lo, hi: (n, d, lo, hi))
+def _powers(n: int, d: int, lo: int, hi: int) -> dict:
+    """{k: n^(k - lo) d^(hi - k) for lo <= k <= hi}, each entry the last
+    times n divided exactly by d; memoised."""
+    table = [d ** (hi - lo)]
+    for _ in range(hi - lo):
         table.append(table[-1] // d * n)
-    return table
+    return dict(zip(range(lo, hi + 1), table))
 
 
-# keys of many monomials at once: 64 bits per term, and a monomial_key
-# fits a signed 64-bit lane while both its exponents stay below 2^31
+# dot products of many exponent vectors at once: 64 bits per term
 _LANE = 64
+_LANE_LIMIT = 1 << _LANE - 1
 
 
 class ExponentLanes:
     """The exponent vectors of a list of terms, one int per variable.
 
     The int of variable i holds the i-th exponent of term k in lane k, the
-    bits 64k to 64k + 63.  For weights w_i = monomial_key(a_i, b_i), the
-    int sum_i w_i column_i then holds in lane k the key of
-    q^(sum_i e_i a_i) t^(sum_i e_i b_i), the monomial that z^e of term k
-    takes at the point z_i = q^a_i t^b_i: n big-int multiply-adds give the
-    keys of all terms.  Lanes convert to and from ints through bytes.  A
-    signed lane x is held as x + 2^63, which lies in [0, 2^64), so no lane
-    borrows from the next; its bits are those of x in two's complement
-    with the top bit flipped, and one xor with the top bits flips them back.
+    bits 64k to 64k + 63.  For weights w_i, the int sum_i w_i column_i then
+    holds in lane k the dot product sum_i e_i w_i of the exponent vector e
+    of term k: n big-int multiply-adds give it for all terms.  At the point
+    z_i = q^a_i t^b_i, z^e is q^(sum_i e_i a_i) t^(sum_i e_i b_i), so the
+    weights a and then b give the exponents of q and of t of every term.
+    Lanes convert to and from ints through bytes.  A signed lane x is held
+    as x + 2^63, which lies in [0, 2^64), so no lane borrows from the next;
+    its bits are those of x in two's complement with the top bit flipped,
+    and one xor with the top bits flips them back.
     """
 
     __slots__ = ("count", "columns", "reach", "_top")
@@ -1472,31 +1484,27 @@ class ExponentLanes:
         columns = list(zip(*exps)) or [()] * nvars
         # the largest |e_i| over the terms
         self.reach = tuple(max(map(abs, col), default=0) for col in columns)
-        if max(self.reach) >= _OFFSET:
+        if max(self.reach) >= _LANE_LIMIT:
             raise AlgebraError(f"an exponent of {max(self.reach)} leaves "
                                f"its {_LANE}-bit lane")
         self.count = len(exps)
         top = self._top = int.from_bytes(
-            (1 << _LANE - 1).to_bytes(_LANE // 8, sys.byteorder) * self.count,
+            _LANE_LIMIT.to_bytes(_LANE // 8, sys.byteorder) * self.count,
             sys.byteorder)
         self.columns = tuple(
             (int.from_bytes(struct.pack(f"={len(col)}q", *col), sys.byteorder)
              ^ top) - top for col in columns)
 
-    def keys(self, weights) -> memoryview:
-        """The key sum_i e_i w_i of every term, in the order of the terms.
+    def sums(self, weights) -> memoryview:
+        """The dot product sum_i e_i w_i of every term, in the order of the
+        terms.
 
-        Raises AlgebraError where an exponent sum of q or t could reach
-        2^31, which would leave its lane."""
-        reach_q = reach_t = 0
-        for w, r in zip(weights, self.reach):
-            a = (w + _OFFSET) >> _SHIFT
-            reach_q += abs(a) * r
-            reach_t += abs(w - (a << _SHIFT)) * r
-        if reach_q >= _OFFSET or reach_t >= _OFFSET:
+        Raises AlgebraError where one could reach 2^63 in absolute value,
+        which would leave its lane."""
+        reach = sum(map(operator.mul, map(abs, weights), self.reach))
+        if reach >= _LANE_LIMIT:
             raise AlgebraError(
-                f"exponent sums up to q^{reach_q} t^{reach_t} leave their "
-                f"{_LANE}-bit lanes")
+                f"exponent sums up to {reach} leave their {_LANE}-bit lanes")
         total = sum(map(operator.mul, weights, self.columns), self._top)
         return memoryview((total ^ self._top).to_bytes(
             _LANE // 8 * self.count, sys.byteorder)).cast("q")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 
-from .algebra import GENERIC, AlgebraError, ScalarContext, memo, monomial_key
+from .algebra import GENERIC, AlgebraError, ScalarContext, memo
 
 Composition = tuple[int, ...]
 
@@ -173,10 +173,10 @@ def spectral_vector(eta: Composition, ctx: ScalarContext = GENERIC):
 
 
 @memo(lambda eta: (as_composition(eta),))
-def spectral_keys(eta: Composition) -> tuple[int, ...]:
-    """The :func:`algebra.monomial_key` of every entry of the spectral
-    point, q^(eta_i) t^(-l'(i)), memoised."""
-    return tuple(monomial_key(a, b) for a, b in spectral_exponents(eta))
+def spectral_weights(eta: Composition) -> tuple[Composition, tuple[int, ...]]:
+    """(eta, -l'(eta)): the exponents of q and of t in the entries of the
+    spectral point, q^(eta_i) t^(-l'(i)), as two columns; memoised."""
+    return eta, tuple(-l for l in leg_colength_vector(eta))
 
 
 def spectral_e_gap(eta: Composition, lam: Composition, r: int,
@@ -184,16 +184,17 @@ def spectral_e_gap(eta: Composition, lam: Composition, r: int,
     """e_r(lam-bar) - e_r(eta-bar), normalised once.
 
     At a spectral point each r-subset of positions contributes one monomial,
-    whose key is the sum of the keys of its entries (:func:`spectral_keys`;
-    the exponents of t stay above -r n), so the gap is one monomial sum over
+    whose exponents of q and of t are the sums of those of its entries
+    (:func:`spectral_weights`), so the gap is one monomial sum over
     denominator 1: sign +1 for the subsets of lam, -1 for those of eta.
     """
     one, den = ctx.parts(ctx.one)
-    terms = []
-    for sign, mu in ((one, lam), (-one, eta)):
-        terms += ((sign, sum(subset))
-                  for subset in itertools.combinations(spectral_keys(mu), r))
-    return ctx.monomial_sum(den, terms)
+    qexps, texps = [], []
+    for mu in (lam, eta):
+        for column, weights in zip((qexps, texps), spectral_weights(mu)):
+            column += map(sum, itertools.combinations(weights, r))
+    count = len(qexps) // 2
+    return ctx.monomial_sum(den, [one] * count + [-one] * count, qexps, texps)
 
 
 def n_stat(lam: Composition) -> int:
@@ -242,10 +243,8 @@ def hook_products(eta: Composition, ctx: ScalarContext = GENERIC):
 def hook_d_prime_inverted(eta: Composition, ctx: ScalarContext = GENERIC):
     """d' evaluated at reciprocal parameters, built directly; a factor
     that vanishes at ctx's point raises SpecializationError naming it."""
-    val = ctx.one
-    for _, _, arm, leg in hook_nodes(eta):
-        val = val * ctx.one_minus(-(arm + 1), -leg)
-    return val
+    return ctx.one_minus_product((-(arm + 1), -leg)
+                                 for _, _, arm, leg in hook_nodes(eta))
 
 
 # ---------------------------------------------------------------------------

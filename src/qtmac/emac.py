@@ -68,14 +68,19 @@ def phi_form(den, p: ZPolynomial, ctx: ScalarContext = GENERIC,
     firsts = [e[0] for e in p.terms]
     lo, hi = min(firsts), max(firsts)
     sn, sd = ctx.parts(ctx.monomial(qpower - hi, 0))
-    moved = ZPolynomial(n, {
-        e[1:] + e[:1]: c * qn ** (hi - e[0]) * qd ** (e[0] - lo)
-        for e, c in p.terms.items()}, p.laurent)
-    # z_n - t^(1-n) = (tn^(n-1) z_n - td^(n-1)) / tn^(n-1)
+    # z_n - t^(1-n) = (tn^(n-1) z_n - td^(n-1)) / tn^(n-1), so the product
+    # is the moved terms shifted by z_n and scaled by tn^(n-1), less the
+    # moved terms scaled by td^(n-1)
     un, ud = tn ** (n - 1), td ** (n - 1)
-    zn = (0,) * (n - 1) + (1,)
-    mult = ZPolynomial(n, {zn: un * sn, (0,) * n: -ud * sn}, p.laurent)
-    return den * sd * qd ** (hi - lo) * un, mult * moved
+    up, down = un * sn, -ud * sn
+    moved = [(e[1:], e[0], c * qn ** (hi - e[0]) * qd ** (e[0] - lo))
+             for e, c in p.terms.items()]
+    terms = {rest + (last + 1,): c * up for rest, last, c in moved}
+    get = terms.get
+    for rest, last, c in moved:
+        e = rest + (last,)
+        terms[e] = get(e, 0) + c * down
+    return den * sd * qd ** (hi - lo) * un, ZPolynomial(n, terms, p.laurent)
 
 
 def apply_phi_q(eta: Composition, ctx: ScalarContext = GENERIC):

@@ -93,16 +93,17 @@ def spectral_evaluate(eta: Composition, mu: Composition,
                       ctx: ScalarContext = GENERIC):
     """Estar_eta evaluated at the spectral point of mu, memoised.
 
-    There z^e is the monomial q^(sum e_i mu_i) t^(-sum e_i l'_i(mu)), whose
-    key is sum e_i w_i for the keys w_i of the entries of the point
-    (:func:`comb.spectral_keys`).  The lanes of Estar_eta give the keys of
-    all its terms at once, and the value is one sum of numerators times
-    monomials over the common denominator of Estar_eta
-    (:func:`emac.common_form`), normalised once.  ``at_point`` on the
-    spectral vector is the general evaluator that checks this one.
+    There z^e is the monomial q^(sum e_i mu_i) t^(-sum e_i l'_i(mu)).  The
+    lanes of Estar_eta give both exponent sums of all its terms at once,
+    one lane sum per column of :func:`comb.spectral_weights`, and the value
+    is one sum of numerators times monomials over the common denominator
+    of Estar_eta (:func:`emac.common_form`), normalised once.  ``at_point``
+    on the spectral vector is the general evaluator that checks this one.
     """
     den, nums, lanes = _lane_form(eta, ctx)
-    return ctx.monomial_sum(den, zip(nums, lanes.keys(comb.spectral_keys(mu))))
+    qweights, tweights = comb.spectral_weights(mu)
+    return ctx.monomial_sum(den, nums, lanes.sums(qweights),
+                            lanes.sums(tweights))
 
 
 def principal_value(eta: Composition, ctx: ScalarContext = GENERIC):
@@ -111,12 +112,9 @@ def principal_value(eta: Composition, ctx: ScalarContext = GENERIC):
 
     Where it vanishes at ctx's point, SpecializationError names the factor
     1 - q^a t^b of d' that does."""
-    eta = comb.as_composition(eta)
-    val = comb.hook_d_prime_inverted(eta, ctx)
-    lp = comb.leg_colength_vector(eta)
-    val = val * ctx.monomial(sum(x * x for x in eta),
-                             -sum(x * l for x, l in zip(eta, lp)))
-    return val
+    eta, tweights = comb.spectral_weights(eta)
+    return comb.hook_d_prime_inverted(eta, ctx) * ctx.monomial(
+        sum(x * x for x in eta), sum(x * l for x, l in zip(eta, tweights)))
 
 
 def extra_vanishing_test(eta: Composition, lam: Composition) -> bool:

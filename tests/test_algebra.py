@@ -18,7 +18,6 @@ from qtmac.algebra import (
     field_view,
     form_sum,
     memo,
-    monomial_key,
     ring_form,
     scalar_eval,
     specialized,
@@ -241,71 +240,89 @@ def test_monomial_sum_over_common_denominator(ctx, terms):
     den, nums = ctx.common_denominator(coeffs)
     expected = ctx.zero
     for k, c in coeffs.items():
-        assert ctx.monomial_sum(den, [(nums[k], 0)]) == c
+        assert ctx.monomial_sum(den, [nums[k]], [0], [0]) == c
         expected = expected + c * ctx.monomial(*terms[k][1])
-    got = ctx.monomial_sum(den, ((nums[k], monomial_key(*terms[k][1]))
-                                 for k in coeffs))
+    got = ctx.monomial_sum(den, [nums[k] for k in coeffs],
+                           [terms[k][1][0] for k in coeffs],
+                           [terms[k][1][1] for k in coeffs])
     assert got == expected
+
+
+def _columns(terms):
+    """(nums, qexps, texps) of [(N, (a, b))], as monomial_sum takes them."""
+    nums, exps = zip(*terms) if terms else ((), ())
+    qexps, texps = zip(*exps) if exps else ((), ())
+    return nums, qexps, texps
 
 
 @SUM_CONTEXTS
 def test_monomial_sum_on_packed_keys(ctx):
+    # Laurent exponents, a repeated monomial, the exponent columns read as
+    # lanes; symbolically each monomial is a packed key of the sum
     one, den = ctx.parts(ctx.one)
-    # keys add as monomials multiply, negative exponents included
-    assert monomial_key(-3, -2) + monomial_key(1, -5) == monomial_key(-2, -7)
-    assert monomial_key(0, -1) == -1
-    terms = [(2 * one, monomial_key(-3, -2)), (-one, monomial_key(1, -5)),
-             (3 * one, monomial_key(-2, 4)), (one, monomial_key(-3, -2))]
+    terms = [(2 * one, (-3, -2)), (-one, (1, -5)), (3 * one, (-2, 4)),
+             (one, (-3, -2))]
     expected = (3 * ctx.monomial(-3, -2) - ctx.monomial(1, -5)
                 + 3 * ctx.monomial(-2, 4))
-    assert ctx.monomial_sum(den, terms) == expected
-    assert ctx.monomial_sum(den * 7, terms) == expected / 7
+    assert ctx.monomial_sum(den, *_columns(terms)) == expected
+    assert ctx.monomial_sum(den * 7, *_columns(terms)) == expected / 7
+    # the columns as lane sums read them
+    lanes = ExponentLanes(2, [exps for _, exps in terms])
+    nums, _, _ = _columns(terms)
+    assert ctx.monomial_sum(den, nums, lanes.sums((1, 0)),
+                            lanes.sums((0, 1))) == expected
     # a sum that cancels to zero, and an empty one
-    cancelling = [(one, monomial_key(2, -3)), (-2 * one, monomial_key(-1, 1)),
-                  (-one, monomial_key(2, -3)), (2 * one, monomial_key(-1, 1))]
-    assert ctx.monomial_sum(den, cancelling) == ctx.zero
-    assert ctx.monomial_sum(den, []) == ctx.zero
+    cancelling = [(one, (2, -3)), (-2 * one, (-1, 1)), (-one, (2, -3)),
+                  (2 * one, (-1, 1))]
+    assert ctx.monomial_sum(den, *_columns(cancelling)) == ctx.zero
+    assert ctx.monomial_sum(den, *_columns([])) == ctx.zero
 
 
 def test_monomial_key_range():
-    # the exponent of t fills 32 signed bits of the key; both ends decode
-    # exactly, one key at a time (at q = t = -1, so the powers stay small)
+    # at a rational point an exponent has no range to leave: q^a t^b with
+    # |a|, |b| around 2^31 and beyond sum exactly (at q = t = -1, so the
+    # powers stay small)
     ctx = specialized(-1, -1)
     for a, b in ((3, -2 ** 31), (2, 2 ** 31 - 1), (-5, -2 ** 31),
-                 (-4, 2 ** 31 - 1)):
-        assert ctx.monomial_sum(1, [(1, monomial_key(a, b))]) == \
+                 (-4, 2 ** 31 - 1), (0, 2 ** 31), (2 ** 40, -2 ** 31 - 1)):
+        assert ctx.monomial_sum(1, [1], [a], [b]) == \
             Fraction(-1) ** (a + b), (a, b)
-    for b in (2 ** 31, -2 ** 31 - 1):
+    # symbolically the exponent of t fills 32 signed bits of a packed
+    # monomial of Q(q,t)
+    for b in (2 ** 31 - 1, -(2 ** 31 - 1)):
+        assert G.monomial_sum(1, [1], [3], [b]) == G.monomial(3, b)
+    for b in (2 ** 31, -2 ** 31):
         with pytest.raises(AlgebraError) as err:
-            monomial_key(0, b)
+            G.monomial_sum(1, [1], [0], [b])
         assert str(err.value) == \
-            f"exponent {b} of t leaves the 32 bits of its key"
+            f"an exponent of t of {abs(b)} leaves the 32 bits of a packed monomial"
 
 
 def test_exponent_lanes_are_the_dot_products():
     exps = [(0, 0, 0), (3, 0, 1), (-2, 5, 0), (1, -1, -4), (7, 2, 2)]
     lanes = ExponentLanes(3, exps)
-    for point in (((2, -1), (0, -2), (1, 0)), ((-3, 4), (5, 0), (0, -7)),
-                  ((0, 0), (0, 0), (0, 0))):
-        weights = [monomial_key(a, b) for a, b in point]
-        want = [monomial_key(sum(e * a for e, (a, _) in zip(exp, point)),
-                             sum(e * b for e, (_, b) in zip(exp, point)))
-                for exp in exps]
-        assert list(lanes.keys(weights)) == want, point
-    assert list(ExponentLanes(2, []).keys([1, 2])) == []
+    for weights in ((2, 0, 1), (-1, -2, 0), (-3, 5, 0), (4, 0, -7),
+                    (0, 0, 0)):
+        want = [sum(e * w for e, w in zip(exp, weights)) for exp in exps]
+        assert list(lanes.sums(weights)) == want, weights
+    assert list(ExponentLanes(2, []).sums([1, 2])) == []
 
 
 def test_exponent_lanes_guard_their_range():
-    # sums of q or t exponents that could reach 2^31 leave their lanes
-    lanes = ExponentLanes(2, [(1, 0), (2 ** 15, 2 ** 15)])
-    lanes.keys([monomial_key(2 ** 15 - 1, -(2 ** 15 - 1))] * 2)
-    for weight in (monomial_key(2 ** 16, 0), monomial_key(0, -2 ** 16),
-                   monomial_key(-2 ** 16, 1)):
+    # a sum that could reach 2^63 in absolute value leaves its lane; one
+    # just below is read back exactly, at either sign
+    lanes = ExponentLanes(2, [(1, 0), (2 ** 31, 2 ** 31)])
+    top = 2 ** 31 - 1
+    assert list(lanes.sums([top, -top])) == [top, 0]
+    assert list(lanes.sums([top, top])) == [top, 2 ** 63 - 2 ** 32]
+    assert list(lanes.sums([-top, -top])) == [-top, -(2 ** 63 - 2 ** 32)]
+    for weights in ((2 ** 32, 0), (0, -2 ** 32), (-2 ** 31, 2 ** 31)):
         with pytest.raises(AlgebraError, match="leave their 64-bit lanes"):
-            lanes.keys([weight, 0])
+            lanes.sums(weights)
     with pytest.raises(AlgebraError) as err:
-        ExponentLanes(1, [(2 ** 31,)])
-    assert str(err.value) == "an exponent of 2147483648 leaves its 64-bit lane"
+        ExponentLanes(1, [(2 ** 63,)])
+    assert str(err.value) == \
+        "an exponent of 9223372036854775808 leaves its 64-bit lane"
 
 
 @SUM_CONTEXTS

@@ -180,12 +180,6 @@ def test_principal_value_examples():
     assert istar.principal_value((1, 1)) == (Q - 1) * (Q * T - 1) / T ** 2
 
 
-def test_principal_value_matches_direct_evaluation():
-    for eta in comb.compositions_up_to(3, 3):
-        assert istar.principal_value(eta) == \
-            istar.spectral_evaluate(eta, eta), eta
-
-
 def test_spectral_evaluate_examples():
     assert istar.spectral_evaluate((0, 1), (0, 0)) == G.zero
     assert istar.spectral_evaluate((0, 1), (1, 1)) == TINV * (Q - 1)
@@ -211,6 +205,21 @@ def test_spectral_evaluate_matches_at_point(ctx):
                 expected = poly.at_point(comb.spectral_vector(mu, ctx), ctx)
                 assert istar.spectral_evaluate(eta, mu, ctx) == expected, \
                     (eta, mu)
+
+
+def test_principal_value_matches_direct_evaluation():
+    # the closed form, one product of hook factors, against the spectral
+    # evaluation and the general evaluator at every kind of point: |eta| <= 3
+    # up to n = 3, and |eta| <= 2 at n = 4 and 5
+    for ctx in EVALUATION_CONTEXTS:
+        for n, max_mod in ((1, 3), (2, 3), (3, 3), (4, 2), (5, 2)):
+            for eta in comb.compositions_up_to(n, max_mod):
+                value = istar.principal_value(eta, ctx)
+                assert value == istar.spectral_evaluate(eta, eta, ctx), \
+                    (ctx, eta)
+                poly = istar.generate_Estar(eta, ctx)
+                assert value == poly.at_point(comb.spectral_vector(eta, ctx),
+                                              ctx), (ctx, eta)
 
 
 def test_vanishing_solve_oracle_examples():

@@ -101,12 +101,13 @@ def test_one_home_for_the_hecke_operators():
 
 
 # an oracle must not reach the fast path it checks
-FAST_PATHS = {"monomial_sum", "common_form", "spectral_evaluate", "generate_Estar"}
+FAST_PATHS = {"monomial_sum", "one_minus_product", "common_form",
+              "spectral_evaluate", "generate_Estar"}
 
 # the Pieri residuals check the expansion, so they must not reach the route
 # that computes its coefficients
-EXPANSION_PATHS = {"spectral_evaluate", "monomial_sum", "spectral_e_gap",
-                   "common_form", "interpolation_expansion"}
+EXPANSION_PATHS = {"spectral_evaluate", "monomial_sum", "one_minus_product",
+                   "spectral_e_gap", "common_form", "interpolation_expansion"}
 
 
 def _references(module, owner, name):
