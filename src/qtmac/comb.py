@@ -160,23 +160,22 @@ def delta_exponents(eta: Composition, i: int) -> tuple[int, int]:
     return eta[i - 1] - eta[i], lp[i] - lp[i - 1]
 
 
-def spectral_exponents(eta: Composition) -> tuple[tuple[int, int], ...]:
-    """(a, b) per position, with q^a t^b the entry of the spectral point:
-    a = eta_i and b = -l'(i)."""
-    lp = leg_colength_vector(eta)
-    return tuple((x, -l) for x, l in zip(eta, lp))
-
-
-def spectral_vector(eta: Composition, ctx: ScalarContext = GENERIC):
-    """The evaluation point attached to eta: entry i is q^(eta_i) t^(-l'(i))."""
-    return tuple(ctx.monomial(a, b) for a, b in spectral_exponents(eta))
-
-
 @memo(lambda eta: (as_composition(eta),))
 def spectral_weights(eta: Composition) -> tuple[Composition, tuple[int, ...]]:
     """(eta, -l'(eta)): the exponents of q and of t in the entries of the
     spectral point, q^(eta_i) t^(-l'(i)), as two columns; memoised."""
     return eta, tuple(-l for l in leg_colength_vector(eta))
+
+
+def spectral_exponents(eta: Composition) -> tuple[tuple[int, int], ...]:
+    """(a, b) per position, with q^a t^b the entry of the spectral point:
+    a = eta_i and b = -l'(i)."""
+    return tuple(zip(*spectral_weights(eta)))
+
+
+def spectral_vector(eta: Composition, ctx: ScalarContext = GENERIC):
+    """The evaluation point attached to eta: entry i is q^(eta_i) t^(-l'(i))."""
+    return tuple(ctx.monomial(a, b) for a, b in spectral_exponents(eta))
 
 
 def spectral_e_gap(eta: Composition, lam: Composition, r: int,

@@ -298,6 +298,29 @@ def test_monomial_key_range():
             f"an exponent of t of {abs(b)} leaves the 32 bits of a packed monomial"
 
 
+@SUM_CONTEXTS
+@settings(max_examples=25, deadline=None)
+@given(st.lists(shifts.filter(lambda ab: ab != (0, 0)), max_size=5))
+def test_one_minus_product_is_the_field_product(ctx, pairs):
+    # one normalisation of the multiplied parts equals the running product
+    expected = ctx.one
+    for a, b in pairs:
+        expected = expected * ctx.one_minus(a, b)
+    assert ctx.one_minus_product(pairs) == expected
+
+
+def test_one_minus_product_names_the_first_vanishing_factor():
+    # q t = 1 at (2, 1/2), so q^-1 t^-1 and q^2 t^2 are 1 there; at the
+    # reciprocal point each is named as a factor at the point given
+    ctx = specialized(2, Fraction(1, 2))
+    for point, pairs, name in (
+            (ctx, [(1, 0), (-1, -1), (2, 2)], "1 - q^-1*t^-1"),
+            (ctx.inverted(), [(0, 3), (2, 2), (1, 1)], "1 - q^-2*t^-2")):
+        with pytest.raises(AlgebraError) as err:
+            point.one_minus_product(pairs)
+        assert str(err.value) == f"factor {name} vanishes at q=2,t=1/2"
+
+
 def test_exponent_lanes_are_the_dot_products():
     exps = [(0, 0, 0), (3, 0, 1), (-2, 5, 0), (1, -1, -4), (7, 2, 2)]
     lanes = ExponentLanes(3, exps)
