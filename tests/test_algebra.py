@@ -294,8 +294,8 @@ def test_monomial_key_range():
     for b in (2 ** 31, -2 ** 31):
         with pytest.raises(AlgebraError) as err:
             G.monomial_sum(1, [1], [0], [b])
-        assert str(err.value) == \
-            f"an exponent of t of {abs(b)} leaves the 32 bits of a packed monomial"
+        assert str(err.value) == (f"an exponent of t of {abs(b)} leaves "
+                                  f"the 32 bits of a packed monomial")
 
 
 @SUM_CONTEXTS
