@@ -1798,16 +1798,11 @@ def demazure_lustig(i: int, p: ZPolynomial, c, a, b) -> ZPolynomial:
     """
     if not 1 <= i <= p.nvars - 1:
         raise AlgebraError(f"operator index {i} out of range for n={p.nvars}")
-    # (a z_i + b z_{i+1}) times the divided difference is its terms shifted
-    # by z_i and scaled by a, and shifted by z_{i+1} and scaled by b
-    terms = {e: v * c for e, v in p.terms.items()}
-    get = terms.get
-    quotient = divided_difference(p, i).terms
-    for k, scalar in ((i - 1, a), (i, b)):
-        for e, v in quotient.items():
-            e = e[:k] + (e[k] + 1,) + e[k + 1:]
-            terms[e] = get(e, 0) + scalar * v
-    return ZPolynomial(p.nvars, terms, p.laurent)
+    mult = ZPolynomial(p.nvars, {
+        tuple(1 if j == i - 1 else 0 for j in range(p.nvars)): a,
+        tuple(1 if j == i else 0 for j in range(p.nvars)): b,
+    }, p.laurent)
+    return p.scale(c) + mult * divided_difference(p, i)
 
 
 # ---------------------------------------------------------------------------
