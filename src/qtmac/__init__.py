@@ -52,7 +52,6 @@ from .istar import (
 )
 from .pieri import (
     ExpansionTable,
-    PieriProductForms,
     duality_transfer,
     interpolation_expansion,
     pieri_homogeneous,

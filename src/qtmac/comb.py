@@ -316,7 +316,7 @@ def c_I_apply(eta: Composition, index_set) -> Composition:
     eta_{t_1} + 1, and positions outside I are untouched.
     """
     n = len(eta)
-    ts = tuple(sorted(int(x) for x in index_set))
+    ts = tuple(sorted(map(_part, index_set)))
     if not ts or ts[0] < 1 or ts[-1] > n or len(set(ts)) != len(ts):
         raise AlgebraError(f"invalid index set {index_set} for n={n}")
     out = list(eta)
@@ -390,7 +390,7 @@ def c_I_operator_word(eta: Composition, index_set) -> list[Composition]:
     every intermediate composition in order (the last equals c_I(eta)).
     """
     n = len(eta)
-    ts = tuple(sorted(int(x) for x in index_set))
+    ts = tuple(sorted(map(_part, index_set)))
     if not ts or ts[0] < 1 or ts[-1] > n:
         raise AlgebraError(f"invalid index set {index_set} for n={n}")
     t1 = ts[0]

@@ -93,6 +93,7 @@ def apply_phi_q(eta: Composition, ctx: ScalarContext = GENERIC):
 # recursive generation
 # ---------------------------------------------------------------------------
 
+@memo(comb.form_args)
 def common_form(eta: Composition, star: bool = False,
                 ctx: ScalarContext = GENERIC) -> tuple[object, ZPolynomial]:
     """(D, P) with E_eta == P / D, or Estar_eta == P / D when ``star``.
@@ -106,14 +107,6 @@ def common_form(eta: Composition, star: bool = False,
     shares with P: the integer gcd at a rational point; symbolically each
     factor of D, which stays factored, as often as it divides every
     numerator exactly.
-    """
-    return _generate(*comb.form_args(eta, star, ctx))
-
-
-@memo(comb.form_args)
-def _generate(eta: Composition, star: bool = False,
-              ctx: ScalarContext = GENERIC):
-    """The memoised recursion behind :func:`common_form`.
 
     Switching from mu = s_i eta is E_eta = (T_i - c) E_mu / t and
     Estar_eta = (H_i - c) Estar_mu (:func:`hecke_step`), with c the
@@ -128,7 +121,7 @@ def _generate(eta: Composition, star: bool = False,
         one, _ = ctx.parts(ctx.one)
         return one, ZPolynomial.constant(n, one)
     mu, i = step
-    den, p = _generate(mu, star, ctx)
+    den, p = common_form(mu, star, ctx)
     tn, td = ctx.parts(ctx.t)
     if i is not None:
         table = comb.basis_action(i, mu, ctx.one if star else ctx.t, ctx)
@@ -205,7 +198,7 @@ def hecke_symmetrize(den, p: ZPolynomial,
 
 
 def _partition_args(kappa, n: int | None = None, ctx: ScalarContext = GENERIC):
-    kappa = tuple(int(x) for x in kappa)
+    kappa = tuple(map(comb._part, kappa))
     if n is None:
         n = len(kappa)
     if len(kappa) > n:
@@ -261,8 +254,8 @@ def psi_coefficient(kappa, lam, n: int | None = None,
     (1 - q^(k_i-k_j) t^(j-i+theta_i-theta_j)) / (1 - q^(k_i-k_j) t^(j-i)),
     with theta = lam - kappa and t^delta = (t^(n-1),...,t,1).
     """
-    kappa = tuple(int(x) for x in kappa)
-    lam = tuple(int(x) for x in lam)
+    kappa = tuple(map(comb._part, kappa))
+    lam = tuple(map(comb._part, lam))
     if n is None:
         n = max(len(kappa), len(lam))
     kap = kappa + (0,) * (n - len(kappa))

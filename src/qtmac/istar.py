@@ -285,7 +285,7 @@ def one_step_ratio(eta: Composition, lam: Composition,
 
 
 def _word_args(eta, k: int, ctx: ScalarContext = GENERIC):
-    return comb.as_composition(eta), int(k), ctx
+    return comb.as_composition(eta), comb._part(k), ctx
 
 
 @memo(_word_args)
@@ -359,19 +359,19 @@ def binomial_direct(eta: Composition, nu: Composition,
     return spectral_evaluate(eta, nu, ctx) / principal_value(nu, ctx)
 
 
-def _binomial_args(eta, nu, ctx: ScalarContext = GENERIC, k: int | None = None):
-    return comb.as_composition(eta), comb.as_composition(nu), ctx, k
+def _binomial_args(eta, nu, ctx: ScalarContext = GENERIC):
+    return comb.as_composition(eta), comb.as_composition(nu), ctx
 
 
 @memo(_binomial_args)
 def binomial_recursive(eta: Composition, nu: Composition,
-                       ctx: ScalarContext = GENERIC, k: int | None = None):
+                       ctx: ScalarContext = GENERIC):
     """The binomial coefficient through the layered recursion, memoised.
 
     A gap of one is the closed-form one-step ratio.  For larger gaps the
     value is a weighted sum over the labels nu' reached by the eigenoperator
-    word at position k (defaulting to the leftmost frequency mismatch) that
-    remain below nu, each weighted by
+    word at position k = :func:`recursion_position` that remain below nu,
+    each weighted by
     (nu'-bar_k/eta-bar_k - 1)/(nu-bar_k/eta-bar_k - 1) times the one-step
     ratio into nu' times the recursive coefficient from nu' to nu.  The
     terms are summed in parts (``ScalarContext.parts``) over the running lcm
@@ -385,15 +385,12 @@ def binomial_recursive(eta: Composition, nu: Composition,
         return ctx.zero
     if gap == 1:
         return one_step_ratio(eta, nu, ctx)
-    pos = k if k is not None else recursion_position(eta, nu, ctx)
+    pos = recursion_position(eta, nu, ctx)
     # nu'-bar_k / eta-bar_k is the monomial q^a t^b of the exponent difference
     ea, eb = comb.spectral_exponents(eta)[pos - 1]
     na, nb = comb.spectral_exponents(nu)[pos - 1]
+    # nonzero: recursion_position picks a k where the entries differ
     denom = ctx.monomial(na - ea, nb - eb) - ctx.one
-    if not denom:
-        raise AlgebraError(
-            f"position k={pos} is unusable: the spectral entries of "
-            f"{eta} and {nu} coincide there")
     num, den = ctx.parts(ctx.zero)
     for lab in expand_eigenword(eta, pos, ctx):
         if not comb.is_successor(lab, nu):

@@ -8,7 +8,8 @@ E_lam(z; 1/q, 1/t) with |lam| = |eta| + r.  They are produced four ways:
   normalised once (the q,t-binomials of ``istar.binomial_recursive``
   are summed over one denominator the same way),
 * the r = 1 closed form through the one-step ratio,
-* the r = 1 product form through the a-hat/b-hat factors,
+* the r = 1 product form through the a-hat/b-hat factors, each
+  coefficient multiplied out once into a table like the others,
 * a brute-force expansion oracle over the monic triangular basis.
 
 Duality transfers a coefficient to the complementary one at reciprocal
@@ -182,81 +183,62 @@ def pieri_r1_closed(eta: Composition, ctx: ScalarContext = GENERIC) -> dict:
 # r = 1 product form
 # ---------------------------------------------------------------------------
 
-PieriProductForms = namedtuple(
-    "PieriProductForms", "index_set lam aI bI g0 g1 coefficient")
-PieriProductForms.__doc__ = (
-    "The factored r = 1 coefficient data for one maximal index set.")
-
-
-def _a_hat(x, y, ctx):
-    """(t - 1) x / (x - y) for spectral monomials x = q^x0 t^x1 and
-    y = q^y0 t^y1, built as (t - 1) / (1 - y/x)."""
-    return (ctx.t - ctx.one) / ctx.one_minus(y[0] - x[0], y[1] - x[1])
-
-
-def _b_hat(x, y, ctx):
-    """(x - t y) / (x - y) for spectral monomials as in :func:`_a_hat`,
-    built as (1 - t y/x) / (1 - y/x)."""
-    a, b = y[0] - x[0], y[1] - x[1]
-    return (ctx.one - ctx.monomial(a, b + 1)) / ctx.one_minus(a, b)
-
-
 def _product_factors(eta: Composition, index_set, ctx: ScalarContext):
-    """A_I and B-tilde_I evaluated at the spectral point of eta."""
+    """(factors, divisors) of A_I B-tilde_I at the spectral point of eta.
+
+    For spectral monomials x = q^x0 t^x1 and y = q^y0 t^y1, each a-hat
+    (t - 1) x / (x - y) is taken as (t - 1) / (1 - y/x) and each b-hat
+    (x - t y) / (x - y) as (1 - t y/x) / (1 - y/x); every divisor is built
+    with ``ctx.one_minus``, so the first that vanishes is named.
+    """
     ts = sorted(index_set)
-    s = len(ts)
     n = len(eta)
     z = comb.spectral_exponents(eta)
     first, last = z[ts[0] - 1], z[ts[-1] - 1]
     raised = (first[0] + 1, first[1])  # q times the first selected entry
-    a_val = _a_hat((last[0] - 1, last[1]), first, ctx)
-    for u in range(s - 1):
-        a_val = a_val * _a_hat(z[ts[u] - 1], z[ts[u + 1] - 1], ctx)
-    b_val = ctx.one
+    # the (x, y) of each a-hat, then of each b-hat
+    a_pairs = [((last[0] - 1, last[1]), first)]
+    a_pairs += [(z[ts[u] - 1], z[ts[u + 1] - 1]) for u in range(len(ts) - 1)]
+    b_pairs = []
     prev = 0
     for tu in ts:
-        for j in range(prev + 1, tu):
-            b_val = b_val * _b_hat(z[tu - 1], z[j - 1], ctx)
+        b_pairs += [(z[tu - 1], z[j - 1]) for j in range(prev + 1, tu)]
         prev = tu
-    for j in range(ts[-1] + 1, n + 1):
-        b_val = b_val * _b_hat(raised, z[j - 1], ctx)
-    b_val = b_val * (ctx.monomial(*raised) - ctx.monomial(0, 1 - n))
-    return a_val, b_val
+    b_pairs += [(raised, z[j - 1]) for j in range(ts[-1] + 1, n + 1)]
+    factors, divisors = [], []
+    for x, y in a_pairs:
+        factors.append(ctx.t - ctx.one)
+        divisors.append(ctx.one_minus(y[0] - x[0], y[1] - x[1]))
+    for x, y in b_pairs:
+        a, b = y[0] - x[0], y[1] - x[1]
+        factors.append(ctx.one - ctx.monomial(a, b + 1))
+        divisors.append(ctx.one_minus(a, b))
+    factors.append(ctx.monomial(*raised) - ctx.monomial(0, 1 - n))
+    return factors, divisors
 
 
 def pieri_r1_product_form(eta: Composition,
-                          ctx: ScalarContext = GENERIC) -> list[PieriProductForms]:
-    """The r = 1 coefficients in fully factored form, one entry per maximal
-    index set, with the raised/fixed position split (g1/g0) for inspection.
+                          ctx: ScalarContext = GENERIC) -> dict:
+    """r = 1 coefficients in product form, one per maximal index set:
 
-    coefficient = (1-q) d'_eta(1/q,1/t) A_I B~_I
-                  / (d'_lam(1/q,1/t) q^(eta_{t1}+1) (t-1)).
+    (1-q) d'_eta(1/q,1/t) A_I B~_I / (d'_lam(1/q,1/t) q^(eta_{t1}+1) (t-1)),
+
+    multiplied out in parts and normalised once (``ctx.product``).  Zero
+    coefficients are dropped.
     """
     eta = comb.as_composition(eta)
-    n = len(eta)
     dpr_eta = comb.hook_d_prime_inverted(eta, ctx)
-    out = []
+    out = {}
     for index_set in comb.maximal_sets(eta):
         lam = comb.c_I_apply(eta, index_set)
         t1 = min(index_set)
-        a_val, b_val = _product_factors(eta, index_set, ctx)
-        coeff = ((ctx.q - ctx.one) * dpr_eta * a_val * b_val
-                 / (comb.hook_d_prime_inverted(lam, ctx)
-                    * ctx.monomial(eta[t1 - 1] + 1, 0) * ctx.one_minus(0, 1)))
-        sigma = comb.successor_test(eta, lam)
-        g0 = tuple(i for i in range(1, n + 1)
-                   if lam[sigma[i - 1] - 1] == eta[i - 1])
-        g1 = tuple(i for i in range(1, n + 1)
-                   if lam[sigma[i - 1] - 1] == eta[i - 1] + 1)
-        out.append(PieriProductForms(
-            index_set=tuple(sorted(index_set)),
-            lam=lam,
-            aI=a_val,
-            bI=b_val,
-            g0=g0,
-            g1=g1,
-            coefficient=coeff,
-        ))
+        factors, divisors = _product_factors(eta, index_set, ctx)
+        coeff = ctx.product(
+            [ctx.q - ctx.one, dpr_eta, *factors],
+            [*divisors, comb.hook_d_prime_inverted(lam, ctx),
+             ctx.monomial(eta[t1 - 1] + 1, 0), ctx.one_minus(0, 1)])
+        if coeff:
+            out[lam] = coeff
     return out
 
 

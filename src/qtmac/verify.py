@@ -170,9 +170,7 @@ def suite_pieri_agreement(max_n: int, max_mod: int,
         oracle = pieri.product_expand_oracle(eta, 1, ctx)
         closed = pieri.pieri_r1_closed(eta, ctx)
         homog = pieri.pieri_homogeneous(eta, 1, ctx)
-        product = {pf.lam: pf.coefficient
-                   for pf in pieri.pieri_r1_product_form(eta, ctx)
-                   if pf.coefficient}
+        product = pieri.pieri_r1_product_form(eta, ctx)
         for name, table in (("closed", closed), ("recursion", homog),
                             ("product-form", product)):
             if table != oracle:

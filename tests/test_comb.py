@@ -8,7 +8,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from qtmac.algebra import GENERIC, AlgebraError
-from qtmac import comb
+from qtmac import comb, emac, istar
 
 from helpers import apply_perm, successor_search
 
@@ -321,3 +321,17 @@ def test_as_composition_errors(parts, error, message):
         comb.as_composition(parts)
     assert type(err.value) is error
     assert message is None or str(err.value) == message
+
+
+# int() would round 1.5 down to 1 and answer for that input instead
+@pytest.mark.parametrize("call", [
+    lambda: emac.symmetrize_P((1.5, 0)),
+    lambda: emac.psi_coefficient((1.5,), (2.5,), 1),
+    lambda: comb.c_I_apply((0, 0), (1.5,)),
+    lambda: comb.c_I_operator_word((0, 0), (1.5,)),
+    lambda: istar.expand_eigenword((0, 1), 1.5),
+], ids=["symmetrize_P", "psi_coefficient", "c_I_apply", "c_I_operator_word",
+        "expand_eigenword"])
+def test_non_integral_parts_are_refused(call):
+    with pytest.raises(AlgebraError, match=r"must be integers: 1\.5$"):
+        call()

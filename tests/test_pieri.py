@@ -329,7 +329,20 @@ def test_pieri_r1_closed_building_blocks():
      "1 - q^-1*t^-1"),
     (lambda: pieri.pieri_r1_product_form((1, 0), specialized(2, Fraction(1, 2))),
      "1 - q*t"),
-], ids=["delta", "a-hat", "beta", "b-hat"])
+    # d' of lam, divided by in the product form
+    (lambda: pieri.pieri_r1_product_form((1, 0), specialized(-1, Fraction(1, 2))),
+     "1 - q^-2"),
+    (lambda: pieri.pieri_r1_product_form((0, 1), specialized(Fraction(1, 2), 4)),
+     "1 - q^-2*t^-1"),
+    # d' of eta, a factor taken before any index set
+    (lambda: pieri.pieri_r1_product_form((0, 1), specialized(2, Fraction(1, 2))),
+     "1 - q^-1*t^-1"),
+    # a b-hat's 1 - y/x with both exponents negative
+    (lambda: pieri.pieri_r1_product_form((1, 0, 0),
+                                         specialized(2, Fraction(1, 2))),
+     "1 - q^-2*t^-2"),
+], ids=["delta", "a-hat", "beta", "b-hat", "d-prime-lam", "d-prime-lam-t",
+        "d-prime-eta", "b-hat-negative"])
 def test_r1_factors_name_the_vanishing_factor(call, factor):
     with pytest.raises(SpecializationError,
                        match=f"^factor {re.escape(factor)} vanishes"):
@@ -337,21 +350,17 @@ def test_r1_factors_name_the_vanishing_factor(call, factor):
 
 
 def test_pieri_r1_product_form_hand_values():
-    forms = {pf.lam: pf for pf in pieri.pieri_r1_product_form((0, 0))}
-    pf10 = forms[(1, 0)]
-    assert pf10.aI * pf10.bI == -(T - 1)
-    assert pf10.coefficient == G.one
-    pf01 = forms[(0, 1)]
-    assert pf01.coefficient == T * (Q - 1) / (Q * T - 1)
-    forms = {pf.lam: pf for pf in pieri.pieri_r1_product_form((0, 1))}
-    assert forms[(1, 1)].coefficient == (Q - 1) / (Q * T - 1)
-
-
-def test_product_form_g_sets_partition_positions():
-    for pf in pieri.pieri_r1_product_form((1, 0, 2)):
-        n = 3
-        assert sorted(pf.g0 + pf.g1) == [1, 2, 3]
-        assert len(pf.g1) == 1  # exactly one raised box at r = 1
+    # A_I B~_I for eta = (0, 0), I = {1}
+    assert GENERIC.product(*pieri._product_factors((0, 0), (1,), GENERIC)) \
+        == -(T - 1)
+    assert pieri.pieri_r1_product_form((0, 0)) == {
+        (1, 0): G.one,
+        (0, 1): T * (Q - 1) / (Q * T - 1),
+    }
+    assert pieri.pieri_r1_product_form((0, 1)) == {
+        (0, 2): G.one,
+        (1, 1): (Q - 1) / (Q * T - 1),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +432,7 @@ def test_four_way_agreement_small():
         oracle = pieri.product_expand_oracle(eta, 1)
         assert pieri.pieri_r1_closed(eta) == oracle, eta
         assert pieri.pieri_homogeneous(eta, 1) == oracle, eta
-        product = {pf.lam: pf.coefficient
-                   for pf in pieri.pieri_r1_product_form(eta) if pf.coefficient}
-        assert product == oracle, eta
+        assert pieri.pieri_r1_product_form(eta) == oracle, eta
 
 
 def test_general_r_agreement_small():

@@ -96,8 +96,25 @@ def test_one_home_for_the_hecke_operators():
     # td T_i and td H_i are written out once, in hecke_step; the raise of E
     # keeps its tn T_j^-1 inline in the recursion, its one caller
     callers = _callers("demazure_lustig")
-    assert callers == {("emac.py", "hecke_step"), ("emac.py", "_generate")}, \
+    assert callers == {("emac.py", "hecke_step"), ("emac.py", "common_form")}, \
         f"demazure_lustig called from {sorted(callers)}"
+
+
+# int() rounds 1.5 toward zero and so answers for another input; every part,
+# index or position read from a caller goes through comb._part instead
+@pytest.mark.parametrize("name", ["comb.py", "emac.py", "istar.py",
+                                  "pieri.py"])
+def test_no_truncating_int(name):
+    tree = ast.parse((PACKAGE / name).read_text(), filename=name)
+    allowed = set()
+    if name == "comb.py":
+        (part,) = [node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_part"]
+        allowed = {id(node) for node in ast.walk(part)}
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "int" and id(node) not in allowed]
+    assert not lines, f"{name}: int(...) at lines {lines}"
 
 
 # an oracle must not reach the fast path it checks
