@@ -111,9 +111,11 @@ def test_no_truncating_int(name):
         (part,) = [node for node in tree.body
                    if isinstance(node, ast.FunctionDef) and node.name == "_part"]
         allowed = {id(node) for node in ast.walk(part)}
+    # int called, or passed to a call as in map(int, parts)
     lines = [node.lineno for node in ast.walk(tree)
-             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-             and node.func.id == "int" and id(node) not in allowed]
+             if isinstance(node, ast.Call) and id(node) not in allowed
+             and any(isinstance(f, ast.Name) and f.id == "int"
+                     for f in [node.func, *node.args])]
     assert not lines, f"{name}: int(...) at lines {lines}"
 
 
