@@ -35,7 +35,6 @@ from .comb import (
     successors_layered,
 )
 from .emac import (
-    apply_phi_q,
     generate_E,
     norm_N,
     psi_coefficient,

@@ -19,8 +19,8 @@ becomes a denominator is factored by trial division: by the cyclotomic
 factors of the edge polynomials of its Newton polygon (every line factor
 divides one of those), then by the factors sympy found before.  Only a
 cofactor left over after that goes to sympy's ``factor_list``, which is
-imported at the first such call; the calls are memoised and counted by
-reason in :data:`FALLBACKS`.
+imported at the first such call; the calls are counted by reason in
+:data:`FALLBACKS`.
 
 A "specialized" mode replaces the symbolic field by exact ``Fraction``
 arithmetic after substituting rational values for (q,t).  Both modes expose
@@ -524,7 +524,6 @@ def _edge_factors(p: Poly) -> list:
 # sympy factor_list calls, by reason: a cofactor left after trial division
 # whose terms lie on one line ("line") or not ("general")
 FALLBACKS: collections.Counter = collections.Counter()
-_FALLBACK_MEMO: dict = {}
 
 
 @functools.lru_cache(maxsize=None)
@@ -539,23 +538,20 @@ def _sympy_ring():
 
 def _sympy_factors(p: Poly) -> list:
     """[(Factor, multiplicity)] of a primitive p with no monomial factor,
-    from sympy's factor_list, memoised and counted in FALLBACKS."""
-    key = frozenset(p.items())
-    found = _FALLBACK_MEMO.get(key)
-    if found is None:
-        FALLBACKS["line" if _on_one_line(p) else "general"] += 1
-        _, pairs = _sympy_ring().from_dict(
-            {(k >> _SHIFT, k & _MASK): c for k, c in p.items()}).factor_list()
-        found = []
-        for f, m in pairs:
-            poly = Poly({_pack(i, j): int(c) for (i, j), c in f.items()})
-            if poly[max(poly, key=_grlex_key)] < 0:
-                poly = -poly
-            f = _intern(poly)
-            if f not in _SYMPY_FOUND:
-                _SYMPY_FOUND.append(f)
-            found.append((f, m))
-        _FALLBACK_MEMO[key] = found
+    from sympy's factor_list, counted in FALLBACKS.  Each factor is kept in
+    _SYMPY_FOUND, so trial division finds it in any later cofactor."""
+    FALLBACKS["line" if _on_one_line(p) else "general"] += 1
+    _, pairs = _sympy_ring().from_dict(
+        {(k >> _SHIFT, k & _MASK): c for k, c in p.items()}).factor_list()
+    found = []
+    for f, m in pairs:
+        poly = Poly({_pack(i, j): int(c) for (i, j), c in f.items()})
+        if poly[max(poly, key=_grlex_key)] < 0:
+            poly = -poly
+        f = _intern(poly)
+        if f not in _SYMPY_FOUND:
+            _SYMPY_FOUND.append(f)
+        found.append((f, m))
     return found
 
 

@@ -28,12 +28,12 @@ def as_composition(parts) -> Composition:
     return eta
 
 
-def _part(x) -> int:
+def _part(x, noun: str = "composition parts") -> int:
     """x as an int: a numeral string, or an integral number; int() alone
-    would round 1.5 toward zero."""
+    would round 1.5 toward zero.  ``noun`` names what x was read as."""
     k = int(x)
     if k != x and not isinstance(x, str):
-        raise AlgebraError(f"composition parts must be integers: {x!r}")
+        raise AlgebraError(f"{noun} must be integers: {x!r}")
     return k
 
 
@@ -309,16 +309,22 @@ def is_successor(eta: Composition, lam: Composition) -> bool:
 # minimal raises c_I and maximal index sets
 # ---------------------------------------------------------------------------
 
+def _index_set(index_set, n: int) -> tuple[int, ...]:
+    """I as its positions t_1 < ... < t_s: nonempty, distinct integers in
+    1..n."""
+    ts = tuple(sorted(_part(x, "index set entries") for x in index_set))
+    if not ts or ts[0] < 1 or ts[-1] > n or len(set(ts)) != len(ts):
+        raise AlgebraError(f"invalid index set {index_set} for n={n}")
+    return ts
+
+
 def c_I_apply(eta: Composition, index_set) -> Composition:
     """Cycle the selected entries down one slot and raise the first by one.
 
     Position t_k receives eta_{t_{k+1}} (k < s), position t_s receives
     eta_{t_1} + 1, and positions outside I are untouched.
     """
-    n = len(eta)
-    ts = tuple(sorted(map(_part, index_set)))
-    if not ts or ts[0] < 1 or ts[-1] > n or len(set(ts)) != len(ts):
-        raise AlgebraError(f"invalid index set {index_set} for n={n}")
+    ts = _index_set(index_set, len(eta))
     out = list(eta)
     s = len(ts)
     for k in range(s - 1):
@@ -390,9 +396,7 @@ def c_I_operator_word(eta: Composition, index_set) -> list[Composition]:
     every intermediate composition in order (the last equals c_I(eta)).
     """
     n = len(eta)
-    ts = tuple(sorted(map(_part, index_set)))
-    if not ts or ts[0] < 1 or ts[-1] > n:
-        raise AlgebraError(f"invalid index set {index_set} for n={n}")
+    ts = _index_set(index_set, n)
     t1 = ts[0]
     steps = []
     cur = eta

@@ -2,11 +2,12 @@
 
 E_eta is the monic basis element labelled by the composition eta: it equals
 z^eta plus strictly lower monomials, and the family is generated recursively
-from E_0 = 1 by the Demazure-Lustig switching operators T_i and the raising
-operator Phi_q = z_n T_{n-1}^{-1} ... T_1^{-1}.  One recursion,
-:func:`common_form`, generates both E_eta and the interpolation polynomials
-Estar_eta of :mod:`qtmac.istar`, over a common denominator in ring
-arithmetic.
+from E_0 = 1 by the Demazure-Lustig switching operators T_i and the
+Knop-Sahi raise E_eta(z) = q^(-mu_1) z_n E_mu(q z_n, z_1, ..., z_{n-1})
+for eta = (mu_2, ..., mu_n, mu_1 + 1).  One recursion, :func:`common_form`,
+generates both E_eta and the interpolation polynomials Estar_eta of
+:mod:`qtmac.istar`, over a common denominator in ring arithmetic, and both
+families raise through the one operator :func:`phi_form`.
 
 The operators on such forms live here alone, and the recursion, the Hecke
 symmetrization and the eigenoperators of :mod:`qtmac.istar` run them:
@@ -57,7 +58,8 @@ def phi_form(den, p: ZPolynomial, ctx: ScalarContext = GENERIC,
              qpower: int = 0) -> tuple[object, ZPolynomial]:
     """q^qpower Phi (P / D) as a form, from the form (D, P), in one pass
     over P: Phi p = (z_n - t^(1-n)) p(z_n/q, z_1, ..., z_{n-1}) raises the
-    Estar_eta."""
+    Estar_eta, and its top degree at the reciprocal parameters the E_eta
+    (:func:`common_form`)."""
     if p.is_zero:
         return den, p
     n = p.nvars
@@ -83,12 +85,6 @@ def phi_form(den, p: ZPolynomial, ctx: ScalarContext = GENERIC,
     return den * sd * qd ** (hi - lo) * un, ZPolynomial(n, terms, p.laurent)
 
 
-def apply_phi_q(eta: Composition, ctx: ScalarContext = GENERIC):
-    """Action of the raising operator on the basis: (scalar, raised label)."""
-    count = sum(1 for x in eta[1:] if x <= eta[0])
-    return ctx.monomial(0, -count), comb.phi_shift(eta)
-
-
 # ---------------------------------------------------------------------------
 # recursive generation
 # ---------------------------------------------------------------------------
@@ -111,9 +107,11 @@ def common_form(eta: Composition, star: bool = False,
     Switching from mu = s_i eta is E_eta = (T_i - c) E_mu / t and
     Estar_eta = (H_i - c) Estar_mu (:func:`hecke_step`), with c the
     diagonal coefficient of :func:`comb.basis_action`.  Raising from mu is
-    E_eta = t^count Phi_q E_mu with Phi_q = z_n T_{n-1}^-1 ... T_1^-1 (see
-    :func:`apply_phi_q`), and Estar_eta = q^(mu_1) Phi Estar_mu
-    (:func:`phi_form`).
+    Estar_eta = q^(mu_1) Phi Estar_mu (:func:`phi_form`).  E_eta is the
+    Knop-Sahi raise q^(-mu_1) z_n E_mu(q z_n, z_1, ..., z_{n-1}), which is
+    the top degree of the same step taken at the reciprocal parameters
+    (1/q, 1/t): there Phi E_mu is (z_n - t^(n-1)) E_mu(q z_n, z_1, ...), and
+    E_mu is homogeneous, so the t^(n-1) part lies one degree lower.
     """
     n = len(eta)
     step = comb.generation_step(eta)
@@ -122,8 +120,8 @@ def common_form(eta: Composition, star: bool = False,
         return one, ZPolynomial.constant(n, one)
     mu, i = step
     den, p = common_form(mu, star, ctx)
-    tn, td = ctx.parts(ctx.t)
     if i is not None:
+        _, td = ctx.parts(ctx.t)
         table = comb.basis_action(i, mu, ctx.one if star else ctx.t, ctx)
         cn, factor = ctx.parts(table[mu])
         p = hecke_step(i, p, ctx, star).scale(factor) - p.scale(td * cn)
@@ -134,15 +132,8 @@ def common_form(eta: Composition, star: bool = False,
     elif star:
         den, p = phi_form(den, p, ctx, mu[0])
     else:
-        # tn T_j^-1 = td + (tn z_j - td z_{j+1}) * divided difference
-        for j in range(1, n):
-            p = demazure_lustig(j, p, td, tn, -td)
-        p = ZPolynomial(n, {e[:-1] + (e[-1] + 1,): c
-                            for e, c in p.terms.items()})
-        den = den * tn ** (n - 1)
-        scalar, _ = apply_phi_q(mu, ctx)
-        sn, sd = ctx.parts(scalar)
-        p, den = p.scale(sd), den * sn
+        den, p = phi_form(den, p, ctx.inverted(), mu[0])
+        p = p.top_homogeneous()
     den, terms = ctx.cancel_common(den, p.terms)
     return den, ZPolynomial(n, terms)
 
@@ -198,7 +189,7 @@ def hecke_symmetrize(den, p: ZPolynomial,
 
 
 def _partition_args(kappa, n: int | None = None, ctx: ScalarContext = GENERIC):
-    kappa = tuple(map(comb._part, kappa))
+    kappa = tuple(comb._part(x, "partition parts") for x in kappa)
     if n is None:
         n = len(kappa)
     if len(kappa) > n:
@@ -254,8 +245,8 @@ def psi_coefficient(kappa, lam, n: int | None = None,
     (1 - q^(k_i-k_j) t^(j-i+theta_i-theta_j)) / (1 - q^(k_i-k_j) t^(j-i)),
     with theta = lam - kappa and t^delta = (t^(n-1),...,t,1).
     """
-    kappa = tuple(map(comb._part, kappa))
-    lam = tuple(map(comb._part, lam))
+    kappa = tuple(comb._part(x, "partition parts") for x in kappa)
+    lam = tuple(comb._part(x, "partition parts") for x in lam)
     if n is None:
         n = max(len(kappa), len(lam))
     kap = kappa + (0,) * (n - len(kappa))

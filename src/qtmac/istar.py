@@ -285,7 +285,7 @@ def one_step_ratio(eta: Composition, lam: Composition,
 
 
 def _word_args(eta, k: int, ctx: ScalarContext = GENERIC):
-    return comb.as_composition(eta), comb._part(k), ctx
+    return comb.as_composition(eta), comb._part(k, "word positions"), ctx
 
 
 @memo(_word_args)

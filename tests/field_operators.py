@@ -2,7 +2,8 @@
 every operation: the references for the operators on forms of
 ``qtmac.emac``."""
 
-from qtmac.algebra import ZPolynomial, demazure_lustig
+from qtmac import comb
+from qtmac.algebra import GENERIC, ZPolynomial, demazure_lustig
 
 
 def field_T(i, p, ctx):
@@ -28,6 +29,13 @@ def field_phi_q(p, ctx):
         p = field_T_inverse(i, p, ctx)
     zn = ZPolynomial.monomial(n, (0,) * (n - 1) + (1,), ctx.one, p.laurent)
     return zn * p
+
+
+def apply_phi_q(eta, ctx=GENERIC):
+    """Action of field_phi_q on the basis: (scalar, raised label), with
+    field_phi_q E_eta == scalar E_(raised label)."""
+    count = sum(1 for x in eta[1:] if x <= eta[0])
+    return ctx.monomial(0, -count), comb.phi_shift(eta)
 
 
 def field_phi_star(p, ctx):

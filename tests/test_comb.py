@@ -214,6 +214,24 @@ def test_c_I_small_examples():
         comb.c_I_apply((0, 0), (3,))
 
 
+@pytest.mark.parametrize("index_set, message", [
+    ((1, 1), "invalid index set (1, 1) for n=3"),
+    ((2, 3, 2), "invalid index set (2, 3, 2) for n=3"),
+    ((0, 1), "invalid index set (0, 1) for n=3"),
+    ((4,), "invalid index set (4,) for n=3"),
+    ((), "invalid index set () for n=3"),
+    ((1.5,), "index set entries must be integers: 1.5"),
+], ids=["repeated", "repeated-unsorted", "zero", "above-n", "empty",
+        "non-integral"])
+def test_c_I_readers_refuse_the_same_index_sets(index_set, message):
+    # c_I_apply and c_I_operator_word read I the same way: a repeated
+    # entry is refused, not read as the set without its repeat
+    for read in (comb.c_I_apply, comb.c_I_operator_word):
+        with pytest.raises(AlgebraError) as err:
+            read((0, 1, 0), index_set)
+        assert str(err.value) == message, read.__name__
+
+
 def test_maximal_sets_examples():
     assert comb.maximal_sets((1, 1, 1)) == [(1,), (1, 2), (1, 2, 3)]
     assert comb.maximal_sets((0, 0)) == [(1,), (1, 2)]
@@ -323,15 +341,17 @@ def test_as_composition_errors(parts, error, message):
     assert message is None or str(err.value) == message
 
 
-# int() would round 1.5 down to 1 and answer for that input instead
-@pytest.mark.parametrize("call", [
-    lambda: emac.symmetrize_P((1.5, 0)),
-    lambda: emac.psi_coefficient((1.5,), (2.5,), 1),
-    lambda: comb.c_I_apply((0, 0), (1.5,)),
-    lambda: comb.c_I_operator_word((0, 0), (1.5,)),
-    lambda: istar.expand_eigenword((0, 1), 1.5),
+# int() would round 1.5 down to 1 and answer for that input instead; the
+# error names what the number was read as
+@pytest.mark.parametrize("call, noun", [
+    (lambda: emac.symmetrize_P((1.5, 0)), "partition parts"),
+    (lambda: emac.psi_coefficient((1.5,), (2.5,), 1), "partition parts"),
+    (lambda: comb.c_I_apply((0, 0), (1.5,)), "index set entries"),
+    (lambda: comb.c_I_operator_word((0, 0), (1.5,)), "index set entries"),
+    (lambda: istar.expand_eigenword((0, 1), 1.5), "word positions"),
 ], ids=["symmetrize_P", "psi_coefficient", "c_I_apply", "c_I_operator_word",
         "expand_eigenword"])
-def test_non_integral_parts_are_refused(call):
-    with pytest.raises(AlgebraError, match=r"must be integers: 1\.5$"):
+def test_non_integral_parts_are_refused(call, noun):
+    with pytest.raises(AlgebraError, match=r"must be integers: 1\.5$") as err:
         call()
+    assert str(err.value) == f"{noun} must be integers: 1.5"

@@ -8,7 +8,7 @@ from qtmac.algebra import (GENERIC, AlgebraError, ZPolynomial,
                            elementary_symmetric, field_view, ring_form)
 from qtmac import comb, emac
 
-from field_operators import field_phi_q, field_T, field_T_inverse
+from field_operators import apply_phi_q, field_phi_q, field_T, field_T_inverse
 from helpers import swap_vars, variable
 from test_algebra import SUM_CONTEXTS
 
@@ -148,17 +148,17 @@ def test_act_T_basis_consistency_with_operator():
 
 
 def test_apply_phi_q_examples():
-    scalar, label = emac.apply_phi_q((0, 0))
+    scalar, label = apply_phi_q((0, 0))
     assert scalar == G.monomial(0, -1) and label == (0, 1)
-    scalar, label = emac.apply_phi_q((1, 0))
+    scalar, label = apply_phi_q((1, 0))
     assert scalar == G.monomial(0, -1) and label == (0, 2)
-    scalar, label = emac.apply_phi_q((0, 3, 3))
+    scalar, label = apply_phi_q((0, 3, 3))
     assert scalar == G.one and label == (3, 3, 1)
 
 
 def test_phi_q_operator_matches_basis_action():
     for eta in comb.compositions_up_to(2, 2):
-        scalar, label = emac.apply_phi_q(eta)
+        scalar, label = apply_phi_q(eta)
         lhs = field_phi_q(emac.generate_E(eta), G)
         assert lhs == emac.generate_E(label).scale(scalar), eta
 
