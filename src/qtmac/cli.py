@@ -72,10 +72,17 @@ def cache_key(kind: str, n: int, inputs: dict, params: str) -> str:
 
 def cache_store(doc: dict, cache_dir: str) -> str:
     """Atomic publish: write a temp file in the target dir, then rename."""
-    os.makedirs(cache_dir, exist_ok=True)
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    except OSError as exc:
+        # makedirs raises FileExistsError for a file of that name
+        reason = ("not a directory" if isinstance(exc, FileExistsError)
+                  else exc.strerror)
+        raise UsageError(f"cannot store in --cache-dir {cache_dir}: "
+                         f"{reason}") from exc
     path = os.path.join(cache_dir,
                         cache_key(doc["kind"], doc["n"], doc, doc["params"]))
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(to_json(doc))

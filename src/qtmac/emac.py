@@ -14,8 +14,9 @@ symmetrization and the eigenoperators of :mod:`qtmac.istar` run them:
 :func:`hecke_step` (T_i, or H_i of the Estar_eta) and :func:`phi_form`.
 
 Also here: the norms N_eta (up to the common <1,1> factor), Hecke
-symmetrization to the symmetric Macdonald polynomial P_kappa, and the
-classical vertical-strip branching coefficients used as a cross-check.
+symmetrization to the symmetric Macdonald polynomial P_kappa by a coset
+product in n(n-1)/2 Hecke steps, and the classical vertical-strip
+branching coefficients used as a cross-check.
 """
 
 from __future__ import annotations
@@ -157,35 +158,24 @@ def norm_N(eta: Composition, ctx: ScalarContext = GENERIC):
 
 def hecke_symmetrize(den, p: ZPolynomial,
                      ctx: ScalarContext = GENERIC) -> tuple[object, ZPolynomial]:
-    """The sum of T_w (P / D) over all permutations w, one reduced word per
-    w, as a form (D', S) from the form (D, P) (see ``algebra.ring_form``).
+    """The sum of T_w (P / D) over all w in S_n as a form (D', S), from the
+    form (D, P) (see ``algebra.ring_form``).
 
-    Each step applies td T_i (:func:`hecke_step`), and the partial sum is
-    multiplied by td once per length, so S sums td^(L - l(w)) td^l(w) T_w P
-    with L the longest length and D' = D td^L.
+    Each w in S_(k+1) is u c, lengths adding, with u in S_k and c one of the
+    coset representatives 1, s_k, s_k s_(k-1), ..., s_k ... s_1, so the sum
+    is C_1 C_2 ... C_(n-1) with C_k = 1 + T_k (1 + T_(k-1) (... (1 + T_1))).
+    C_(n-1) acts first.  Inside C_k, steps i = 1..k set term = f + T_i term
+    for the factor's input f (:func:`hecke_step`): n(n-1)/2 steps in all,
+    each multiplying D by td.
     """
-    n = p.nvars
     _, td = ctx.parts(ctx.t)
-    identity = tuple(range(1, n + 1))
-    frontier = {identity: p}
     total = p
-    while True:
-        nxt = {}
-        for w, tw in frontier.items():
-            for i in range(1, n):
-                # left multiplication by s_i lengthens w iff value i sits
-                # before value i+1 in the image tuple
-                if w.index(i) < w.index(i + 1):
-                    sw = tuple(i + 1 if v == i else (i if v == i + 1 else v)
-                               for v in w)
-                    if sw not in nxt:
-                        nxt[sw] = hecke_step(i, tw, ctx)
-        if not nxt:
-            return den, total
-        den, total = den * td, total.scale(td)
-        for v in nxt.values():
-            total = total + v
-        frontier = nxt
+    for k in range(p.nvars - 1, 0, -1):
+        f = total
+        for i in range(1, k + 1):
+            f, den = f.scale(td), den * td
+            total = f + hecke_step(i, total, ctx)
+    return den, total
 
 
 def _partition_args(kappa, n: int | None = None, ctx: ScalarContext = GENERIC):
@@ -205,9 +195,10 @@ def symmetrize_P(kappa, n: int | None = None,
                  ctx: ScalarContext = GENERIC) -> ZPolynomial:
     """The symmetric Macdonald polynomial P_kappa in n variables, memoised.
 
-    Hecke-symmetrizes E_kappa in ring arithmetic to a form (D, S) and
-    divides by the coefficient of the dominant monomial z^kappa: P_kappa
-    is S / S[kappa], so D cancels and each coefficient is normalised once.
+    Hecke-symmetrizes E_kappa in ring arithmetic, over the cosets in
+    n(n-1)/2 Hecke steps, to a form (D, S) and divides by the coefficient
+    of the dominant monomial z^kappa: P_kappa is S / S[kappa], so D
+    cancels and each coefficient is normalised once.
     Where that coefficient vanishes at ctx's point, SpecializationError
     names its value over Q(q,t).
     """

@@ -829,6 +829,20 @@ def test_cache_rewrites_another_querys_document(mismatch, tmp_path, capsys):
         assert fh.read() == stored
 
 
+def test_cache_dir_that_is_a_file_is_a_usage_error(tmp_path, capsys):
+    # the result is computed, then cannot be stored: one error line, no
+    # document and no traceback
+    cache = tmp_path / "cache"
+    cache.write_text("not a directory\n")
+    code, out, err = run_cli(["e", "--eta", "1,0", "--cache-dir", str(cache)],
+                             capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: cannot store in --cache-dir {cache}: " \
+        "not a directory\n"
+    assert cache.read_text() == "not a directory\n"
+
+
 def test_cache_concurrent_duplicate_store(tmp_path):
     doc = cli.result_document("e", 2, {"eta": "2,1"}, "symbolic", "x")
     errors = []

@@ -272,9 +272,10 @@ def field_hecke_symmetrize(p, ctx):
 
 @SUM_CONTEXTS
 def test_ring_symmetrization_is_the_field_sum(ctx):
-    # on every E_eta, symmetric or not, and P_kappa = S / S[kappa]
-    for n in (1, 2, 3):
-        for eta in comb.compositions_up_to(n, 3):
+    # on every E_eta, symmetric or not, and P_kappa = S / S[kappa]; n = 4
+    # is the first n whose coset product has three factors
+    for n, size in ((1, 3), (2, 3), (3, 3), (4, 2)):
+        for eta in comb.compositions_up_to(n, size):
             p = emac.generate_E(eta, ctx)
             expected = field_hecke_symmetrize(p, ctx)
             got = field_view(*emac.hecke_symmetrize(*ring_form(p, ctx), ctx),
@@ -283,6 +284,22 @@ def test_ring_symmetrization_is_the_field_sum(ctx):
             if comb.is_partition(eta):
                 assert emac.symmetrize_P(eta, n, ctx) == expected.scale(
                     expected.coefficient(eta) ** -1), eta
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_symmetrization_takes_one_hecke_step_per_pair(n, monkeypatch):
+    # the coset product C_1 ... C_(n-1) makes n(n-1)/2 steps, not n! - 1
+    form = emac.common_form((1,) + (0,) * (n - 1))
+    calls = []
+    step = emac.hecke_step
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(emac, "hecke_step", counted)
+    emac.hecke_symmetrize(*form)
+    assert len(calls) == n * (n - 1) // 2
 
 
 def test_symmetrize_P_rejects_non_partition():

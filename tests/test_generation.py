@@ -73,10 +73,16 @@ def test_ring_generation_is_the_field_recursion(ctx):
     (["e", "--eta", "3,1,2,0,2"], "e_3-1-2-0-2.txt"),
     (["innerprod", "--eta", "0,1,0", "--nu", "0,1,0", "--k", "2"],
      "innerprod_0-1-0_0-1-0_k2.txt"),
+    (["psi", "--eta", "2,1,1,0,0", "--lam", "2,2,1,1,0"],
+     "psi_2-1-1-0-0_2-2-1-1-0.txt"),
+    (["psi", "--eta", "1,1,0,0,0,0", "--lam", "1,1,1,0,0,0", "--params",
+      "q=11/13,t=17/19"], "psi_1-1-0-0-0-0_1-1-1-0-0-0_q11-13_t17-19.txt"),
 ], ids=lambda value: value[0] if isinstance(value, list) else None)
 def test_stdout_matches_the_field_recursion(argv, golden, capsys):
     # stdout captured from the field recursion and the expanded
     # constant-term product, byte for byte; the two e documents at n = 5
-    # were captured when E was still raised by z_n T_{n-1}^-1 ... T_1^-1
+    # were captured when E was still raised by z_n T_{n-1}^-1 ... T_1^-1,
+    # and the two psi documents when P_kappa still summed T_w by a walk
+    # over all n! permutations
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
