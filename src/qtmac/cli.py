@@ -73,14 +73,10 @@ def cache_key(kind: str, n: int, inputs: dict, params: str) -> str:
 def cache_store(doc: dict, cache_dir: str) -> str:
     """Atomic publish: write a temp file in the target dir, then rename."""
     try:
-        os.makedirs(cache_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     except OSError as exc:
-        # makedirs raises FileExistsError for a file of that name
-        reason = ("not a directory" if isinstance(exc, FileExistsError)
-                  else exc.strerror)
         raise UsageError(f"cannot store in --cache-dir {cache_dir}: "
-                         f"{reason}") from exc
+                         f"{exc.strerror}") from exc
     path = os.path.join(cache_dir,
                         cache_key(doc["kind"], doc["n"], doc, doc["params"]))
     try:
@@ -224,6 +220,14 @@ def cmd_compute(args) -> int:
     kind, n, inputs, ctx = parse_request(args)
     doc = None
     if args.cache_dir:
+        try:
+            os.makedirs(args.cache_dir, exist_ok=True)
+        except OSError as exc:
+            # makedirs raises FileExistsError for a file of that name
+            reason = ("not a directory" if isinstance(exc, FileExistsError)
+                      else exc.strerror)
+            raise UsageError(f"cannot store in --cache-dir {args.cache_dir}: "
+                             f"{reason}") from exc
         doc = cache_load(kind, n, inputs, ctx.params_label(), args.cache_dir)
     if doc is None:
         doc = compute_document(kind, n, inputs, ctx)

@@ -414,34 +414,25 @@ def c_I_operator_word(eta: Composition, index_set) -> list[Composition]:
 
 
 def maximal_sets(eta: Composition) -> list[tuple[int, ...]]:
-    """All index sets I maximal with respect to eta.
+    """All index sets I maximal with respect to eta, in the order of their
+    masks sum_{t in I} 2^(t-1).
 
-    I = {t_1 < ... < t_s} qualifies when no entry strictly between
-    consecutive selected positions equals the next selected entry, and no
-    entry after t_s equals eta_{t_1} + 1.
+    I = {t_1 < ... < t_s} qualifies when no entry before t_1, or strictly
+    between consecutive selected positions, equals the next selected entry,
+    and no entry after t_s equals eta_{t_1} + 1.  The first condition says
+    that each t_u is the first occurrence of its value after t_{u-1}, so
+    the sets that meet it are walked, each reached once from the set without
+    its last position; those that meet the second condition are kept.
     """
-    n = len(eta)
-    out = []
-    for mask in range(1, 1 << n):
-        ts = [i + 1 for i in range(n) if mask >> i & 1]
-        ok = True
-        prev = 0
-        for u, tu in enumerate(ts):
-            for j in range(prev + 1, tu):
-                if eta[j - 1] == eta[tu - 1]:
-                    ok = False
-                    break
-            if not ok:
-                break
-            prev = tu
-        if ok:
-            for j in range(ts[-1] + 1, n + 1):
-                if eta[j - 1] == eta[ts[0] - 1] + 1:
-                    ok = False
-                    break
-        if ok:
-            out.append(tuple(ts))
-    return out
+    out, chains = [], [()]
+    while chains:
+        ts = chains.pop()
+        last = ts[-1] if ts else 0
+        after = eta[last:]
+        chains += [ts + (last + after.index(v) + 1,) for v in set(after)]
+        if ts and eta[ts[0] - 1] + 1 not in after:
+            out.append(ts)
+    return sorted(out, key=lambda ts: sum(1 << (t - 1) for t in ts))
 
 
 def successors_one_step(eta: Composition) -> list[Composition]:

@@ -71,14 +71,6 @@ def generate_Estar(eta: Composition, ctx: ScalarContext = GENERIC) -> ZPolynomia
     return field_view(*emac.common_form(eta, True, ctx), ctx)
 
 
-def _evaluation_args(eta, mu, ctx: ScalarContext = GENERIC):
-    eta = comb.as_composition(eta)
-    mu = comb.as_composition(mu)
-    if len(eta) != len(mu):
-        raise AlgebraError("spectral_evaluate requires equal lengths")
-    return eta, mu, ctx
-
-
 @memo(comb.label_args)
 def _lane_form(eta: Composition, ctx: ScalarContext = GENERIC):
     """(D, numerators, lanes) for Estar_eta == P / D: the numerators of P
@@ -88,10 +80,9 @@ def _lane_form(eta: Composition, ctx: ScalarContext = GENERIC):
     return den, list(p.terms.values()), ExponentLanes(p.nvars, p.terms)
 
 
-@memo(_evaluation_args)
 def spectral_evaluate(eta: Composition, mu: Composition,
                       ctx: ScalarContext = GENERIC):
-    """Estar_eta evaluated at the spectral point of mu, memoised.
+    """Estar_eta evaluated at the spectral point of mu.
 
     There z^e is the monomial q^(sum e_i mu_i) t^(-sum e_i l'_i(mu)).  The
     lanes of Estar_eta give both exponent sums of all its terms at once,
@@ -100,6 +91,8 @@ def spectral_evaluate(eta: Composition, mu: Composition,
     of Estar_eta (:func:`emac.common_form`), normalised once.  ``at_point``
     on the spectral vector is the general evaluator that checks this one.
     """
+    if len(eta) != len(mu):
+        raise AlgebraError("spectral_evaluate requires equal lengths")
     den, nums, lanes = _lane_form(eta, ctx)
     qweights, tweights = comb.spectral_weights(mu)
     return ctx.monomial_sum(den, nums, lanes.sums(qweights),
@@ -276,6 +269,8 @@ def one_step_ratio(eta: Composition, lam: Composition,
     """Estar_eta(lam-bar) / Estar_lam(lam-bar) for |lam| = |eta| + 1: the
     :func:`c_I_ratio` of I when lam = c_I(eta) for a maximal I, zero
     otherwise."""
+    if len(eta) != len(lam):
+        raise AlgebraError("one_step_ratio requires equal lengths")
     if comb.modulus(lam) != comb.modulus(eta) + 1:
         raise AlgebraError("one_step_ratio requires a modulus gap of one")
     for index_set in comb.maximal_sets(eta):

@@ -72,6 +72,7 @@ def interpolation_expansion(eta: Composition, r: int,
     if not 1 <= r <= n:
         raise AlgebraError(f"r={r} out of range for n={n}")
     layers: list[dict] = []
+    earlier: dict = {}
     for below in _kept_fronts(eta, r, ceiling):
         layer = {}
         for lam in sorted(below):
@@ -79,17 +80,15 @@ def interpolation_expansion(eta: Composition, r: int,
             gn, gd = ctx.parts(comb.spectral_e_gap(eta, lam, r, ctx))
             vn, vd = ctx.parts(istar.spectral_evaluate(eta, lam, ctx))
             num, den = gn * vn, gd * vd
-            under = below[lam]
-            for prev_layer in layers:
-                for mu, a in prev_layer.items():
-                    if mu in under:
-                        an, ad = ctx.parts(a)
-                        vn, vd = ctx.parts(istar.spectral_evaluate(mu, lam, ctx))
-                        den, up, across = ctx.lcm_cofactors(den, ad * vd)
-                        num = num * up - an * vn * across
+            for mu in below[lam].intersection(earlier):
+                an, ad = ctx.parts(earlier[mu])
+                vn, vd = ctx.parts(istar.spectral_evaluate(mu, lam, ctx))
+                den, up, across = ctx.lcm_cofactors(den, ad * vd)
+                num = num * up - an * vn * across
             if num:
                 layer[lam] = ctx.quotient(num * pd, den * pn)
         layers.append(layer)
+        earlier.update(layer)
     return ExpansionTable(eta, r, tuple(layers))
 
 

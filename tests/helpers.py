@@ -60,3 +60,31 @@ def successor_search(eta, lam):
         if is_defining_permutation(eta, lam, perm):
             return perm
     return None
+
+
+def maximal_sets_by_masks(eta):
+    """The index sets maximal with respect to eta, found by filtering all
+    2^n - 1 masks against the definition, in mask order: the reference
+    ``comb.maximal_sets`` is checked against."""
+    n = len(eta)
+    out = []
+    for mask in range(1, 1 << n):
+        ts = [i + 1 for i in range(n) if mask >> i & 1]
+        ok = True
+        prev = 0
+        for u, tu in enumerate(ts):
+            for j in range(prev + 1, tu):
+                if eta[j - 1] == eta[tu - 1]:
+                    ok = False
+                    break
+            if not ok:
+                break
+            prev = tu
+        if ok:
+            for j in range(ts[-1] + 1, n + 1):
+                if eta[j - 1] == eta[ts[0] - 1] + 1:
+                    ok = False
+                    break
+        if ok:
+            out.append(tuple(ts))
+    return out

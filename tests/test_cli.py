@@ -830,8 +830,8 @@ def test_cache_rewrites_another_querys_document(mismatch, tmp_path, capsys):
 
 
 def test_cache_dir_that_is_a_file_is_a_usage_error(tmp_path, capsys):
-    # the result is computed, then cannot be stored: one error line, no
-    # document and no traceback
+    # a file where the cache directory should be: one error line, no
+    # document, no traceback, and the file left as it was
     cache = tmp_path / "cache"
     cache.write_text("not a directory\n")
     code, out, err = run_cli(["e", "--eta", "1,0", "--cache-dir", str(cache)],
@@ -841,6 +841,22 @@ def test_cache_dir_that_is_a_file_is_a_usage_error(tmp_path, capsys):
     assert err == f"error: cannot store in --cache-dir {cache}: " \
         "not a directory\n"
     assert cache.read_text() == "not a directory\n"
+
+
+def test_cache_dir_is_checked_before_computing(tmp_path, capsys,
+                                              monkeypatch):
+    def compute_document(*args):
+        pytest.fail("computed a result that --cache-dir cannot hold")
+
+    monkeypatch.setattr(cli, "compute_document", compute_document)
+    cache = tmp_path / "cache"
+    cache.write_text("not a directory\n")
+    code, out, err = run_cli(["e", "--eta", "1,0", "--cache-dir", str(cache)],
+                             capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: cannot store in --cache-dir {cache}: " \
+        "not a directory\n"
 
 
 def test_cache_concurrent_duplicate_store(tmp_path):

@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 from qtmac.algebra import GENERIC, AlgebraError
 from qtmac import comb, emac, istar
 
-from helpers import apply_perm, successor_search
+from helpers import apply_perm, maximal_sets_by_masks, successor_search
 
 G = GENERIC
 
@@ -249,6 +249,14 @@ def test_maximal_sets_biject_with_one_step_successors():
             filt = {lam for lam in comb.compositions(n, comb.modulus(eta) + 1)
                     if successor_search(eta, lam)}
             assert set(images) == filt, eta
+
+
+def test_maximal_sets_walk_is_the_mask_filter():
+    # every label of the sizes the Pieri route runs at: the same sets, in
+    # the same (mask) order
+    for n in range(1, 7):
+        for eta in comb.compositions_up_to(n, 4):
+            assert comb.maximal_sets(eta) == maximal_sets_by_masks(eta), eta
 
 
 def test_c_I_equals_operator_word_for_maximal_sets():

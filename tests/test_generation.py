@@ -77,12 +77,16 @@ def test_ring_generation_is_the_field_recursion(ctx):
      "psi_2-1-1-0-0_2-2-1-1-0.txt"),
     (["psi", "--eta", "1,1,0,0,0,0", "--lam", "1,1,1,0,0,0", "--params",
       "q=11/13,t=17/19"], "psi_1-1-0-0-0-0_1-1-1-0-0-0_q11-13_t17-19.txt"),
+    (["pieri", "--eta", "1,0,1,0,1,0", "--r", "3", "--params",
+      "q=11/13,t=17/19"], "pieri_1-0-1-0-1-0_r3_q11-13_t17-19.txt"),
 ], ids=lambda value: value[0] if isinstance(value, list) else None)
 def test_stdout_matches_the_field_recursion(argv, golden, capsys):
     # stdout captured from the field recursion and the expanded
     # constant-term product, byte for byte; the two e documents at n = 5
     # were captured when E was still raised by z_n T_{n-1}^-1 ... T_1^-1,
     # and the two psi documents when P_kappa still summed T_w by a walk
-    # over all n! permutations
+    # over all n! permutations; the n = 6 pieri table was captured while
+    # comb.maximal_sets still filtered all 2^n - 1 masks and each Pieri
+    # coefficient scanned every earlier layer for the labels below it
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()

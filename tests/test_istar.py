@@ -255,6 +255,16 @@ def test_one_step_ratio_zero_off_successors():
     assert istar.one_step_ratio((0, 2), (3, 0)) == G.zero
 
 
+# the moduli differ by one, so only a length check refuses this pair
+@pytest.mark.parametrize("read", [istar.one_step_ratio,
+                                  istar.spectral_evaluate],
+                         ids=lambda read: read.__name__)
+def test_labels_of_different_lengths_are_refused(read):
+    with pytest.raises(AlgebraError) as err:
+        read((0, 0), (1, 0, 0))
+    assert str(err.value) == f"{read.__name__} requires equal lengths"
+
+
 def field_delta_beta(eta, index_set, ctx):
     # delta(eta, I) and beta(eta, I) replaced: one field operation per step
     lam = comb.c_I_apply(eta, index_set)
