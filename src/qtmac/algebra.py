@@ -1090,32 +1090,26 @@ def scalar_eval(x: Scalar, qval, tval):
     return ev(_expand(x.num)) / den
 
 
-def memo(normalize):
-    """Decorator memoising a function on its normalised arguments.
+def memo(fn):
+    """Decorator memoising fn on each call's arguments as given, so a hit
+    runs no code of fn, which reads its labels in its body.  An unhashable
+    argument, such as a list label, is computed and not stored."""
+    table = {}
 
-    ``normalize`` maps the arguments of a call to the tuple of positional
-    arguments the function then runs with; that tuple is also the key, so
-    one value spelt two ways (a list or a tuple label) shares one entry.
-    The wrapper is a plain function made with ``functools.wraps``, so tools
-    that look functions up by name and signature still find it.
-    """
-    def decorate(fn):
-        table = {}
+    @functools.wraps(fn)  # not functools.cache: tracers wrap functions only
+    def cached(*args, **kwargs):
+        key = (args, *kwargs.items()) if kwargs else args
+        try:
+            return table[key]
+        except KeyError:
+            return table.setdefault(key, fn(*args, **kwargs))
+        except TypeError:
+            return fn(*args, **kwargs)
 
-        @functools.wraps(fn)
-        def cached(*args, **kwargs):
-            key = normalize(*args, **kwargs)
-            try:
-                return table[key]
-            except KeyError:
-                return table.setdefault(key, fn(*key))
-
-        return cached
-
-    return decorate
+    return cached
 
 
-@memo(lambda q, t, a, b: (q, t, a, b))
+@memo
 def _monomial(q, t, a: int, b: int):
     return q ** a * t ** b
 
@@ -1416,7 +1410,12 @@ class ScalarContext:
         x = self.coerce(x)
         if self.generic:
             return _ring_poly_text(x.num), _ring_poly_text(x.den)
-        return str(x.numerator), str(x.denominator)
+        try:
+            return str(x.numerator), str(x.denominator)
+        except ValueError:  # str() stops at 4300 digits by default
+            import decimal
+            return (str(decimal.Decimal(x.numerator)),
+                    str(decimal.Decimal(x.denominator)))
 
     def text(self, x) -> str:
         """Compact canonical rendering, also used inside polynomial strings."""

@@ -15,11 +15,9 @@ Composition = tuple[int, ...]
 
 
 def as_composition(parts) -> Composition:
-    """parts as a tuple of nonnegative ints; a label that already is one,
-    as every memo key met after the first is, is returned as it is."""
-    if (type(parts) is tuple and parts and set(map(type, parts)) == {int}
-            and min(parts) >= 0):
-        return parts
+    """The label ``parts`` as a new tuple of nonnegative ints, each part
+    read by :func:`_part`.  A memoised function calls it in its body, so it
+    runs when a value is computed, not on a memo hit."""
     eta = tuple(_part(x) for x in parts)
     if not eta:
         raise AlgebraError("compositions must have length >= 1")
@@ -35,17 +33,6 @@ def _part(x, noun: str = "composition parts") -> int:
     if k != x and not isinstance(x, str):
         raise AlgebraError(f"{noun} must be integers: {x!r}")
     return k
-
-
-def label_args(eta, ctx: ScalarContext = GENERIC):
-    """(normalised label, ctx): the memo key of a generator of one label."""
-    return as_composition(eta), ctx
-
-
-def form_args(eta, star: bool = False, ctx: ScalarContext = GENERIC):
-    """(normalised label, star, ctx): the memo key of a generator of the
-    form of E_eta, or of Estar_eta when ``star``."""
-    return as_composition(eta), bool(star), ctx
 
 
 def modulus(eta: Composition) -> int:
@@ -160,10 +147,11 @@ def delta_exponents(eta: Composition, i: int) -> tuple[int, int]:
     return eta[i - 1] - eta[i], lp[i] - lp[i - 1]
 
 
-@memo(lambda eta: (as_composition(eta),))
+@memo
 def spectral_weights(eta: Composition) -> tuple[Composition, tuple[int, ...]]:
     """(eta, -l'(eta)): the exponents of q and of t in the entries of the
     spectral point, q^(eta_i) t^(-l'(i)), as two columns; memoised."""
+    eta = as_composition(eta)
     return eta, tuple(-l for l in leg_colength_vector(eta))
 
 

@@ -90,7 +90,7 @@ def phi_form(den, p: ZPolynomial, ctx: ScalarContext = GENERIC,
 # recursive generation
 # ---------------------------------------------------------------------------
 
-@memo(comb.form_args)
+@memo
 def common_form(eta: Composition, star: bool = False,
                 ctx: ScalarContext = GENERIC) -> tuple[object, ZPolynomial]:
     """(D, P) with E_eta == P / D, or Estar_eta == P / D when ``star``.
@@ -114,6 +114,7 @@ def common_form(eta: Composition, star: bool = False,
     (1/q, 1/t): there Phi E_mu is (z_n - t^(n-1)) E_mu(q z_n, z_1, ...), and
     E_mu is homogeneous, so the t^(n-1) part lies one degree lower.
     """
+    eta = comb.as_composition(eta)
     n = len(eta)
     step = comb.generation_step(eta)
     if step is None:
@@ -139,7 +140,7 @@ def common_form(eta: Composition, star: bool = False,
     return den, ZPolynomial(n, terms)
 
 
-@memo(comb.label_args)
+@memo
 def generate_E(eta: Composition, ctx: ScalarContext = GENERIC) -> ZPolynomial:
     """The monic polynomial E_eta: :func:`common_form` with each
     coefficient normalised once, memoised."""
@@ -178,19 +179,7 @@ def hecke_symmetrize(den, p: ZPolynomial,
     return den, total
 
 
-def _partition_args(kappa, n: int | None = None, ctx: ScalarContext = GENERIC):
-    kappa = tuple(comb._part(x, "partition parts") for x in kappa)
-    if n is None:
-        n = len(kappa)
-    if len(kappa) > n:
-        raise AlgebraError("partition longer than the number of variables")
-    kappa = kappa + (0,) * (n - len(kappa))
-    if not comb.is_partition(kappa):
-        raise AlgebraError(f"{kappa} is not weakly decreasing")
-    return kappa, n, ctx
-
-
-@memo(_partition_args)
+@memo
 def symmetrize_P(kappa, n: int | None = None,
                  ctx: ScalarContext = GENERIC) -> ZPolynomial:
     """The symmetric Macdonald polynomial P_kappa in n variables, memoised.
@@ -202,6 +191,14 @@ def symmetrize_P(kappa, n: int | None = None,
     Where that coefficient vanishes at ctx's point, SpecializationError
     names its value over Q(q,t).
     """
+    kappa = tuple(comb._part(x, "partition parts") for x in kappa)
+    if n is None:
+        n = len(kappa)
+    if len(kappa) > n:
+        raise AlgebraError("partition longer than the number of variables")
+    kappa = kappa + (0,) * (n - len(kappa))
+    if not comb.is_partition(kappa):
+        raise AlgebraError(f"{kappa} is not weakly decreasing")
     _, sym = hecke_symmetrize(*common_form(kappa, False, ctx), ctx)
     lead = sym.coefficient(kappa)
     if not lead:

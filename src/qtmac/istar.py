@@ -64,14 +64,14 @@ def xi_form(i: int, den, p: ZPolynomial,
 # recursive generation
 # ---------------------------------------------------------------------------
 
-@memo(comb.label_args)
+@memo
 def generate_Estar(eta: Composition, ctx: ScalarContext = GENERIC) -> ZPolynomial:
     """Estar_eta: :func:`emac.common_form` with each coefficient normalised
     once, memoised."""
     return field_view(*emac.common_form(eta, True, ctx), ctx)
 
 
-@memo(comb.label_args)
+@memo
 def _lane_form(eta: Composition, ctx: ScalarContext = GENERIC):
     """(D, numerators, lanes) for Estar_eta == P / D: the numerators of P
     and their exponent vectors packed into :class:`algebra.ExponentLanes`,
@@ -248,15 +248,12 @@ def beta_factor(eta: Composition, index_set, ctx: ScalarContext = GENERIC):
     return ctx.product(*_beta_factors(eta, index_set, ctx))
 
 
-def _ratio_args(eta, index_set, ctx: ScalarContext = GENERIC):
-    return comb.as_composition(eta), tuple(sorted(index_set)), ctx
-
-
-@memo(_ratio_args)
+@memo
 def c_I_ratio(eta: Composition, index_set, ctx: ScalarContext = GENERIC):
     """Estar_eta(lam-bar) / Estar_lam(lam-bar) for lam = c_I(eta), I maximal:
     q^(-eta_{t1}) delta(eta,I) beta(eta,I) / (1 - t), multiplied out in
     parts and normalised once; memoised."""
+    eta = comb.as_composition(eta)
     delta, delta_div = _delta_factors(eta, index_set, ctx)
     beta, beta_div = _beta_factors(eta, index_set, ctx)
     t1 = min(index_set)
@@ -279,23 +276,20 @@ def one_step_ratio(eta: Composition, lam: Composition,
     return ctx.zero
 
 
-def _word_args(eta, k: int, ctx: ScalarContext = GENERIC):
-    return comb.as_composition(eta), comb._part(k, "word positions"), ctx
-
-
-@memo(_word_args)
+@memo
 def expand_eigenword(eta: Composition, k: int,
                      ctx: ScalarContext = GENERIC) -> dict:
     """Expansion of H_k ... H_{n-1} Phi H_1 ... H_{k-1} Estar_eta in the
     Estar basis: {label: coefficient}, zero coefficients dropped; memoised.
 
-    Every call with the same arguments returns the same dict, so callers
-    only read it.
+    Every call with the same hashable arguments returns the same dict, so
+    callers only read it.
     """
+    eta, k = comb.as_composition(eta), comb._part(k, "word positions")
     n = len(eta)
     if not 1 <= k <= n:
         raise AlgebraError(f"word index {k} out of range for n={n}")
-    table = {comb.as_composition(eta): ctx.one}
+    table = {eta: ctx.one}
 
     def apply_h(i, tab):
         out = {}
@@ -354,11 +348,7 @@ def binomial_direct(eta: Composition, nu: Composition,
     return spectral_evaluate(eta, nu, ctx) / principal_value(nu, ctx)
 
 
-def _binomial_args(eta, nu, ctx: ScalarContext = GENERIC):
-    return comb.as_composition(eta), comb.as_composition(nu), ctx
-
-
-@memo(_binomial_args)
+@memo
 def binomial_recursive(eta: Composition, nu: Composition,
                        ctx: ScalarContext = GENERIC):
     """The binomial coefficient through the layered recursion, memoised.
@@ -373,6 +363,7 @@ def binomial_recursive(eta: Composition, nu: Composition,
     of their denominators, one ``lcm_cofactors`` per nu', and the sum is
     divided by the common divisor of the weights in the one normalisation.
     """
+    eta, nu = comb.as_composition(eta), comb.as_composition(nu)
     gap = comb.modulus(nu) - comb.modulus(eta)
     if gap <= 0:
         raise AlgebraError("binomial_recursive requires |nu| > |eta|")

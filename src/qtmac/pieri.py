@@ -119,7 +119,7 @@ def _kept_fronts(eta: Composition, r: int, ceiling: Composition | None):
         yield below
 
 
-@memo(comb.form_args)
+@memo
 def _label_form(eta: Composition, star: bool, ctx: ScalarContext = GENERIC):
     """Estar_eta when ``star``, else E_eta, as a form over the least common
     denominator of its coefficients, memoised."""

@@ -72,6 +72,13 @@ def test_common_content_removed():
     assert G.num_den_text(x) == ("3", "2")
 
 
+def test_text_of_integers_past_the_str_limit():
+    # str() refuses an int of more than 4300 digits; the text does not
+    ctx = specialized(2, 3)
+    assert ctx.text(Fraction(10 ** 4400, 3)) == "1" + "0" * 4400 + "/3"
+    assert ctx.num_den_text(-(10 ** 4400) - 7) == ("-1" + "0" * 4399 + "7", "1")
+
+
 # ---------------------------------------------------------------------------
 # random scalars: field axioms, involution, evaluation
 # ---------------------------------------------------------------------------
@@ -140,7 +147,7 @@ def test_inverted_is_an_involution():
     # one memo entry serves a context and its double inversion
     calls = []
 
-    @memo(lambda ctx: (ctx,))
+    @memo
     def probe(ctx):
         calls.append(ctx)
         return ctx.q
@@ -164,7 +171,7 @@ def test_context_hash_is_the_points():
     # and an inverted() context hits the memo entry of the point it equals
     calls = []
 
-    @memo(lambda ctx: (ctx,))
+    @memo
     def probe(ctx):
         calls.append(ctx)
         return ctx.q

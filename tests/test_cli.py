@@ -5,11 +5,13 @@ import os
 import subprocess
 import sys
 import threading
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
 from qtmac import cli, emac, istar, pieri, verify
-from qtmac.algebra import GENERIC, ZPolynomial
+from qtmac.algebra import GENERIC, ZPolynomial, specialized
 
 
 def run_cli(args, capsys):
@@ -340,6 +342,34 @@ def test_binom_golden_stdout(capsys):
                             "--params", "q=11/13,t=17/19"], capsys)
     assert code == 0
     assert out == BINOM_01010_12011
+
+
+# Python refuses str() of an int past 4300 digits; the binomial at
+# (0) -> (50) at this point has a numerator of more than that
+def test_exact_values_past_4300_digits_are_printed(capsys):
+    code, out, err = run_cli(["binom", "--eta", "0", "--nu", "50", "--params",
+                              "q=97/89,t=83/79"], capsys)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)["payload"]
+    assert len(payload["num"]) > 4300
+    want = istar.binomial_direct((0,), (50,), specialized(Fraction(97, 89),
+                                                          Fraction(83, 79)))
+    # Decimal reads digits past the limit that int() refuses
+    assert Fraction(int(Decimal(payload["num"])),
+                    int(Decimal(payload["den"]))) == want
+
+
+# inputs of more than 4300 digits stay refused, as int() refuses them
+@pytest.mark.parametrize("argv, message", [
+    (["binom", "--eta", "1" * 4301, "--nu", "50"],
+     "error: cannot parse composition"),
+    (["binom", "--eta", "0", "--nu", "2", "--params", f"q={'1' * 4301},t=2"],
+     "error: cannot parse --params"),
+])
+def test_inputs_past_4300_digits_are_refused(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(message)
 
 
 def test_estar_golden_payload(capsys):

@@ -318,7 +318,6 @@ def test_comp_str_roundtrip():
 
 def test_as_composition_normalises_and_keeps_labels():
     eta = (1, 0, 2)
-    assert comb.as_composition(eta) is eta
     assert comb.as_composition([1, 0, 2]) == eta
     assert comb.as_composition(("1", "0", "2")) == eta
     assert comb.as_composition((1.0, 0, Fraction(2))) == eta

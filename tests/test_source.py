@@ -231,3 +231,26 @@ def test_no_dataclasses_import(path):
     names = {name for name in _imported_modules(path)
              if name.split(".")[0] == "dataclasses"}
     assert not names, f"{path.name} imports {sorted(names)}"
+
+
+def _memo_decorators():
+    """(module, function, decorator) for every decorator named memo, called
+    or not."""
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in func.decorator_list:
+                    target = dec.func if isinstance(dec, ast.Call) else dec
+                    if getattr(target, "attr",
+                               getattr(target, "id", None)) == "memo":
+                        yield path.name, func.name, dec
+
+
+# a memo table keys on the arguments as given and the function reads its
+# labels in its body, so a hit runs no normaliser
+def test_memo_is_a_bare_decorator():
+    found = list(_memo_decorators())
+    called = [(module, name) for module, name, dec in found
+              if not (isinstance(dec, ast.Name) and dec.id == "memo")]
+    assert found and not called, f"memo is not a bare @memo on {called}"
