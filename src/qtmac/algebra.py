@@ -1232,21 +1232,6 @@ class ScalarContext:
             return _quotient(num, den)
         return Fraction(num, den)
 
-    def product(self, factors, inverse=()):
-        """The scalar prod(factors) / prod(inverse), multiplied out in parts
-        and normalised once.  Entries of ``inverse`` are divisors, built
-        where they can vanish with :meth:`one_minus`, which names them."""
-        num, den = self.parts(self.one)
-        for x in factors:
-            n, d = self.parts(x)
-            num, den = num * n, den * d
-        for x in inverse:
-            n, d = self.parts(x)
-            num, den = num * d, den * n
-        if not den:
-            raise ZeroDivisionError("division by zero in a product")
-        return self.quotient(num, den)
-
     def cancel_common(self, den, nums: dict) -> tuple:
         """(den, nums): den and every numerator divided by what they all
         share, so that the quotients N / den are unchanged.
@@ -1321,22 +1306,35 @@ class ScalarContext:
         g = math.gcd(a, b)
         return a // g * b, b // g, a // g
 
-    def fsum(self, values):
-        """The sum of the scalars in values.  From three values on it is
-        reduced once over their common denominator rather than once per
-        addition; two values take one reduction either way."""
-        values = list(values)
-        if len(values) < 3:
-            return sum(values, self.zero)
-        den, nums = self.common_denominator(dict(enumerate(values)))
-        return self.quotient(sum(nums.values()), den)
+    def product_sum(self, terms, inverse=()):
+        """The sum over ``terms`` of the product of each term's factors,
+        over the product of ``inverse`` (divisors, built with
+        :meth:`one_minus` where they can vanish): summed in parts over the
+        running lcm of the term denominators and normalised once."""
+        one, num = self.parts(self.one), None
+        for factors in terms:
+            n, d = one
+            for x in factors:
+                xn, xd = self.parts(x)
+                n, d = n * xn, d * xd
+            if num is None:  # a lone term keeps its factors
+                num, den = n, d
+            else:
+                den, up, across = self.lcm_cofactors(den, d)
+                num = num * up + n * across
+        if num is None:
+            return self.zero
+        for x in inverse:
+            n, d = self.parts(x)
+            num, den = num * d, den * n
+        return self.quotient(num, den)
 
     def one_minus_product(self, pairs):
         """The product of the factors 1 - q^a t^b over the exponent pairs
         (a, b), multiplied out in parts and normalised once.  The first
         factor that vanishes is named as :meth:`one_minus` names it."""
         if self.generic:
-            return self.product([self.one_minus(a, b) for a, b in pairs])
+            return self.product_sum([[self.one_minus(a, b) for a, b in pairs]])
         qn, qd = self.qval.numerator, self.qval.denominator
         tn, td = self.tval.numerator, self.tval.denominator
         num = den = 1

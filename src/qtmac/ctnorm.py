@@ -54,12 +54,13 @@ def ct_inner_product(f: ZPolynomial, g_bar: ZPolynomial, w: ZPolynomial,
     expected to be specialized at t = q^k.
 
     The product is never expanded: the constant term is the sum of
-    cf cg W[eg - ef] over the terms cf z^ef of f and cg z^eg of g_bar.
+    cf cg W[eg - ef] over the terms cf z^ef of f and cg z^eg of g_bar, in
+    one ``ctx.product_sum``.
     """
     if f.nvars != w.nvars or g_bar.nvars != w.nvars:
         raise AlgebraError("variable count mismatch with the weight")
-    return ctx.fsum(
-        cf * cg * w.terms[gap]
+    return ctx.product_sum(
+        (cf, cg, w.terms[gap])
         for ef, cf in f.terms.items() for eg, cg in g_bar.terms.items()
         if (gap := tuple(b - a for a, b in zip(ef, eg))) in w.terms)
 

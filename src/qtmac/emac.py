@@ -7,11 +7,12 @@ Knop-Sahi raise E_eta(z) = q^(-mu_1) z_n E_mu(q z_n, z_1, ..., z_{n-1})
 for eta = (mu_2, ..., mu_n, mu_1 + 1).  One recursion, :func:`common_form`,
 generates both E_eta and the interpolation polynomials Estar_eta of
 :mod:`qtmac.istar`, over a common denominator in ring arithmetic, and both
-families raise through the one operator :func:`phi_form`.
+families raise through the one cycle :func:`cycle_form`.
 
 The operators on such forms live here alone, and the recursion, the Hecke
 symmetrization and the eigenoperators of :mod:`qtmac.istar` run them:
-:func:`hecke_step` (T_i, or H_i of the Estar_eta) and :func:`phi_form`.
+:func:`hecke_step` (T_i, or H_i of the Estar_eta), :func:`cycle_form` and
+:func:`phi_form`.
 
 Also here: the norms N_eta (up to the common <1,1> factor), Hecke
 symmetrization to the symmetric Macdonald polynomial P_kappa by a coset
@@ -55,35 +56,41 @@ def hecke_step(i: int, p: ZPolynomial, ctx: ScalarContext = GENERIC,
     return demazure_lustig(i, p, tn, a, b)
 
 
-def phi_form(den, p: ZPolynomial, ctx: ScalarContext = GENERIC,
-             qpower: int = 0) -> tuple[object, ZPolynomial]:
-    """q^qpower Phi (P / D) as a form, from the form (D, P), in one pass
-    over P: Phi p = (z_n - t^(1-n)) p(z_n/q, z_1, ..., z_{n-1}) raises the
-    Estar_eta, and its top degree at the reciprocal parameters the E_eta
+def cycle_form(den, p: ZPolynomial, ctx: ScalarContext = GENERIC,
+               qpower: int = 0) -> tuple[object, ZPolynomial]:
+    """q^qpower Delta (P / D) as a form, from the form (D, P), in one pass
+    over P, for the cycle Delta p = p(z_n/q, z_1, ..., z_{n-1}).  Both
+    raises start from it: Phi = (z_n - t^(1-n)) Delta raises the Estar_eta
+    (:func:`phi_form`), and z_n Delta at the reciprocal parameters the E_eta
     (:func:`common_form`)."""
     if p.is_zero:
         return den, p
-    n = p.nvars
     qn, qd = ctx.parts(ctx.q)
-    tn, td = ctx.parts(ctx.t)
     # with lo..hi the range of the exponents e_1 of z_1 in P, q^(k - e_1)
     # = q^(k - hi) qn^(hi - e_1) qd^(e_1 - lo) / qd^(hi - lo), k = qpower
     firsts = [e[0] for e in p.terms]
     lo, hi = min(firsts), max(firsts)
     sn, sd = ctx.parts(ctx.monomial(qpower - hi, 0))
-    # z_n - t^(1-n) = (tn^(n-1) z_n - td^(n-1)) / tn^(n-1), so the product
-    # is the moved terms shifted by z_n and scaled by tn^(n-1), less the
-    # moved terms scaled by td^(n-1)
-    un, ud = tn ** (n - 1), td ** (n - 1)
-    up, down = un * sn, -ud * sn
-    moved = [(e[1:], e[0], c * qn ** (hi - e[0]) * qd ** (e[0] - lo))
-             for e, c in p.terms.items()]
-    terms = {rest + (last + 1,): c * up for rest, last, c in moved}
+    terms = {e[1:] + e[:1]: c * sn * qn ** (hi - e[0]) * qd ** (e[0] - lo)
+             for e, c in p.terms.items()}
+    return den * sd * qd ** (hi - lo), ZPolynomial(p.nvars, terms, p.laurent)
+
+
+def phi_form(den, p: ZPolynomial, ctx: ScalarContext = GENERIC,
+             qpower: int = 0) -> tuple[object, ZPolynomial]:
+    """q^qpower Phi (P / D) as a form, from the form (D, P), for the
+    raising operator Phi = (z_n - t^(1-n)) Delta of the Estar_eta
+    (:func:`cycle_form`)."""
+    den, p = cycle_form(den, p, ctx, qpower)
+    n = p.nvars
+    tn, td = ctx.parts(ctx.t)
+    # z_n - t^(1-n) = (tn^(n-1) z_n - td^(n-1)) / tn^(n-1)
+    up, down = tn ** (n - 1), -td ** (n - 1)
+    terms = {e[:-1] + (e[-1] + 1,): c * up for e, c in p.terms.items()}
     get = terms.get
-    for rest, last, c in moved:
-        e = rest + (last,)
+    for e, c in p.terms.items():
         terms[e] = get(e, 0) + c * down
-    return den * sd * qd ** (hi - lo) * un, ZPolynomial(n, terms, p.laurent)
+    return den * up, ZPolynomial(n, terms, p.laurent)
 
 
 # ---------------------------------------------------------------------------
@@ -110,9 +117,8 @@ def common_form(eta: Composition, star: bool = False,
     diagonal coefficient of :func:`comb.basis_action`.  Raising from mu is
     Estar_eta = q^(mu_1) Phi Estar_mu (:func:`phi_form`).  E_eta is the
     Knop-Sahi raise q^(-mu_1) z_n E_mu(q z_n, z_1, ..., z_{n-1}), which is
-    the top degree of the same step taken at the reciprocal parameters
-    (1/q, 1/t): there Phi E_mu is (z_n - t^(n-1)) E_mu(q z_n, z_1, ...), and
-    E_mu is homogeneous, so the t^(n-1) part lies one degree lower.
+    z_n times the cycle of the same step taken at the reciprocal parameters
+    (1/q, 1/t) (:func:`cycle_form`).
     """
     eta = comb.as_composition(eta)
     n = len(eta)
@@ -134,8 +140,9 @@ def common_form(eta: Composition, star: bool = False,
     elif star:
         den, p = phi_form(den, p, ctx, mu[0])
     else:
-        den, p = phi_form(den, p, ctx.inverted(), mu[0])
-        p = p.top_homogeneous()
+        den, p = cycle_form(den, p, ctx.inverted(), mu[0])
+        p = ZPolynomial(n, {e[:-1] + (e[-1] + 1,): c
+                            for e, c in p.terms.items()})
     den, terms = ctx.cancel_common(den, p.terms)
     return den, ZPolynomial(n, terms)
 
@@ -256,7 +263,7 @@ def psi_coefficient(kappa, lam, n: int | None = None,
             a = kap[i] - kap[j]
             factors.append(ctx.one - ctx.monomial(a, j - i + theta[i] - theta[j]))
             divisors.append(ctx.one_minus(a, j - i))
-    return ctx.product(factors, divisors)
+    return ctx.product_sum([factors], divisors)
 
 
 def expand_in_P_basis(p: ZPolynomial, ctx: ScalarContext = GENERIC) -> dict:

@@ -204,7 +204,8 @@ def _delta_factors(eta: Composition, index_set, ctx: ScalarContext):
 
 def delta_factor(eta: Composition, index_set, ctx: ScalarContext = GENERIC):
     """Product over the selected positions of (t-1)/(1 - lam-bar/eta-bar)."""
-    return ctx.product(*_delta_factors(eta, index_set, ctx))
+    factors, divisors = _delta_factors(eta, index_set, ctx)
+    return ctx.product_sum([factors], divisors)
 
 
 def _beta_factors(eta: Composition, index_set, ctx: ScalarContext):
@@ -245,20 +246,21 @@ def beta_factor(eta: Composition, index_set, ctx: ScalarContext = GENERIC):
     position the raised entry contributes q times the spectral value at the
     first selected position.
     """
-    return ctx.product(*_beta_factors(eta, index_set, ctx))
+    factors, divisors = _beta_factors(eta, index_set, ctx)
+    return ctx.product_sum([factors], divisors)
 
 
 @memo
 def c_I_ratio(eta: Composition, index_set, ctx: ScalarContext = GENERIC):
     """Estar_eta(lam-bar) / Estar_lam(lam-bar) for lam = c_I(eta), I maximal:
-    q^(-eta_{t1}) delta(eta,I) beta(eta,I) / (1 - t), multiplied out in
-    parts and normalised once; memoised."""
+    q^(-eta_{t1}) delta(eta,I) beta(eta,I) / (1 - t), one
+    ``ctx.product_sum`` term; memoised."""
     eta = comb.as_composition(eta)
     delta, delta_div = _delta_factors(eta, index_set, ctx)
     beta, beta_div = _beta_factors(eta, index_set, ctx)
     t1 = min(index_set)
-    return ctx.product([ctx.monomial(-eta[t1 - 1], 0), *delta, *beta],
-                       [*delta_div, *beta_div, ctx.one_minus(0, 1)])
+    return ctx.product_sum([(ctx.monomial(-eta[t1 - 1], 0), *delta, *beta)],
+                           [*delta_div, *beta_div, ctx.one_minus(0, 1)])
 
 
 def one_step_ratio(eta: Composition, lam: Composition,
@@ -358,10 +360,11 @@ def binomial_recursive(eta: Composition, nu: Composition,
     word at position k = :func:`recursion_position` that remain below nu,
     each weighted by
     (nu'-bar_k/eta-bar_k - 1)/(nu-bar_k/eta-bar_k - 1) times the one-step
-    ratio into nu' times the recursive coefficient from nu' to nu.  The
-    terms are summed in parts (``ScalarContext.parts``) over the running lcm
-    of their denominators, one ``lcm_cofactors`` per nu', and the sum is
-    divided by the common divisor of the weights in the one normalisation.
+    ratio into nu' times the recursive coefficient from nu' to nu, in one
+    ``ScalarContext.product_sum`` over the common divisor of the weights.
+    The labels nu' are read from the word's expansion over Q(q,t): at a
+    point where a coefficient of it vanishes, its label's term may still be
+    0 times a pole, which must raise.
     """
     eta, nu = comb.as_composition(eta), comb.as_composition(nu)
     gap = comb.modulus(nu) - comb.modulus(eta)
@@ -377,15 +380,10 @@ def binomial_recursive(eta: Composition, nu: Composition,
     na, nb = comb.spectral_exponents(nu)[pos - 1]
     # nonzero: recursion_position picks a k where the entries differ
     denom = ctx.monomial(na - ea, nb - eb) - ctx.one
-    num, den = ctx.parts(ctx.zero)
-    for lab in expand_eigenword(eta, pos, ctx):
-        if not comb.is_successor(lab, nu):
-            continue
-        la, lb = comb.spectral_exponents(lab)[pos - 1]
-        xn, xd = ctx.parts(ctx.monomial(la - ea, lb - eb))
-        rn, rd = ctx.parts(one_step_ratio(eta, lab, ctx))
-        bn, bd = ctx.parts(binomial_recursive(lab, nu, ctx))
-        den, up, across = ctx.lcm_cofactors(den, xd * rd * bd)
-        num = num * up + (xn - xd) * rn * bn * across
-    dn, dd = ctx.parts(denom)
-    return ctx.quotient(num * dd, den * dn)
+    below = [(lab, comb.spectral_exponents(lab)[pos - 1])
+             for lab in expand_eigenword(eta, pos, GENERIC)
+             if comb.is_successor(lab, nu)]
+    return ctx.product_sum(
+        [(ctx.monomial(la - ea, lb - eb) - ctx.one,
+          one_step_ratio(eta, lab, ctx), binomial_recursive(lab, nu, ctx))
+         for lab, (la, lb) in below], [denom])

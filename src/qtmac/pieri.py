@@ -4,12 +4,8 @@ The coefficients A^(r)_{eta,lam} expand e_r(z) E_eta(z; 1/q, 1/t) over the
 E_lam(z; 1/q, 1/t) with |lam| = |eta| + r.  They are produced four ways:
 
 * the layered recursion through interpolation polynomial evaluations,
-  each coefficient summed in parts over one common denominator and
-  normalised once (the q,t-binomials of ``istar.binomial_recursive``
-  are summed over one denominator the same way),
 * the r = 1 closed form through the one-step ratio,
-* the r = 1 product form through the a-hat/b-hat factors, each
-  coefficient multiplied out once into a table like the others,
+* the r = 1 product form through the a-hat/b-hat factors,
 * a brute-force expansion oracle over the monic triangular basis.
 
 Duality transfers a coefficient to the complementary one at reciprocal
@@ -52,13 +48,11 @@ def interpolation_expansion(eta: Composition, r: int,
 
     Layer one is a pure evaluation ratio; layer i subtracts the contributions
     of every earlier layer that stays below the target.  Each coefficient is
-    summed in parts (``ScalarContext.parts``): the e_r gap times the spectral
-    value, less a_mu times the spectral value of every earlier mu below the
-    target, over the running lcm of their denominators (one
-    ``lcm_cofactors`` per mu), and divided by the principal value of the
-    target in the one normalisation ``ctx.quotient`` takes.  Every kept
-    target's principal value is taken, zero numerator or not, so a point
-    where one vanishes raises instead of dropping coefficients.
+    one ``ScalarContext.product_sum``: the e_r gap times the spectral value,
+    less a_mu times the spectral value of every earlier mu below the target,
+    over the principal value of the target.  Every kept target's principal
+    value is taken, zero sum or not, so a point where one vanishes raises
+    instead of dropping coefficients.
 
     With a ``ceiling``, only the targets lam <=' ceiling are kept.  This is
     exact for them: the successor order is transitive, so a label above the
@@ -76,17 +70,15 @@ def interpolation_expansion(eta: Composition, r: int,
     for below in _kept_fronts(eta, r, ceiling):
         layer = {}
         for lam in sorted(below):
-            pn, pd = ctx.parts(istar.principal_value(lam, ctx))
-            gn, gd = ctx.parts(comb.spectral_e_gap(eta, lam, r, ctx))
-            vn, vd = ctx.parts(istar.spectral_evaluate(eta, lam, ctx))
-            num, den = gn * vn, gd * vd
-            for mu in below[lam].intersection(earlier):
-                an, ad = ctx.parts(earlier[mu])
-                vn, vd = ctx.parts(istar.spectral_evaluate(mu, lam, ctx))
-                den, up, across = ctx.lcm_cofactors(den, ad * vd)
-                num = num * up - an * vn * across
-            if num:
-                layer[lam] = ctx.quotient(num * pd, den * pn)
+            principal = istar.principal_value(lam, ctx)
+            coeff = ctx.product_sum(
+                [(comb.spectral_e_gap(eta, lam, r, ctx),
+                  istar.spectral_evaluate(eta, lam, ctx)),
+                 *((-earlier[mu], istar.spectral_evaluate(mu, lam, ctx))
+                   for mu in below[lam].intersection(earlier))],
+                [principal])
+            if coeff:
+                layer[lam] = coeff
         layers.append(layer)
         earlier.update(layer)
     return ExpansionTable(eta, r, tuple(layers))
@@ -222,8 +214,7 @@ def pieri_r1_product_form(eta: Composition,
 
     (1-q) d'_eta(1/q,1/t) A_I B~_I / (d'_lam(1/q,1/t) q^(eta_{t1}+1) (t-1)),
 
-    multiplied out in parts and normalised once (``ctx.product``).  Zero
-    coefficients are dropped.
+    one ``ctx.product_sum`` term.  Zero coefficients are dropped.
     """
     eta = comb.as_composition(eta)
     dpr_eta = comb.hook_d_prime_inverted(eta, ctx)
@@ -232,8 +223,8 @@ def pieri_r1_product_form(eta: Composition,
         lam = comb.c_I_apply(eta, index_set)
         t1 = min(index_set)
         factors, divisors = _product_factors(eta, index_set, ctx)
-        coeff = ctx.product(
-            [ctx.q - ctx.one, dpr_eta, *factors],
+        coeff = ctx.product_sum(
+            [(ctx.q - ctx.one, dpr_eta, *factors)],
             [*divisors, comb.hook_d_prime_inverted(lam, ctx),
              ctx.monomial(eta[t1 - 1] + 1, 0), ctx.one_minus(0, 1)])
         if coeff:

@@ -1,9 +1,13 @@
 """Constructions that only the tests need: variables and substitutions of
-``ZPolynomial``, the terms of a scalar, permutations acting on labels, and
-the exhaustive successor search that ``comb.successor_test`` is checked
-against."""
+``ZPolynomial``, the terms of a scalar, permutations acting on labels, the
+exhaustive successor search that ``comb.successor_test`` is checked
+against, and a fresh interpreter that imports qtmac from this checkout."""
 
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 from qtmac.algebra import GENERIC, ZPolynomial, _expand
 from qtmac.comb import is_defining_permutation, perm_inverse
@@ -88,3 +92,16 @@ def maximal_sets_by_masks(eta):
         if ok:
             out.append(tuple(ts))
     return out
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(code):
+    """The stdout of ``python -c code`` in a fresh process, with this
+    checkout's ``src`` first on its path, so that it needs no install."""
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=path)).stdout

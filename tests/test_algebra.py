@@ -10,6 +10,7 @@ from qtmac.algebra import (
     GENERIC,
     AlgebraError,
     ExponentLanes,
+    Factored,
     ScalarContext,
     ZPolynomial,
     divided_difference,
@@ -357,21 +358,34 @@ def test_exponent_lanes_guard_their_range():
 
 @SUM_CONTEXTS
 @settings(max_examples=25, deadline=None)
-@given(st.lists(scalars(), max_size=5))
-def test_fsum_is_the_running_sum(ctx, values):
-    # reducing once over the common denominator equals adding one by one
-    if not ctx.generic:
-        at_point = []
-        for c in values:
-            try:
-                at_point.append(scalar_eval(c, ctx.qval, ctx.tval))
-            except AlgebraError:
-                continue
-        values = at_point
+@given(st.lists(st.lists(scalars(), max_size=3), max_size=4),
+       st.lists(scalars().filter(bool), max_size=2))
+def test_fsum_is_the_running_sum(ctx, terms, inverse):
+    # ScalarContext.product_sum: the products summed in parts over one
+    # denominator and normalised once equal the field sum of field products
+    terms = [factors for factors in ([in_context(x, ctx) for x in factors]
+                                     for factors in terms)
+             if None not in factors]
+    inverse = [x for x in (in_context(x, ctx) for x in inverse) if x]
     expected = ctx.zero
-    for c in values:
-        expected = expected + c
-    assert ctx.fsum(values) == expected
+    for factors in terms:
+        product = ctx.one
+        for x in factors:
+            product = product * x
+        expected = expected + product
+    for x in inverse:
+        expected = expected / x
+    assert ctx.product_sum(terms, inverse) == expected
+
+
+def test_product_sum_keeps_a_lone_term_factored():
+    # a sum started from zero would expand the product of the binomials
+    factors = [G.one_minus(1, 0), G.one_minus(0, 1), G.one_minus(2, -1)]
+    value = G.product_sum([factors], [G.one_minus(1, 1)])
+    assert type(value.num) is Factored
+    assert value == (factors[0] * factors[1] * factors[2]
+                     / G.one_minus(1, 1))
+    assert G.product_sum([]) == G.zero
 
 
 def term_by_term(poly, point, ctx):

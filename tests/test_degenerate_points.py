@@ -1,0 +1,114 @@
+"""The degenerate-point contract, checked on every small label.
+
+At a point (q, t) where some q^a t^b = 1, each computation does one of three
+things:
+
+* it raises SpecializationError naming a factor 1 - q^a*t^b that vanishes
+  at the point;
+* it raises naming two labels whose spectral points coincide at the point;
+* it returns its value over Q(q,t) specialised to the point with
+  ``scalar_eval``, and never where that value has a pole.
+
+The labels are every composition with n <= 3 and |eta| <= 3, and for the
+binomials every nu of the same length with |eta| < |nu| <= |eta| + 2.
+"""
+
+import functools
+import re
+from fractions import Fraction
+
+import pytest
+
+from qtmac import comb, emac, istar, pieri
+from qtmac.algebra import (GENERIC, SpecializationError, ZPolynomial,
+                           scalar_eval, specialized)
+
+# each point has some q^a t^b = 1
+POINTS = [(1, 1), (-1, -1), (2, Fraction(1, 2)), (1, 5), (Fraction(1, 4), 2),
+          (-1, Fraction(1, 2)), (Fraction(1, 2), 4), (3, Fraction(1, 9)),
+          (-1, 3), (2, -1), (1, -1), (-1, 1), (2, Fraction(1, 4)), (5, 5),
+          (Fraction(1, 2), 8)]
+
+
+def _cases():
+    """(route, arguments before ctx) of every call the contract covers."""
+    for n in (1, 2, 3):
+        for eta in comb.compositions_up_to(n, 3):
+            for r in range(1, n + 1):
+                yield pieri.pieri_homogeneous, (eta, r)
+            for route in (pieri.pieri_r1_closed, pieri.pieri_r1_product_form,
+                          emac.norm_N, emac.generate_E, istar.generate_Estar):
+                yield route, (eta,)
+            for gap in (1, 2):
+                for nu in comb.compositions(n, sum(eta) + gap):
+                    yield istar.binomial_direct, (eta, nu)
+                    yield istar.binomial_recursive, (eta, nu)
+
+
+CASES = list(_cases())
+
+
+def _plain(value):
+    """A table or polynomial as its dict of coefficients, a scalar as is."""
+    return value.terms if isinstance(value, ZPolynomial) else value
+
+
+@functools.lru_cache(maxsize=None)
+def _symbolic(route, args):
+    return _plain(route(*args, GENERIC))
+
+
+def _specialised(value, point):
+    """The symbolic value at the point, a dict with its zero entries
+    dropped, as a computation at the point drops them; None where it has a
+    pole."""
+    try:
+        if isinstance(value, dict):
+            evaluated = {key: scalar_eval(c, *point)
+                         for key, c in value.items()}
+            return {key: c for key, c in evaluated.items() if c}
+        return scalar_eval(value, *point)
+    except SpecializationError:
+        return None
+
+
+FACTOR = re.compile(r"factor 1 - (\S+) vanishes at (\S+)")
+COINCIDENT = re.compile(r"(\S+) and (\S+) share their spectral point at (\S+)")
+
+
+def _names_a_degeneracy(message, ctx):
+    """Whether message names a factor 1 - q^a*t^b that vanishes at ctx's
+    point, or two labels whose spectral points coincide there."""
+    if match := FACTOR.fullmatch(message):
+        exps = {"q": 0, "t": 0}
+        for power in match[1].split("*"):
+            var, _, exp = power.partition("^")
+            exps[var] = int(exp or 1)
+        return (match[2] == ctx.params_label() and set(exps) == {"q", "t"}
+                and ctx.monomial(exps["q"], exps["t"]) == 1)
+    if match := COINCIDENT.fullmatch(message):
+        eta, nu = (tuple(map(int, label.split(",")))
+                   for label in match.group(1, 2))
+        return (match[3] == ctx.params_label() and eta != nu
+                and comb.spectral_vector(eta, ctx)
+                == comb.spectral_vector(nu, ctx))
+    return False
+
+
+@pytest.mark.parametrize("point", POINTS,
+                         ids=lambda point: f"q={point[0]},t={point[1]}")
+def test_degenerate_point_contract(point):
+    ctx = specialized(*point)
+    answered = 0
+    for route, args in CASES:
+        case = (route.__name__, args)
+        expected = _specialised(_symbolic(route, args), point)
+        try:
+            value = _plain(route(*args, ctx))
+        except SpecializationError as err:
+            assert _names_a_degeneracy(str(err), ctx), (case, str(err))
+            continue
+        assert expected is not None, (case, "answered at a pole")
+        assert value == expected, case
+        answered += 1
+    assert answered

@@ -1,11 +1,14 @@
 """Nonsymmetric Macdonald polynomials, norms, symmetrization."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from qtmac.algebra import (GENERIC, AlgebraError, ZPolynomial,
-                           elementary_symmetric, field_view, ring_form)
+                           elementary_symmetric, field_view, ring_form,
+                           specialized)
 from qtmac import comb, emac
 
 from field_operators import apply_phi_q, field_phi_q, field_T, field_T_inverse
@@ -163,6 +166,18 @@ def test_phi_q_operator_matches_basis_action():
         assert lhs == emac.generate_E(label).scale(scalar), eta
 
 
+@SUM_CONTEXTS
+@settings(max_examples=20, deadline=None)
+@given(laurent_terms, st.integers(-3, 3))
+def test_cycle_form_is_the_field_cycle(ctx, terms, k):
+    # q^k Delta p = q^k p(z_n/q, z_1, ..., z_{n-1}), term by term
+    den, p = laurent_form(ctx, terms)
+    view = field_view(den, p, ctx)
+    expected = ZPolynomial(4, {e[1:] + e[:1]: c * ctx.monomial(k - e[0], 0)
+                               for e, c in view.terms.items()}, laurent=True)
+    assert field_view(*emac.cycle_form(den, p, ctx, k), ctx) == expected
+
+
 # ---------------------------------------------------------------------------
 # generation
 # ---------------------------------------------------------------------------
@@ -177,6 +192,23 @@ def test_generate_E_examples():
     assert emac.generate_E((1, 0)) == expected
 
 
+def test_E_raise_builds_no_term_it_drops(monkeypatch):
+    # E raises by z_n times the cycle, so no top degree is cut out of a
+    # wider polynomial (at a point no other test computes at)
+    calls = []
+    top = ZPolynomial.top_homogeneous
+
+    def counted(self):
+        calls.append(self)
+        return top(self)
+
+    monkeypatch.setattr(ZPolynomial, "top_homogeneous", counted)
+    ctx = specialized(Fraction(41, 43), Fraction(47, 53))
+    poly = emac.generate_E((2, 1, 0, 2, 1), ctx)
+    assert poly.coefficient((2, 1, 0, 2, 1)) == 1
+    assert calls == []
+
+
 def test_generate_E_monic_triangular():
     for n, maxmod in ((2, 4), (3, 4)):
         for eta in comb.compositions_up_to(n, maxmod):
@@ -188,8 +220,7 @@ def test_generate_E_monic_triangular():
 
 
 def test_generate_E_specialized_matches_generic():
-    from fractions import Fraction
-    from qtmac.algebra import specialized, scalar_eval
+    from qtmac.algebra import scalar_eval
     ctx = specialized(Fraction(2, 5), Fraction(7, 2))
     for eta in comb.compositions_up_to(2, 3):
         num = emac.generate_E(eta, ctx)
@@ -240,7 +271,6 @@ def test_symmetrize_P_is_symmetric():
 
 
 def test_symmetrize_P_hall_littlewood_and_schur_degenerations():
-    from fractions import Fraction
     from qtmac.algebra import scalar_eval
     coeff = emac.symmetrize_P((2,), 2).coefficient((1, 1))
     # q = 0: coefficient of m_11 in P_(2) becomes 1 - t

@@ -5,8 +5,8 @@ fallback, stays out of the process: after ``import qtmac.cli`` and after
 each of these command lines."""
 
 import json
-import subprocess
-import sys
+
+from helpers import run_python
 
 # the queries of the cli-symbolic and cli-specialized workloads, the latter
 # at one fixed point of the kind the workload draws
@@ -71,9 +71,7 @@ print(json.dumps({{"loaded": loaded, "fallbacks": dict(FALLBACKS)}}))
 
 def run_fresh(commands) -> dict:
     """Run the command lines one after another in a fresh process."""
-    out = subprocess.run([sys.executable, "-c", RUN.format(commands=commands)],
-                         capture_output=True, text=True, check=True).stdout
-    return json.loads(out)
+    return json.loads(run_python(RUN.format(commands=commands)))
 
 
 def test_import_leaves_sympy_out():

@@ -270,33 +270,6 @@ def test_spectral_e_gap_is_a_difference_of_elementary_values(ctx, max_n,
                     - elementary_symmetric_at(eb, r, ctx), (eta, lam, r)
 
 
-# points (q, t) where some factor 1 - q^a t^b vanishes
-DEGENERATE_POINTS = [(1, 5), (-1, Fraction(1, 2)), (2, Fraction(1, 2)), (1, 1),
-                     (-1, -1), (Fraction(1, 2), 4), (3, Fraction(1, 9)),
-                     (-1, 3)]
-
-
-def test_degenerate_points_give_the_symbolic_table_or_raise():
-    # wherever the pruned route answers at a degenerate point, its table is
-    # the symbolic one evaluated there; elsewhere it names a factor
-    answered = 0
-    for point in DEGENERATE_POINTS:
-        ctx = specialized(*point)
-        for eta in _labels(3, 2):
-            for r in range(1, len(eta) + 1):
-                try:
-                    table = pieri.pieri_homogeneous(eta, r, ctx)
-                except SpecializationError:
-                    continue
-                symbolic = pieri.pieri_homogeneous(eta, r)
-                evaluated = {lam: scalar_eval(c, *point)
-                             for lam, c in symbolic.items()}
-                assert table == {lam: c for lam, c in evaluated.items()
-                                 if c}, (point, eta, r)
-                answered += 1
-    assert answered
-
-
 # ---------------------------------------------------------------------------
 # closed forms at r = 1
 # ---------------------------------------------------------------------------
@@ -351,8 +324,8 @@ def test_r1_factors_name_the_vanishing_factor(call, factor):
 
 def test_pieri_r1_product_form_hand_values():
     # A_I B~_I for eta = (0, 0), I = {1}
-    assert GENERIC.product(*pieri._product_factors((0, 0), (1,), GENERIC)) \
-        == -(T - 1)
+    factors, divisors = pieri._product_factors((0, 0), (1,), GENERIC)
+    assert GENERIC.product_sum([factors], divisors) == -(T - 1)
     assert pieri.pieri_r1_product_form((0, 0)) == {
         (1, 0): G.one,
         (0, 1): T * (Q - 1) / (Q * T - 1),

@@ -5,8 +5,6 @@ symbolic context and once from ``tests/sympy_reference.py``.  The two must
 print the same canonical text, compare and hash alike and evaluate alike.
 """
 
-import subprocess
-import sys
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -15,6 +13,7 @@ from hypothesis import given, settings
 from qtmac.algebra import GENERIC, SpecializationError, scalar_eval
 
 import sympy_reference as ref
+from helpers import run_python
 
 G = GENERIC
 BACKENDS = ((G.q, G.t, G.one), (ref.Q, ref.T, ref.FIELD.one))
@@ -163,6 +162,4 @@ def test_fallback_is_counted_once():
         "assert x * p == 1 - q * t\n"
         "assert z * p ** 2 * (q * t + 1) == y * (q - t)\n"
         "print(dict(FALLBACKS))\n")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "{'general': 1}"
+    assert run_python(code).strip() == "{'general': 1}"

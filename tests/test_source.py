@@ -100,6 +100,15 @@ def test_one_home_for_the_hecke_operators():
         f"demazure_lustig called from {sorted(callers)}"
 
 
+def test_one_home_for_sums_in_parts():
+    # a sum of products over one divisor is ScalarContext.product_sum, and
+    # a sum of forms algebra.form_sum: no other code runs a lcm by hand
+    callers = _callers("lcm_cofactors")
+    assert callers <= {("algebra.py", "product_sum"),
+                       ("algebra.py", "form_sum")}, \
+        f"lcm_cofactors called from {sorted(callers)}"
+
+
 # int() rounds 1.5 toward zero and so answers for another input; every part,
 # index or position read from a caller goes through comb._part instead
 @pytest.mark.parametrize("name", ["comb.py", "emac.py", "istar.py",
@@ -145,6 +154,7 @@ def _references(module, owner, name):
     ("algebra.py", "ZPolynomial", "at_point"),
     ("istar.py", None, "vanishing_solve_oracle"),
     ("istar.py", None, "xi_form"),
+    ("emac.py", None, "cycle_form"),
     ("emac.py", None, "phi_form"),
     ("emac.py", None, "hecke_symmetrize"),
 ])
