@@ -140,13 +140,6 @@ def leg_colength_vector(eta: Composition) -> tuple[int, ...]:
     )
 
 
-def delta_exponents(eta: Composition, i: int) -> tuple[int, int]:
-    """(a, b) with q^a t^b the spectral ratio at position i: entry i over
-    entry i+1."""
-    lp = leg_colength_vector(eta)
-    return eta[i - 1] - eta[i], lp[i] - lp[i - 1]
-
-
 @memo
 def spectral_weights(eta: Composition) -> tuple[Composition, tuple[int, ...]]:
     """(eta, -l'(eta)): the exponents of q and of t in the entries of the
@@ -203,27 +196,23 @@ def hook_nodes(eta: Composition):
             yield i, j, eta[i - 1] - j, leg
 
 
-def hook_products(eta: Composition, ctx: ScalarContext = GENERIC):
-    """The products (d, d', e, e') over the nodes of the diagram.
+def hook_products(eta: Composition):
+    """The products (d, d', e, e') over the nodes of the diagram, as four
+    lists of exponent pairs (a, b), one per node in the order of
+    :func:`hook_nodes`, each pair the factor 1 - q^a t^b.
 
     Node (i,j) of the diagram has the arm and leg of :func:`hook_nodes`, arm
     colength j - 1, and leg colength equal to the row statistic l'(i).
-    d and e' are only ever denominators, so a factor of theirs that vanishes
-    at ctx's point raises SpecializationError naming it.
     """
     n = len(eta)
     lp = leg_colength_vector(eta)
-    d = ctx.one
-    d_prime = ctx.one
-    e = ctx.one
-    e_prime = ctx.one
+    d, d_prime, e, e_prime = [], [], [], []
     for i, j, arm, leg in hook_nodes(eta):
-        arm_co = j - 1
-        leg_co = lp[i - 1]
-        d = d * ctx.one_minus(arm + 1, leg + 1)
-        d_prime = d_prime * (ctx.one - ctx.monomial(arm + 1, leg))
-        e = e * (ctx.one - ctx.monomial(arm_co + 1, n - leg_co))
-        e_prime = e_prime * ctx.one_minus(arm_co + 1, n - 1 - leg_co)
+        arm_co, leg_co = j - 1, lp[i - 1]
+        d.append((arm + 1, leg + 1))
+        d_prime.append((arm + 1, leg))
+        e.append((arm_co + 1, n - leg_co))
+        e_prime.append((arm_co + 1, n - 1 - leg_co))
     return d, d_prime, e, e_prime
 
 
@@ -368,8 +357,8 @@ def basis_action(i: int, eta: Composition, up,
         raise AlgebraError(f"operator index {i} out of range for n={n}")
     if eta[i - 1] == eta[i]:
         return {eta: ctx.t}
-    a, b = delta_exponents(eta, i)
-    diag = (ctx.t - ctx.one) / ctx.one_minus(-a, -b)
+    (a, b), (c, d) = spectral_exponents(eta)[i - 1:i + 1]
+    diag = (ctx.t - ctx.one) / ctx.one_minus(c - a, d - b)
     flip = swap_entries(eta, i)
     if eta[i - 1] < eta[i]:
         return {eta: diag, flip: up}

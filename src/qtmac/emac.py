@@ -155,9 +155,16 @@ def generate_E(eta: Composition, ctx: ScalarContext = GENERIC) -> ZPolynomial:
 
 
 def norm_N(eta: Composition, ctx: ScalarContext = GENERIC):
-    """N_eta divided by the common <1,1> factor: d' e / (d e')."""
-    d, d_prime, e, e_prime = comb.hook_products(eta, ctx)
-    return d_prime * e / (d * e_prime)
+    """N_eta divided by the common <1,1> factor: d' e / (d e')
+    (:func:`comb.hook_products`), one ``ScalarContext.product_sum``.
+
+    d and e' are only ever divisors, so where a factor of theirs vanishes
+    at ctx's point, SpecializationError names the first, node by node and
+    d before e'."""
+    d, d_prime, e, e_prime = comb.hook_products(eta)
+    return ctx.product_sum(
+        [[ctx.one - ctx.monomial(a, b) for a, b in d_prime + e]],
+        [ctx.one_minus(a, b) for node in zip(d, e_prime) for a, b in node])
 
 
 # ---------------------------------------------------------------------------

@@ -278,41 +278,6 @@ def one_step_ratio(eta: Composition, lam: Composition,
     return ctx.zero
 
 
-@memo
-def expand_eigenword(eta: Composition, k: int,
-                     ctx: ScalarContext = GENERIC) -> dict:
-    """Expansion of H_k ... H_{n-1} Phi H_1 ... H_{k-1} Estar_eta in the
-    Estar basis: {label: coefficient}, zero coefficients dropped; memoised.
-
-    Every call with the same hashable arguments returns the same dict, so
-    callers only read it.
-    """
-    eta, k = comb.as_composition(eta), comb._part(k, "word positions")
-    n = len(eta)
-    if not 1 <= k <= n:
-        raise AlgebraError(f"word index {k} out of range for n={n}")
-    table = {eta: ctx.one}
-
-    def apply_h(i, tab):
-        out = {}
-        for lab, coeff in tab.items():
-            for lab2, c2 in comb.basis_action(i, lab, ctx.one, ctx).items():
-                s = out.get(lab2, ctx.zero) + coeff * c2
-                if s:
-                    out[lab2] = s
-                else:
-                    out.pop(lab2, None)
-        return out
-
-    for j in range(k - 1, 0, -1):
-        table = apply_h(j, table)
-    table = {comb.phi_shift(lab): coeff * ctx.monomial(-lab[0], 0)
-             for lab, coeff in table.items()}
-    for j in range(n - 1, k - 1, -1):
-        table = apply_h(j, table)
-    return table
-
-
 def leftmost_frequency_mismatch(eta: Composition, nu: Composition) -> int:
     """1-based position of the leftmost entry of eta whose value occurs with
     different multiplicity in nu."""
@@ -355,16 +320,17 @@ def binomial_recursive(eta: Composition, nu: Composition,
                        ctx: ScalarContext = GENERIC):
     """The binomial coefficient through the layered recursion, memoised.
 
-    A gap of one is the closed-form one-step ratio.  For larger gaps the
-    value is a weighted sum over the labels nu' reached by the eigenoperator
-    word at position k = :func:`recursion_position` that remain below nu,
-    each weighted by
-    (nu'-bar_k/eta-bar_k - 1)/(nu-bar_k/eta-bar_k - 1) times the one-step
-    ratio into nu' times the recursive coefficient from nu' to nu, in one
-    ``ScalarContext.product_sum`` over the common divisor of the weights.
-    The labels nu' are read from the word's expansion over Q(q,t): at a
-    point where a coefficient of it vanishes, its label's term may still be
-    0 times a pole, which must raise.
+    A gap of one is the closed-form one-step ratio.  For larger gaps, with
+    k = :func:`recursion_position`, the eigenoperator word of
+    :func:`xi_form` at k takes Estar_eta to a sum over the one-step
+    successors nu' = c_I(eta), I maximal, with coefficient
+    (nu'-bar_k/eta-bar_k - 1) times the one-step ratio :func:`c_I_ratio`.
+    The value is the sum over the nu' below nu of that coefficient times the
+    recursive coefficient from nu' to nu, over nu-bar_k/eta-bar_k - 1, in
+    one ``ScalarContext.product_sum``.  A nu' with eta's spectral entry at
+    k has coefficient 0 over Q(q,t) and is skipped; every other one is
+    kept, so at a point where its coefficient vanishes its term may still
+    be 0 times a pole, which raises.
     """
     eta, nu = comb.as_composition(eta), comb.as_composition(nu)
     gap = comb.modulus(nu) - comb.modulus(eta)
@@ -380,10 +346,12 @@ def binomial_recursive(eta: Composition, nu: Composition,
     na, nb = comb.spectral_exponents(nu)[pos - 1]
     # nonzero: recursion_position picks a k where the entries differ
     denom = ctx.monomial(na - ea, nb - eb) - ctx.one
-    below = [(lab, comb.spectral_exponents(lab)[pos - 1])
-             for lab in expand_eigenword(eta, pos, GENERIC)
-             if comb.is_successor(lab, nu)]
-    return ctx.product_sum(
-        [(ctx.monomial(la - ea, lb - eb) - ctx.one,
-          one_step_ratio(eta, lab, ctx), binomial_recursive(lab, nu, ctx))
-         for lab, (la, lb) in below], [denom])
+    terms = []
+    for index_set in comb.maximal_sets(eta):
+        lab = comb.c_I_apply(eta, index_set)
+        la, lb = comb.spectral_exponents(lab)[pos - 1]
+        if (la, lb) != (ea, eb) and comb.is_successor(lab, nu):
+            terms.append((ctx.monomial(la - ea, lb - eb) - ctx.one,
+                          c_I_ratio(eta, index_set, ctx),
+                          binomial_recursive(lab, nu, ctx)))
+    return ctx.product_sum(terms, [denom])

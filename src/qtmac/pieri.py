@@ -239,7 +239,13 @@ def pieri_r1_product_form(eta: Composition,
 def duality_transfer(eta: Composition, lam: Composition, r: int,
                      ctx: ScalarContext = GENERIC):
     """A^(r)_{eta,lam} computed from the complementary coefficient:
-    A^(n-r)_{lam, eta+(1^n)} at reciprocal parameters times N_eta/N_lam."""
+    A^(n-r)_{lam, eta+(1^n)} at reciprocal parameters times N_eta/N_lam.
+
+    N_eta/N_lam is d'_eta e_eta d_lam e'_lam / (d_eta e'_eta d'_lam e_lam)
+    (:func:`emac.norm_N`), one ``ScalarContext.product_sum``.  Where a
+    factor vanishes that divides either norm, SpecializationError names it
+    as ``norm_N`` does, eta's first; then it names a vanishing factor of
+    d'_lam or e_lam, which divide here."""
     eta = comb.as_composition(eta)
     lam = comb.as_composition(lam)
     n = len(eta)
@@ -251,7 +257,16 @@ def duality_transfer(eta: Composition, lam: Composition, r: int,
         return ctx.zero
     target = comb.add_box_everywhere(eta, 1)
     a_dual = pieri_homogeneous(lam, n - r, ctx.inverted()).get(target, ctx.zero)
-    return a_dual * emac.norm_N(eta, ctx) / emac.norm_N(lam, ctx)
+    d, d_prime, e, e_prime = comb.hook_products(eta)
+    ld, ld_prime, le, le_prime = comb.hook_products(lam)
+    divisors = [ctx.one_minus(a, b) for node in zip(d, e_prime)
+                for a, b in node]
+    factors = [ctx.one_minus(a, b) for node in zip(ld, le_prime)
+               for a, b in node]
+    return ctx.product_sum(
+        [(a_dual, *factors,
+          *(ctx.one - ctx.monomial(a, b) for a, b in d_prime + e))],
+        [*divisors, *(ctx.one_minus(a, b) for a, b in ld_prime + le)])
 
 
 def product_expand_oracle(eta: Composition, r: int,

@@ -48,3 +48,27 @@ def field_phi_star(p, ctx):
     mult = ZPolynomial(n, {zn: ctx.one, (0,) * n: -ctx.monomial(0, 1 - n)},
                        p.laurent)
     return mult * moved
+
+
+def expand_eigenword(eta, k, ctx=GENERIC):
+    """H_k ... H_{n-1} Phi H_1 ... H_{k-1} Estar_eta expanded in the Estar
+    basis through :func:`comb.basis_action` and the raise
+    Phi Estar_mu = q^(-mu_1) Estar_(phi_shift mu): {label: coefficient},
+    zero coefficients dropped."""
+    n = len(eta)
+    table = {eta: ctx.one}
+
+    def apply_h(i, tab):
+        out = {}
+        for lab, coeff in tab.items():
+            for lab2, c2 in comb.basis_action(i, lab, ctx.one, ctx).items():
+                out[lab2] = out.get(lab2, ctx.zero) + coeff * c2
+        return {lab: c for lab, c in out.items() if c}
+
+    for j in range(k - 1, 0, -1):
+        table = apply_h(j, table)
+    table = {comb.phi_shift(lab): coeff * ctx.monomial(-lab[0], 0)
+             for lab, coeff in table.items()}
+    for j in range(n - 1, k - 1, -1):
+        table = apply_h(j, table)
+    return table

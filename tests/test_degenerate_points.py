@@ -9,11 +9,19 @@ things:
 * it returns its value over Q(q,t) specialised to the point with
   ``scalar_eval``, and never where that value has a pole.
 
+The symmetric routes, ``symmetrize_P`` and ``psi_coefficient``, may also
+name a value over Q(q,t) that vanishes at the point: P_lam(t^delta), or the
+coefficient of z^kappa in the Hecke symmetrization of E_kappa.
+
 The labels are every composition with n <= 3 and |eta| <= 3, and for the
-binomials every nu of the same length with |eta| < |nu| <= |eta| + 2.
+binomials every nu of the same length with |eta| < |nu| <= |eta| + 2; for
+``duality_transfer`` every eta with n = 2 and |eta| <= 2 and every lam with
+|lam| = |eta| + r; for the symmetric routes every partition kappa with
+n <= 3 and |kappa| <= 3, and every vertical strip lam/kappa.
 """
 
 import functools
+import itertools
 import re
 from fractions import Fraction
 
@@ -22,6 +30,8 @@ import pytest
 from qtmac import comb, emac, istar, pieri
 from qtmac.algebra import (GENERIC, SpecializationError, ZPolynomial,
                            scalar_eval, specialized)
+
+from test_emac import field_hecke_symmetrize
 
 # each point has some q^a t^b = 1
 POINTS = [(1, 1), (-1, -1), (2, Fraction(1, 2)), (1, 5), (Fraction(1, 4), 2),
@@ -43,6 +53,15 @@ def _cases():
                 for nu in comb.compositions(n, sum(eta) + gap):
                     yield istar.binomial_direct, (eta, nu)
                     yield istar.binomial_recursive, (eta, nu)
+            if comb.is_partition(eta):
+                yield emac.symmetrize_P, (eta, n)
+                for strip in itertools.product((0, 1), repeat=n):
+                    lam = tuple(map(sum, zip(eta, strip)))
+                    if any(strip) and comb.is_partition(lam):
+                        yield emac.psi_coefficient, (eta, lam, n)
+    for eta in comb.compositions_up_to(2, 2):
+        for lam in comb.compositions(2, sum(eta) + 1):
+            yield pieri.duality_transfer, (eta, lam, 1)
 
 
 CASES = list(_cases())
@@ -95,6 +114,46 @@ def _names_a_degeneracy(message, ctx):
     return False
 
 
+PRINCIPAL = re.compile(r"factor P_(\S+)\(t\^delta\) vanishes at (\S+)")
+HECKE = re.compile(r"factor (.+) vanishes at (\S+): it is the coefficient "
+                   r"of z\^\((\S+)\) in the Hecke symmetrization of E_(\S+)")
+
+
+def _label(text):
+    return tuple(map(int, text.split(",")))
+
+
+def _vanishes(value, point):
+    try:
+        return scalar_eval(value, *point) == 0
+    except SpecializationError:
+        return False
+
+
+def _names_a_vanishing_value(message, ctx):
+    """Whether message names P_lam(t^delta), or the coefficient of z^kappa
+    in the Hecke symmetrization of E_kappa, and that value over Q(q,t)
+    vanishes at ctx's point."""
+    point = (ctx.q, ctx.t)
+    if match := PRINCIPAL.fullmatch(message):
+        lam = _label(match[1])
+        n = len(lam)
+        value = emac.symmetrize_P(lam, n).at_point(
+            tuple(GENERIC.monomial(0, n - 1 - i) for i in range(n)))
+        return match[2] == ctx.params_label() and _vanishes(value, point)
+    if match := HECKE.fullmatch(message):
+        kappa = _label(match[3])
+        value = field_hecke_symmetrize(emac.generate_E(kappa),
+                                       GENERIC).coefficient(kappa)
+        return (match[2] == ctx.params_label() and match[4] == match[3]
+                and match[1] == GENERIC.text(value) and _vanishes(value, point))
+    return False
+
+
+# the routes whose errors may also name a value that vanishes at the point
+VALUE_ROUTES = (emac.symmetrize_P, emac.psi_coefficient)
+
+
 @pytest.mark.parametrize("point", POINTS,
                          ids=lambda point: f"q={point[0]},t={point[1]}")
 def test_degenerate_point_contract(point):
@@ -106,7 +165,10 @@ def test_degenerate_point_contract(point):
         try:
             value = _plain(route(*args, ctx))
         except SpecializationError as err:
-            assert _names_a_degeneracy(str(err), ctx), (case, str(err))
+            assert (_names_a_degeneracy(str(err), ctx)
+                    or (route in VALUE_ROUTES
+                        and _names_a_vanishing_value(str(err), ctx))), \
+                (case, str(err))
             continue
         assert expected is not None, (case, "answered at a pole")
         assert value == expected, case

@@ -10,7 +10,7 @@ from qtmac.algebra import (GENERIC, AlgebraError, ZPolynomial, field_view,
                            ring_form, specialized)
 from qtmac import comb, emac, istar
 
-from field_operators import field_H, field_phi_star
+from field_operators import expand_eigenword, field_H, field_phi_star
 from helpers import variable
 from test_algebra import SUM_CONTEXTS
 from test_emac import hecke_view
@@ -329,8 +329,9 @@ def test_binomial_recursive_examples():
         istar.binomial_direct((0, 0), (1, 1))
 
 
-# the recursion in field arithmetic, normalising after every operation: the
-# reference for the sum in parts over a running lcm
+# the recursion in field arithmetic, normalising after every operation, over
+# the expansion of the eigenoperator word itself: the reference for the sum
+# in parts over the maximal index sets
 
 def field_binomial_recursive(eta, nu, ctx):
     gap = comb.modulus(nu) - comb.modulus(eta)
@@ -343,13 +344,11 @@ def field_binomial_recursive(eta, nu, ctx):
     nb = comb.spectral_vector(nu, ctx)
     denom = nb[pos - 1] / eb[pos - 1] - ctx.one
     total = ctx.zero
-    for lab in istar.expand_eigenword(eta, pos, ctx):
-        if not comb.is_successor(lab, nu):
-            continue
-        lb = comb.spectral_vector(lab, ctx)
-        weight = (lb[pos - 1] / eb[pos - 1] - ctx.one) / denom
-        total = total + (weight * istar.one_step_ratio(eta, lab, ctx)
-                         * field_binomial_recursive(lab, nu, ctx))
+    # the word's coefficient of lab is (lab-bar_k/eta-bar_k - 1) binom(eta, lab)
+    for lab, coeff in expand_eigenword(eta, pos, ctx).items():
+        if comb.is_successor(lab, nu):
+            total = total + (coeff / denom
+                             * field_binomial_recursive(lab, nu, ctx))
     return total
 
 
@@ -382,12 +381,20 @@ def test_recursion_position_guard():
 
 
 def test_expand_eigenword_labels_are_one_step_successors():
-    for eta in [(0, 0), (1, 0), (0, 1, 2)]:
-        n = len(eta)
-        succ = set(comb.successors_one_step(eta))
-        for k in range(1, n + 1):
-            labels = set(istar.expand_eigenword(eta, k))
-            assert labels <= succ, (eta, k)
+    # exactly the c_I(eta), I maximal, whose spectral entry at k is not
+    # eta's: the labels that binomial_recursive sums over
+    for n in range(1, 5):
+        for eta in comb.compositions_up_to(n, 3):
+            succ = set(comb.successors_one_step(eta))
+            at = comb.spectral_exponents(eta)
+            for k in range(1, n + 1):
+                labels = set(expand_eigenword(eta, k))
+                assert labels <= succ, (eta, k)
+                assert labels == {
+                    lab for lab in (comb.c_I_apply(eta, index_set)
+                                    for index_set in comb.maximal_sets(eta))
+                    if comb.spectral_exponents(lab)[k - 1] != at[k - 1]}, \
+                    (eta, k)
 
 
 def test_expand_eigenword_matches_eigenoperator_coefficients():
@@ -396,7 +403,7 @@ def test_expand_eigenword_matches_eigenoperator_coefficients():
         n = len(eta)
         eb = comb.spectral_vector(eta)
         for k in range(1, n + 1):
-            for nu, c in istar.expand_eigenword(eta, k).items():
+            for nu, c in expand_eigenword(eta, k).items():
                 nb = comb.spectral_vector(nu)
                 expected = (nb[k - 1] / eb[k - 1] - G.one) * \
                     istar.binomial_direct(eta, nu)

@@ -42,7 +42,6 @@ def test_a_memo_hit_reads_no_label(fn, args, ctx, monkeypatch):
     (istar.binomial_direct, ((0, 1, 0), (1, 1, 1))),
     (istar.binomial_recursive, ((0, 1, 0), (1, 1, 1))),
     (istar.c_I_ratio, ((1, 0, 2), (2, 3))),
-    (istar.expand_eigenword, ((1, 0, 2), 2)),
 ], ids=lambda x: x.__name__ if callable(x) else None)
 def test_list_labels_and_keyword_calls_give_the_tuple_answer(fn, labels):
     want = fn(*labels, POINT)

@@ -100,6 +100,16 @@ def test_one_home_for_the_hecke_operators():
         f"demazure_lustig called from {sorted(callers)}"
 
 
+def test_one_home_for_the_basis_action():
+    # the Hecke step on a spectral basis vector switches the generation
+    # recursion; the binomial recursion reads its labels off the maximal
+    # index sets, so no expansion of a word in the basis is left in the
+    # package
+    callers = _callers("basis_action")
+    assert callers == {("emac.py", "common_form")}, \
+        f"basis_action called from {sorted(callers)}"
+
+
 def test_one_home_for_sums_in_parts():
     # a sum of products over one divisor is ScalarContext.product_sum, and
     # a sum of forms algebra.form_sum: no other code runs a lcm by hand
@@ -182,6 +192,17 @@ def test_binomial_recursion_is_independent_of_the_direct_route():
     used = _references("istar.py", None, "binomial_recursive")
     assert not used & BINOMIAL_DIRECT_PATHS, \
         f"binomial_recursive references {sorted(used & BINOMIAL_DIRECT_PATHS)}"
+
+
+def test_binomial_recursion_computes_at_the_given_point():
+    # at a rational point nothing of the recursion runs over Q(q,t); GENERIC
+    # is the default of ctx only
+    tree = ast.parse((PACKAGE / "istar.py").read_text(), filename="istar.py")
+    (func,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+               and node.name == "binomial_recursive"]
+    lines = [node.lineno for stmt in func.body for node in ast.walk(stmt)
+             if getattr(node, "id", getattr(node, "attr", None)) == "GENERIC"]
+    assert not lines, f"binomial_recursive reads GENERIC at lines {lines}"
 
 
 def _imported_modules(path):
