@@ -20,7 +20,6 @@ from .algebra import (
 from .comb import (
     Composition,
     c_I_apply,
-    c_I_operator_word,
     chi_r,
     compositions,
     compositions_up_to,

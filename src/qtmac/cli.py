@@ -305,54 +305,93 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+_PARAMS = ("--params", {"help": "q=NUM/DEN,t=NUM/DEN rational point"})
+_NU = ("--nu", {"help": "second composition"})
+
+
+def _compute(name, help_text, *options):
+    return name, (help_text, (
+        ("--eta", {"required": True, "help": "composition, e.g. 0,1,2"}),
+        *options, _PARAMS,
+        ("--symbolic", {"action": "store_true", "default": False,
+                        "help": "force symbolic coefficients (default)"}),
+        ("--format", {"choices": ("json", "text"), "default": "json"}),
+        ("--cache-dir", {})), {"func": cmd_compute, "kind": name})
+
+
+# subcommand -> (help, options as (flag, add_argument keywords), defaults):
+# the one description of the command line, read by build_parser and by
+# _plain_args
+COMMANDS = dict([
+    _compute("e", "nonsymmetric Macdonald polynomial"),
+    _compute("estar", "interpolation Macdonald polynomial"),
+    _compute("pieri", "branching coefficient table",
+             ("--r", {"type": int, "help": "elementary symmetric degree"})),
+    _compute("binom", "generalized binomial coefficient", _NU),
+    _compute("norm", "norm of E relative to <1,1>"),
+    _compute("psi", "vertical-strip branching coefficient",
+             ("--lam", {"help": "target partition"})),
+    _compute("innerprod", "constant-term inner product at t=q^k", _NU,
+             ("--k", {"type": int, "help": "specialization t = q^k"})),
+    ("verify", ("run identity suites", (
+        ("--suite", {"required": True,
+                     "choices": sorted(verify.SUITES) + ["all"]}),
+        ("--max-n", {"type": int, "default": 3}),
+        ("--max-mod", {"type": int, "default": 2}),
+        ("--k", {"type": int, "help": "restrict the norms suite to one k"}),
+        _PARAMS), {"func": cmd_verify})),
+])
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="qtmac", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_compute(name, help_text, with_r=False, with_nu=False,
-                    with_lam=False, with_k=False):
+    for name, (help_text, options, defaults) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--eta", required=True, help="composition, e.g. 0,1,2")
-        if with_nu:
-            p.add_argument("--nu", help="second composition")
-        if with_lam:
-            p.add_argument("--lam", help="target partition")
-        if with_r:
-            p.add_argument("--r", type=int, help="elementary symmetric degree")
-        if with_k:
-            p.add_argument("--k", type=int, help="specialization t = q^k")
-        p.add_argument("--params", help="q=NUM/DEN,t=NUM/DEN rational point")
-        p.add_argument("--symbolic", action="store_true",
-                       help="force symbolic coefficients (default)")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--cache-dir", dest="cache_dir")
-        p.set_defaults(func=cmd_compute, kind=name)
-        return p
-
-    add_compute("e", "nonsymmetric Macdonald polynomial")
-    add_compute("estar", "interpolation Macdonald polynomial")
-    add_compute("pieri", "branching coefficient table", with_r=True)
-    add_compute("binom", "generalized binomial coefficient", with_nu=True)
-    add_compute("norm", "norm of E relative to <1,1>")
-    add_compute("psi", "vertical-strip branching coefficient", with_lam=True)
-    add_compute("innerprod", "constant-term inner product at t=q^k",
-                with_nu=True, with_k=True)
-
-    v = sub.add_parser("verify", help="run identity suites")
-    v.add_argument("--suite", required=True,
-                   choices=sorted(verify.SUITES) + ["all"])
-    v.add_argument("--max-n", dest="max_n", type=int, default=3)
-    v.add_argument("--max-mod", dest="max_mod", type=int, default=2)
-    v.add_argument("--k", type=int, help="restrict the norms suite to one k")
-    v.add_argument("--params", help="q=NUM/DEN,t=NUM/DEN rational point")
-    v.set_defaults(func=cmd_verify)
+        for flag, spec in options:
+            p.add_argument(flag, **spec)
+        p.set_defaults(**defaults)
     return parser
 
 
+def _plain_args(argv):
+    """The namespace argparse gives ``argv`` if it is plain: a subcommand,
+    then its own options, each at most once as ``--name value``
+    (``--symbolic`` bare), no value starting with ``-``, each value of its
+    option's type and among its choices, every required option given.
+    Else None, and argparse reads ``argv``: help, abbreviations,
+    ``--name=value``, repeats, ``--``, negative values and every error."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, options, defaults = COMMANDS[argv[0]]
+    specs, tokens, given = dict(options), iter(argv[1:]), {}
+    for flag in tokens:
+        spec = specs.get(flag)
+        if spec is None or flag in given:
+            return None
+        if "action" in spec:  # --symbolic
+            given[flag] = True
+            continue
+        raw = next(tokens, "-")
+        try:
+            value = spec.get("type", str)(raw)
+        except ValueError:
+            return None
+        if raw.startswith("-") or value not in spec.get("choices", [value]):
+            return None
+        given[flag] = value
+    if any(spec.get("required") and flag not in given
+           for flag, spec in options):
+        return None
+    return argparse.Namespace(command=argv[0], **defaults, **{
+        flag[2:].replace("-", "_"): given.get(flag, spec.get("default"))
+        for flag, spec in options})
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = _plain_args(argv) or build_parser().parse_args(argv)
         if getattr(args, "params", None) and getattr(args, "symbolic", False):
             raise UsageError("--params and --symbolic are mutually exclusive")
         return args.func(args)

@@ -365,31 +365,6 @@ def basis_action(i: int, eta: Composition, up,
     return {eta: diag, flip: (ctx.t - diag) * (ctx.one + diag) / up}
 
 
-def c_I_operator_word(eta: Composition, index_set) -> list[Composition]:
-    """Intermediate compositions of the operator word realizing c_I.
-
-    Applies s_{t_1 - 1},...,s_1, then the raising map, then for
-    i = n,...,t_1 + 1 the switch s_{i-1} whenever i is outside I; returns
-    every intermediate composition in order (the last equals c_I(eta)).
-    """
-    n = len(eta)
-    ts = _index_set(index_set, n)
-    t1 = ts[0]
-    steps = []
-    cur = eta
-    for j in range(t1 - 1, 0, -1):
-        cur = swap_entries(cur, j)
-        steps.append(cur)
-    cur = phi_shift(cur)
-    steps.append(cur)
-    in_set = set(ts)
-    for i in range(n, t1, -1):
-        if i not in in_set:
-            cur = swap_entries(cur, i - 1)
-            steps.append(cur)
-    return steps
-
-
 def maximal_sets(eta: Composition) -> list[tuple[int, ...]]:
     """All index sets I maximal with respect to eta, in the order of their
     masks sum_{t in I} 2^(t-1).

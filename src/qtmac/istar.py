@@ -189,7 +189,8 @@ def vanishing_solve_oracle(eta: Composition,
 # ---------------------------------------------------------------------------
 
 def _delta_factors(eta: Composition, index_set, ctx: ScalarContext):
-    """(factors, divisors) of delta(eta, I), each divisor built with
+    """(factors, divisors) of delta(eta, I), the product over the selected
+    positions of (t-1)/(1 - lam-bar/eta-bar), each divisor built with
     ``ctx.one_minus``."""
     lam = comb.c_I_apply(eta, index_set)
     ez = comb.spectral_exponents(eta)
@@ -202,15 +203,17 @@ def _delta_factors(eta: Composition, index_set, ctx: ScalarContext):
     return factors, divisors
 
 
-def delta_factor(eta: Composition, index_set, ctx: ScalarContext = GENERIC):
-    """Product over the selected positions of (t-1)/(1 - lam-bar/eta-bar)."""
-    factors, divisors = _delta_factors(eta, index_set, ctx)
-    return ctx.product_sum([factors], divisors)
-
-
 def _beta_factors(eta: Composition, index_set, ctx: ScalarContext):
     """(factors, divisors) of beta(eta, I), each divisor built with
-    ``ctx.one_minus``."""
+    ``ctx.one_minus``: the product of (X-t)(tX-1)/(X-1)^2 over unselected
+    positions that carry an entry larger than the selected entry about to
+    pass them.
+
+    For i below the last selected position, X(i) compares eta-bar at the next
+    selected position above i with eta-bar at i; beyond the last selected
+    position the raised entry contributes q times the spectral value at the
+    first selected position.
+    """
     ts = sorted(index_set)
     t1, tlast = ts[0], ts[-1]
     ez = comb.spectral_exponents(eta)
@@ -235,19 +238,6 @@ def _beta_factors(eta: Composition, index_set, ctx: ScalarContext):
         factors += [x - ctx.t, ctx.t * x - ctx.one]
         divisors += [one_minus_x, one_minus_x]
     return factors, divisors
-
-
-def beta_factor(eta: Composition, index_set, ctx: ScalarContext = GENERIC):
-    """Product of (X-t)(tX-1)/(X-1)^2 over unselected positions that carry an
-    entry larger than the selected entry about to pass them.
-
-    For i below the last selected position, X(i) compares eta-bar at the next
-    selected position above i with eta-bar at i; beyond the last selected
-    position the raised entry contributes q times the spectral value at the
-    first selected position.
-    """
-    factors, divisors = _beta_factors(eta, index_set, ctx)
-    return ctx.product_sum([factors], divisors)
 
 
 @memo

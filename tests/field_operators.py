@@ -1,8 +1,10 @@
 """The Hecke and raising operators in field arithmetic, normalising after
 every operation: the references for the operators on forms of
-``qtmac.emac``."""
+``qtmac.emac``; and the pieces of a one-step successor c_I(eta) that only
+tests read: its operator word and the delta and beta factors of
+``istar.c_I_ratio``."""
 
-from qtmac import comb
+from qtmac import comb, istar
 from qtmac.algebra import GENERIC, ZPolynomial, demazure_lustig
 
 
@@ -72,3 +74,40 @@ def expand_eigenword(eta, k, ctx=GENERIC):
     for j in range(n - 1, k - 1, -1):
         table = apply_h(j, table)
     return table
+
+
+def c_I_operator_word(eta, index_set):
+    """Intermediate compositions of the operator word realizing c_I.
+
+    Applies s_{t_1 - 1},...,s_1, then the raising map, then for
+    i = n,...,t_1 + 1 the switch s_{i-1} whenever i is outside I; returns
+    every intermediate composition in order (the last equals c_I(eta)).
+    """
+    n = len(eta)
+    ts = comb._index_set(index_set, n)
+    t1 = ts[0]
+    steps = []
+    cur = eta
+    for j in range(t1 - 1, 0, -1):
+        cur = comb.swap_entries(cur, j)
+        steps.append(cur)
+    cur = comb.phi_shift(cur)
+    steps.append(cur)
+    in_set = set(ts)
+    for i in range(n, t1, -1):
+        if i not in in_set:
+            cur = comb.swap_entries(cur, i - 1)
+            steps.append(cur)
+    return steps
+
+
+def delta_factor(eta, index_set, ctx=GENERIC):
+    """delta(eta, I), multiplied out: see ``istar._delta_factors``."""
+    factors, divisors = istar._delta_factors(eta, index_set, ctx)
+    return ctx.product_sum([factors], divisors)
+
+
+def beta_factor(eta, index_set, ctx=GENERIC):
+    """beta(eta, I), multiplied out: see ``istar._beta_factors``."""
+    factors, divisors = istar._beta_factors(eta, index_set, ctx)
+    return ctx.product_sum([factors], divisors)

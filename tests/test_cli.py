@@ -1,7 +1,9 @@
 """Command-line front end: JSON documents, caching, exit codes."""
 
+import importlib.util
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import threading
@@ -9,6 +11,8 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from qtmac import cli, emac, istar, pieri, verify
 from qtmac.algebra import GENERIC, ZPolynomial, specialized
@@ -453,6 +457,151 @@ def test_usage_errors_exit_one(argv, capsys):
     code, _, err = run_cli(argv, capsys)
     assert code == 1
     assert err.strip()
+
+
+# argparse's own help and messages, recorded with COLUMNS=80, the width
+# argparse wraps help to
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+SUBCOMMANDS = "'e', 'estar', 'pieri', 'binom', 'norm', 'psi', 'innerprod', " \
+    "'verify'"
+SUITES = "'binomials', 'duality', 'eigen', 'norms', 'oracle-e', " \
+    "'oracle-estar', 'pieri-agreement', 'pieri-general', 'symmetric-pieri', " \
+    "'vanishing', 'all'"
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["--help"], "help_qtmac.txt"),
+    (["pieri", "--help"], "help_pieri.txt"),
+    (["verify", "--help"], "help_verify.txt"),
+])
+def test_help_golden_stdout(argv, golden, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr() == ((GOLDEN / golden).read_text(), "")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["foo"],
+     f"argument command: invalid choice: 'foo' (choose from {SUBCOMMANDS})"),
+    (["pieri", "--r", "1"], "the following arguments are required: --eta"),
+    (["pieri", "--eta", "0,0", "--r", "x"],
+     "argument --r: invalid int value: 'x'"),
+    (["pieri", "--eta", "0,0", "--r", "1", "--bogus"],
+     "unrecognized arguments: --bogus"),
+    (["pieri", "--eta", "-1,0", "--r", "1"],
+     "argument --eta: expected one argument"),
+    (["e", "--eta", "0,0", "--format", "xml"],
+     "argument --format: invalid choice: 'xml' (choose from 'json', 'text')"),
+    (["verify", "--suite", "nope", "--max-n", "2"],
+     f"argument --suite: invalid choice: 'nope' (choose from {SUITES})"),
+])
+def test_usage_error_golden_stderr(argv, message, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(argv, capsys) == (1, "", f"error: {message}\n")
+
+
+def test_abbreviated_option_is_read_by_argparse(capsys):
+    argv = ["pieri", "--et", "0,0", "--r", "1"]
+    assert cli._plain_args(argv) is None
+    assert run_cli(argv, capsys) == run_cli(
+        ["pieri", "--eta", "0,0", "--r", "1"], capsys)
+
+
+# tokens that a command line is drawn from: every option and some that
+# only argparse reads, and values of every kind argparse tells apart
+FLAGS = sorted({flag for _, options, _ in cli.COMMANDS.values()
+                for flag, _ in options}) + [
+    "--et", "--max", "--eta=1,0", "-h", "--"]
+VALUES = ["0,1", "1,0,1", "1", "0", "-1", "", " 2", "+2", "\u0663", "-",
+          "xml", "json", "text", "q=1/2,t=1/3", "pieri",
+          *sorted(verify.SUITES), "all"]
+INTS = ["1", "0", "3", " 2", "+2", "\u0663", "-1", "x"]
+
+
+def _values(spec):
+    """A value of the option's kind, or any value."""
+    own = spec.get("choices") or (INTS if spec.get("type") is int else VALUES)
+    return st.sampled_from(list(own)) | st.sampled_from(VALUES)
+
+
+@st.composite
+def command_lines(draw):
+    """Mostly a subcommand's own options in any order, each with a value
+    of its kind or any value, its required options mostly given, and at
+    times one token more anywhere: about a third of them are plain."""
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    options = cli.COMMANDS[command][1]
+    chosen = draw(st.permutations(options))[
+        :draw(st.integers(0, len(options)))]
+    if draw(st.integers(0, 4)):
+        chosen += [option for option in options
+                   if option[1].get("required") and option not in chosen]
+    argv = [command]
+    for flag, spec in chosen:
+        argv.append(flag)
+        if "action" not in spec:
+            argv.append(draw(_values(spec)))
+    if not draw(st.integers(0, 3)):
+        argv.insert(draw(st.integers(1, len(argv))),
+                    draw(st.sampled_from(FLAGS + VALUES)))
+    return argv
+
+
+@settings(max_examples=1000, deadline=None)
+@given(command_lines())
+def test_plain_args_is_what_argparse_reads(argv):
+    plain = cli._plain_args(argv)
+    if plain is not None:
+        assert vars(plain) == vars(cli.build_parser().parse_args(argv))
+
+
+def _benchmark_queries():
+    """The distinct command lines of perfbench's workloads at seeds 1-3."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / \
+        "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return sorted({tuple(query["argv"]) for name in workloads.WORKLOADS
+                   for seed in (1, 2, 3)
+                   for query in workloads.build(name, seed)})
+
+
+@pytest.mark.parametrize("argv", _benchmark_queries(), ids=" ".join)
+def test_plain_args_reads_every_benchmark_command_line(argv):
+    plain = cli._plain_args(argv)
+    assert plain is not None
+    assert vars(plain) == vars(cli.build_parser().parse_args(argv))
+
+
+class _ParserBuilt(Exception):
+    pass
+
+
+@pytest.fixture
+def no_parser(monkeypatch):
+    def build_parser():
+        raise _ParserBuilt
+
+    monkeypatch.setattr(cli, "build_parser", build_parser)
+
+
+@pytest.mark.parametrize("argv", [
+    ["pieri", "--eta", "0,0", "--r", "1"],
+    ["e", "--eta", "0,1", "--params", "q=1/2,t=1/3"],
+])
+def test_plain_command_line_builds_no_parser(argv, no_parser, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["kind"] == argv[0]
+
+
+def test_other_command_lines_build_the_parser(no_parser):
+    with pytest.raises(_ParserBuilt):
+        cli.main(["pieri", "--eta=0,0", "--r", "1"])
 
 
 def test_verify_fault_is_not_a_usage_error(monkeypatch):

@@ -10,6 +10,7 @@ import hypothesis.strategies as st
 from qtmac.algebra import GENERIC, AlgebraError
 from qtmac import comb, emac
 
+from field_operators import c_I_operator_word
 from helpers import apply_perm, maximal_sets_by_masks, successor_search
 
 G = GENERIC
@@ -210,7 +211,7 @@ def test_c_I_worked_example():
 
 def test_c_I_operator_word_intermediates():
     eta = (1, 3, 5, 7, 9, 11, 13, 15)
-    steps = comb.c_I_operator_word(eta, (3, 4, 5, 7))
+    steps = c_I_operator_word(eta, (3, 4, 5, 7))
     assert steps == [
         (1, 5, 3, 7, 9, 11, 13, 15),
         (5, 1, 3, 7, 9, 11, 13, 15),
@@ -242,7 +243,7 @@ def test_c_I_small_examples():
 def test_c_I_readers_refuse_the_same_index_sets(index_set, message):
     # c_I_apply and c_I_operator_word read I the same way: a repeated
     # entry is refused, not read as the set without its repeat
-    for read in (comb.c_I_apply, comb.c_I_operator_word):
+    for read in (comb.c_I_apply, c_I_operator_word):
         with pytest.raises(AlgebraError) as err:
             read((0, 1, 0), index_set)
         assert str(err.value) == message, read.__name__
@@ -279,7 +280,7 @@ def test_c_I_equals_operator_word_for_maximal_sets():
     for n in range(1, 5):
         for eta in comb.compositions_up_to(n, 4):
             for I in comb.maximal_sets(eta):
-                steps = comb.c_I_operator_word(eta, I)
+                steps = c_I_operator_word(eta, I)
                 assert steps[-1] == comb.c_I_apply(eta, I), (eta, I)
 
 
@@ -370,7 +371,7 @@ def test_as_composition_errors(parts, error, message):
     (lambda: emac.symmetrize_P((1.5, 0)), "partition parts"),
     (lambda: emac.psi_coefficient((1.5,), (2.5,), 1), "partition parts"),
     (lambda: comb.c_I_apply((0, 0), (1.5,)), "index set entries"),
-    (lambda: comb.c_I_operator_word((0, 0), (1.5,)), "index set entries"),
+    (lambda: c_I_operator_word((0, 0), (1.5,)), "index set entries"),
 ], ids=["symmetrize_P", "psi_coefficient", "c_I_apply", "c_I_operator_word"])
 def test_non_integral_parts_are_refused(call, noun):
     with pytest.raises(AlgebraError, match=r"must be integers: 1\.5$") as err:

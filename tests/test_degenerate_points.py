@@ -15,9 +15,10 @@ coefficient of z^kappa in the Hecke symmetrization of E_kappa.
 
 The labels are every composition with n <= 3 and |eta| <= 3, and for the
 binomials every nu of the same length with |eta| < |nu| <= |eta| + 2; for
-``duality_transfer`` every eta with n = 2 and |eta| <= 2 and every lam with
-|lam| = |eta| + r; for the symmetric routes every partition kappa with
-n <= 3 and |kappa| <= 3, and every vertical strip lam/kappa.
+``duality_transfer`` with r = 1 every eta with n = 2 and |eta| <= 2, or
+n = 3 and |eta| <= 1, and every lam with |lam| = |eta| + 1; for the
+symmetric routes every partition kappa with n <= 3 and |kappa| <= 3, and
+every vertical strip lam/kappa.
 """
 
 import functools
@@ -59,9 +60,10 @@ def _cases():
                     lam = tuple(map(sum, zip(eta, strip)))
                     if any(strip) and comb.is_partition(lam):
                         yield emac.psi_coefficient, (eta, lam, n)
-    for eta in comb.compositions_up_to(2, 2):
-        for lam in comb.compositions(2, sum(eta) + 1):
-            yield pieri.duality_transfer, (eta, lam, 1)
+    for n, size in ((2, 2), (3, 1)):
+        for eta in comb.compositions_up_to(n, size):
+            for lam in comb.compositions(n, sum(eta) + 1):
+                yield pieri.duality_transfer, (eta, lam, 1)
 
 
 CASES = list(_cases())

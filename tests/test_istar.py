@@ -10,7 +10,8 @@ from qtmac.algebra import (GENERIC, AlgebraError, ZPolynomial, field_view,
                            ring_form, specialized)
 from qtmac import comb, emac, istar
 
-from field_operators import expand_eigenword, field_H, field_phi_star
+from field_operators import (beta_factor, delta_factor, expand_eigenword,
+                             field_H, field_phi_star)
 from helpers import variable
 from test_algebra import SUM_CONTEXTS
 from test_emac import hecke_view
@@ -303,8 +304,8 @@ def test_c_I_ratio_is_the_field_product_and_the_binomial(ctx):
             for index_set in comb.maximal_sets(eta):
                 lam = comb.c_I_apply(eta, index_set)
                 delta, beta = field_delta_beta(eta, index_set, ctx)
-                assert istar.delta_factor(eta, index_set, ctx) == delta
-                assert istar.beta_factor(eta, index_set, ctx) == beta
+                assert delta_factor(eta, index_set, ctx) == delta
+                assert beta_factor(eta, index_set, ctx) == beta
                 ratio = istar.c_I_ratio(eta, index_set[::-1], ctx)
                 assert ratio == (ctx.monomial(-eta[min(index_set) - 1], 0)
                                  * delta * beta / (ctx.one - ctx.t)), (eta, lam)

@@ -10,6 +10,7 @@ from qtmac.algebra import (GENERIC, AlgebraError, SpecializationError,
                            elementary_symmetric_at, scalar_eval, specialized)
 from qtmac import comb, emac, istar, pieri
 
+from field_operators import beta_factor, delta_factor
 from test_algebra import SUM_CONTEXTS
 
 G = GENERIC
@@ -287,18 +288,18 @@ def test_pieri_r1_closed_building_blocks():
     eb = comb.spectral_vector(eta)
     lb = comb.spectral_vector((0, 1))
     assert sum(lb, G.zero) - sum(eb, G.zero) == Q - 1
-    assert istar.delta_factor(eta, (1, 2)) == T * (T - 1) / (1 - Q * T)
-    assert istar.beta_factor(eta, (1, 2)) == G.one
-    assert istar.delta_factor(eta, (1,)) == (T - 1) / (1 - Q)
-    assert istar.beta_factor(eta, (1,)) == G.one
+    assert delta_factor(eta, (1, 2)) == T * (T - 1) / (1 - Q * T)
+    assert beta_factor(eta, (1, 2)) == G.one
+    assert delta_factor(eta, (1,)) == (T - 1) / (1 - Q)
+    assert beta_factor(eta, (1,)) == G.one
 
 
 @pytest.mark.parametrize("call, factor", [
     # delta's 1 - lam-bar/eta-bar and a-hat's 1 - y/x at q = 1
-    (lambda: istar.delta_factor((0, 0), (1,), specialized(1, 5)), "1 - q"),
+    (lambda: delta_factor((0, 0), (1,), specialized(1, 5)), "1 - q"),
     (lambda: pieri.pieri_r1_product_form((0, 0), specialized(1, 5)), "1 - q"),
     # beta's (X - 1)^2 and b-hat's 1 - y/x at q t = 1
-    (lambda: istar.beta_factor((1, 0), (2,), specialized(2, Fraction(1, 2))),
+    (lambda: beta_factor((1, 0), (2,), specialized(2, Fraction(1, 2))),
      "1 - q^-1*t^-1"),
     (lambda: pieri.pieri_r1_product_form((1, 0), specialized(2, Fraction(1, 2))),
      "1 - q*t"),
