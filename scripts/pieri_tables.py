@@ -12,7 +12,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
-from qtmac.algebra import GENERIC
+from qtmac.algebra import GENERIC, AlgebraError
 from qtmac import comb, pieri
 
 
@@ -23,11 +23,14 @@ def main():
     ap.add_argument("--r", type=int, default=1)
     args = ap.parse_args()
 
-    for eta in comb.compositions_up_to(args.n, args.max_mod):
-        table = pieri.pieri_homogeneous(eta, args.r)
-        print(f"e_{args.r} * E_{comb.comp_str(eta)}:")
-        for lam, coeff in sorted(table.items()):
-            print(f"    {comb.comp_str(lam)}: {GENERIC.text(coeff)}")
+    try:
+        for eta in comb.compositions_up_to(args.n, args.max_mod):
+            table = pieri.pieri_homogeneous(eta, args.r)
+            print(f"e_{args.r} * E_{comb.comp_str(eta)}:")
+            for lam, coeff in sorted(table.items()):
+                print(f"    {comb.comp_str(lam)}: {GENERIC.text(coeff)}")
+    except AlgebraError as exc:
+        ap.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -26,8 +26,8 @@ from .comb import (
     hook_products,
     is_successor,
     leg_colength_vector,
-    maximal_sets,
     n_stat,
+    one_step,
     sorting_permutation,
     spectral_vector,
     successor_test,

@@ -51,9 +51,13 @@ def parse_comp(s: str) -> Composition:
 
 
 def compositions(n: int, m: int):
-    """All length-n compositions of modulus m, lexicographically."""
+    """All length-n compositions of modulus m, lexicographically: none when
+    m < 0."""
+    if n < 1:
+        raise AlgebraError("compositions must have length >= 1")
     if n == 1:
-        yield (m,)
+        if m >= 0:
+            yield (m,)
         return
     for first in range(m + 1):
         for rest in compositions(n - 1, m - first):
@@ -310,11 +314,6 @@ def c_I_apply(eta: Composition, index_set) -> Composition:
     return tuple(out)
 
 
-def phi_shift(eta: Composition) -> Composition:
-    """The raising map on labels: (eta_2,...,eta_n, eta_1 + 1)."""
-    return eta[1:] + (eta[0] + 1,)
-
-
 def swap_entries(eta: Composition, i: int) -> Composition:
     """s_i on compositions (1-based)."""
     le = list(eta)
@@ -326,10 +325,11 @@ def generation_step(eta: Composition):
     """The last step of the recursive generation of E_eta and Estar_eta.
 
     None for the zero composition, whose polynomial is 1.  Otherwise
-    (mu, i): when eta_n >= 1, i is None and eta = phi_shift(mu) is raised
-    from mu = (eta_n - 1, eta_1, ..., eta_{n-1}); when eta_n = 0, i is the
-    last descent of eta and eta is switched from mu = s_i eta.  Either step
-    strictly reduces (modulus, inversions), so the recursion ends at zero.
+    (mu, i): when eta_n >= 1, i is None and eta = (mu_2, ..., mu_n, mu_1 + 1)
+    is raised from mu = (eta_n - 1, eta_1, ..., eta_{n-1}); when eta_n = 0,
+    i is the last descent of eta and eta is switched from mu = s_i eta.
+    Either step strictly reduces (modulus, inversions), so the recursion
+    ends at zero.
     """
     if eta[-1] >= 1:
         return (eta[-1] - 1,) + eta[:-1], None
@@ -365,9 +365,11 @@ def basis_action(i: int, eta: Composition, up,
     return {eta: diag, flip: (ctx.t - diag) * (ctx.one + diag) / up}
 
 
-def maximal_sets(eta: Composition) -> list[tuple[int, ...]]:
-    """All index sets I maximal with respect to eta, in the order of their
-    masks sum_{t in I} 2^(t-1).
+def one_step(eta: Composition) -> dict[Composition, tuple[int, ...]]:
+    """The one-step successors of eta, {c_I(eta): I} over the index sets I
+    maximal with respect to eta, in the order of their masks
+    sum_{t in I} 2^(t-1).  c_I is a bijection from the maximal sets onto
+    the lam with |lam| = |eta| + 1 and eta <=' lam.
 
     I = {t_1 < ... < t_s} qualifies when no entry before t_1, or strictly
     between consecutive selected positions, equals the next selected entry,
@@ -376,20 +378,16 @@ def maximal_sets(eta: Composition) -> list[tuple[int, ...]]:
     the sets that meet it are walked, each reached once from the set without
     its last position; those that meet the second condition are kept.
     """
-    out, chains = [], [()]
+    kept, chains = [], [()]
     while chains:
         ts = chains.pop()
         last = ts[-1] if ts else 0
         after = eta[last:]
         chains += [ts + (last + after.index(v) + 1,) for v in set(after)]
         if ts and eta[ts[0] - 1] + 1 not in after:
-            out.append(ts)
-    return sorted(out, key=lambda ts: sum(1 << (t - 1) for t in ts))
-
-
-def successors_one_step(eta: Composition) -> list[Composition]:
-    """All lam with |lam| = |eta| + 1 and eta <=' lam, via maximal sets."""
-    return sorted({c_I_apply(eta, I) for I in maximal_sets(eta)})
+            kept.append(ts)
+    kept.sort(key=lambda ts: sum(1 << (t - 1) for t in ts))
+    return {c_I_apply(eta, ts): ts for ts in kept}
 
 
 def successors_layered(eta: Composition, k: int) -> list[Composition]:
@@ -398,7 +396,7 @@ def successors_layered(eta: Composition, k: int) -> list[Composition]:
         raise AlgebraError("layer index k must be >= 1")
     layer = {eta}
     for _ in range(k):
-        layer = {lam for mu in layer for lam in successors_one_step(mu)}
+        layer = {lam for mu in layer for lam in one_step(mu)}
     return sorted(layer)
 
 

@@ -188,23 +188,25 @@ def vanishing_solve_oracle(eta: Composition,
 # one-step evaluation ratio and binomial coefficients
 # ---------------------------------------------------------------------------
 
-def _delta_factors(eta: Composition, index_set, ctx: ScalarContext):
-    """(factors, divisors) of delta(eta, I), the product over the selected
-    positions of (t-1)/(1 - lam-bar/eta-bar), each divisor built with
+def _delta_factors(eta: Composition, lam: Composition, ts,
+                   ctx: ScalarContext):
+    """(factors, divisors) of delta(eta, I) for lam = c_I(eta), I given as
+    the tuple ts: the product over the selected positions of
+    (t-1)/(1 - lam-bar/eta-bar), each divisor built with
     ``ctx.one_minus``."""
-    lam = comb.c_I_apply(eta, index_set)
     ez = comb.spectral_exponents(eta)
     lz = comb.spectral_exponents(lam)
     factors, divisors = [], []
-    for tu in sorted(index_set):
+    for tu in ts:
         (la, lb), (ea, eb) = lz[tu - 1], ez[tu - 1]
         factors.append(ctx.t - ctx.one)
         divisors.append(ctx.one_minus(la - ea, lb - eb))
     return factors, divisors
 
 
-def _beta_factors(eta: Composition, index_set, ctx: ScalarContext):
-    """(factors, divisors) of beta(eta, I), each divisor built with
+def _beta_factors(eta: Composition, ts, ctx: ScalarContext):
+    """(factors, divisors) of beta(eta, I), for I = {t_1 < ... < t_s} given
+    as the increasing tuple ts, each divisor built with
     ``ctx.one_minus``: the product of (X-t)(tX-1)/(X-1)^2 over unselected
     positions that carry an entry larger than the selected entry about to
     pass them.
@@ -214,7 +216,6 @@ def _beta_factors(eta: Composition, index_set, ctx: ScalarContext):
     position the raised entry contributes q times the spectral value at the
     first selected position.
     """
-    ts = sorted(index_set)
     t1, tlast = ts[0], ts[-1]
     ez = comb.spectral_exponents(eta)
     in_set = set(ts)
@@ -241,31 +242,25 @@ def _beta_factors(eta: Composition, index_set, ctx: ScalarContext):
 
 
 @memo
-def c_I_ratio(eta: Composition, index_set, ctx: ScalarContext = GENERIC):
-    """Estar_eta(lam-bar) / Estar_lam(lam-bar) for lam = c_I(eta), I maximal:
-    q^(-eta_{t1}) delta(eta,I) beta(eta,I) / (1 - t), one
-    ``ctx.product_sum`` term; memoised."""
-    eta = comb.as_composition(eta)
-    delta, delta_div = _delta_factors(eta, index_set, ctx)
-    beta, beta_div = _beta_factors(eta, index_set, ctx)
-    t1 = min(index_set)
-    return ctx.product_sum([(ctx.monomial(-eta[t1 - 1], 0), *delta, *beta)],
-                           [*delta_div, *beta_div, ctx.one_minus(0, 1)])
-
-
 def one_step_ratio(eta: Composition, lam: Composition,
                    ctx: ScalarContext = GENERIC):
-    """Estar_eta(lam-bar) / Estar_lam(lam-bar) for |lam| = |eta| + 1: the
-    :func:`c_I_ratio` of I when lam = c_I(eta) for a maximal I, zero
-    otherwise."""
+    """Estar_eta(lam-bar) / Estar_lam(lam-bar) for |lam| = |eta| + 1,
+    memoised: q^(-eta_{t1}) delta(eta,I) beta(eta,I) / (1 - t), one
+    ``ctx.product_sum`` term, when lam = c_I(eta) for a maximal I
+    (:func:`comb.one_step`); zero otherwise."""
+    eta, lam = comb.as_composition(eta), comb.as_composition(lam)
     if len(eta) != len(lam):
         raise AlgebraError("one_step_ratio requires equal lengths")
     if comb.modulus(lam) != comb.modulus(eta) + 1:
         raise AlgebraError("one_step_ratio requires a modulus gap of one")
-    for index_set in comb.maximal_sets(eta):
-        if comb.c_I_apply(eta, index_set) == lam:
-            return c_I_ratio(eta, index_set, ctx)
-    return ctx.zero
+    index_set = comb.one_step(eta).get(lam)
+    if index_set is None:
+        return ctx.zero
+    delta, delta_div = _delta_factors(eta, lam, index_set, ctx)
+    beta, beta_div = _beta_factors(eta, index_set, ctx)
+    return ctx.product_sum(
+        [(ctx.monomial(-eta[index_set[0] - 1], 0), *delta, *beta)],
+        [*delta_div, *beta_div, ctx.one_minus(0, 1)])
 
 
 def leftmost_frequency_mismatch(eta: Composition, nu: Composition) -> int:
@@ -313,11 +308,11 @@ def binomial_recursive(eta: Composition, nu: Composition,
     A gap of one is the closed-form one-step ratio.  For larger gaps, with
     k = :func:`recursion_position`, the eigenoperator word of
     :func:`xi_form` at k takes Estar_eta to a sum over the one-step
-    successors nu' = c_I(eta), I maximal, with coefficient
-    (nu'-bar_k/eta-bar_k - 1) times the one-step ratio :func:`c_I_ratio`.
-    The value is the sum over the nu' below nu of that coefficient times the
-    recursive coefficient from nu' to nu, over nu-bar_k/eta-bar_k - 1, in
-    one ``ScalarContext.product_sum``.  A nu' with eta's spectral entry at
+    successors nu' of :func:`comb.one_step`, with coefficient
+    (nu'-bar_k/eta-bar_k - 1) times :func:`one_step_ratio`.  The value is
+    the sum over the nu' below nu of that coefficient times the recursive
+    coefficient from nu' to nu, over nu-bar_k/eta-bar_k - 1, in one
+    ``ScalarContext.product_sum``.  A nu' with eta's spectral entry at
     k has coefficient 0 over Q(q,t) and is skipped; every other one is
     kept, so at a point where its coefficient vanishes its term may still
     be 0 times a pole, which raises.
@@ -337,11 +332,10 @@ def binomial_recursive(eta: Composition, nu: Composition,
     # nonzero: recursion_position picks a k where the entries differ
     denom = ctx.monomial(na - ea, nb - eb) - ctx.one
     terms = []
-    for index_set in comb.maximal_sets(eta):
-        lab = comb.c_I_apply(eta, index_set)
+    for lab in comb.one_step(eta):
         la, lb = comb.spectral_exponents(lab)[pos - 1]
         if (la, lb) != (ea, eb) and comb.is_successor(lab, nu):
             terms.append((ctx.monomial(la - ea, lb - eb) - ctx.one,
-                          c_I_ratio(eta, index_set, ctx),
+                          one_step_ratio(eta, lab, ctx),
                           binomial_recursive(lab, nu, ctx)))
     return ctx.product_sum(terms, [denom])

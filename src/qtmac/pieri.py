@@ -101,7 +101,7 @@ def _kept_fronts(eta: Composition, r: int, ceiling: Composition | None):
     for _ in range(r):
         preds: dict = {}
         for mu in below:
-            for lam in comb.successors_one_step(mu):
+            for lam in comb.one_step(mu):
                 preds.setdefault(lam, []).append(mu)
         if ceiling is not None:
             preds = {lam: ps for lam, ps in preds.items()
@@ -156,15 +156,15 @@ def pieri_homogeneous(eta: Composition, r: int,
 
 
 def pieri_r1_closed(eta: Composition, ctx: ScalarContext = GENERIC) -> dict:
-    """r = 1 coefficients in closed form, one per maximal index set:
-    (|lam-bar| - |eta-bar|) times :func:`istar.c_I_ratio`, which is
+    """r = 1 coefficients in closed form, one per one-step successor lam
+    of :func:`comb.one_step`: (|lam-bar| - |eta-bar|) times
+    :func:`istar.one_step_ratio`, which is
     q^(-eta_{t1}) delta(eta,I) beta(eta,I) / (1-t)."""
     eta = comb.as_composition(eta)
     out = {}
-    for index_set in comb.maximal_sets(eta):
-        lam = comb.c_I_apply(eta, index_set)
+    for lam in comb.one_step(eta):
         coeff = (comb.spectral_e_gap(eta, lam, 1, ctx)
-                 * istar.c_I_ratio(eta, index_set, ctx))
+                 * istar.one_step_ratio(eta, lam, ctx))
         if coeff:
             out[lam] = coeff
     return out
@@ -174,15 +174,15 @@ def pieri_r1_closed(eta: Composition, ctx: ScalarContext = GENERIC) -> dict:
 # r = 1 product form
 # ---------------------------------------------------------------------------
 
-def _product_factors(eta: Composition, index_set, ctx: ScalarContext):
-    """(factors, divisors) of A_I B-tilde_I at the spectral point of eta.
+def _product_factors(eta: Composition, ts, ctx: ScalarContext):
+    """(factors, divisors) of A_I B-tilde_I at the spectral point of eta,
+    for I = {t_1 < ... < t_s} given as the increasing tuple ts.
 
     For spectral monomials x = q^x0 t^x1 and y = q^y0 t^y1, each a-hat
     (t - 1) x / (x - y) is taken as (t - 1) / (1 - y/x) and each b-hat
     (x - t y) / (x - y) as (1 - t y/x) / (1 - y/x); every divisor is built
     with ``ctx.one_minus``, so the first that vanishes is named.
     """
-    ts = sorted(index_set)
     n = len(eta)
     z = comb.spectral_exponents(eta)
     first, last = z[ts[0] - 1], z[ts[-1] - 1]
@@ -210,7 +210,8 @@ def _product_factors(eta: Composition, index_set, ctx: ScalarContext):
 
 def pieri_r1_product_form(eta: Composition,
                           ctx: ScalarContext = GENERIC) -> dict:
-    """r = 1 coefficients in product form, one per maximal index set:
+    """r = 1 coefficients in product form, one per one-step successor
+    lam = c_I(eta) of :func:`comb.one_step`:
 
     (1-q) d'_eta(1/q,1/t) A_I B~_I / (d'_lam(1/q,1/t) q^(eta_{t1}+1) (t-1)),
 
@@ -219,14 +220,12 @@ def pieri_r1_product_form(eta: Composition,
     eta = comb.as_composition(eta)
     dpr_eta = comb.hook_d_prime_inverted(eta, ctx)
     out = {}
-    for index_set in comb.maximal_sets(eta):
-        lam = comb.c_I_apply(eta, index_set)
-        t1 = min(index_set)
+    for lam, index_set in comb.one_step(eta).items():
         factors, divisors = _product_factors(eta, index_set, ctx)
         coeff = ctx.product_sum(
             [(ctx.q - ctx.one, dpr_eta, *factors)],
             [*divisors, comb.hook_d_prime_inverted(lam, ctx),
-             ctx.monomial(eta[t1 - 1] + 1, 0), ctx.one_minus(0, 1)])
+             ctx.monomial(eta[index_set[0] - 1] + 1, 0), ctx.one_minus(0, 1)])
         if coeff:
             out[lam] = coeff
     return out

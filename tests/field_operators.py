@@ -1,8 +1,8 @@
 """The Hecke and raising operators in field arithmetic, normalising after
 every operation: the references for the operators on forms of
-``qtmac.emac``; and the pieces of a one-step successor c_I(eta) that only
-tests read: its operator word and the delta and beta factors of
-``istar.c_I_ratio``."""
+``qtmac.emac``; the raising map on labels; and the pieces of a one-step
+successor c_I(eta) that only tests read: its operator word and the delta
+and beta factors of ``istar.one_step_ratio``."""
 
 from qtmac import comb, istar
 from qtmac.algebra import GENERIC, ZPolynomial, demazure_lustig
@@ -33,11 +33,16 @@ def field_phi_q(p, ctx):
     return zn * p
 
 
+def phi_shift(eta):
+    """The raising map on labels: (eta_2,...,eta_n, eta_1 + 1)."""
+    return eta[1:] + (eta[0] + 1,)
+
+
 def apply_phi_q(eta, ctx=GENERIC):
     """Action of field_phi_q on the basis: (scalar, raised label), with
     field_phi_q E_eta == scalar E_(raised label)."""
     count = sum(1 for x in eta[1:] if x <= eta[0])
-    return ctx.monomial(0, -count), comb.phi_shift(eta)
+    return ctx.monomial(0, -count), phi_shift(eta)
 
 
 def field_phi_star(p, ctx):
@@ -69,7 +74,7 @@ def expand_eigenword(eta, k, ctx=GENERIC):
 
     for j in range(k - 1, 0, -1):
         table = apply_h(j, table)
-    table = {comb.phi_shift(lab): coeff * ctx.monomial(-lab[0], 0)
+    table = {phi_shift(lab): coeff * ctx.monomial(-lab[0], 0)
              for lab, coeff in table.items()}
     for j in range(n - 1, k - 1, -1):
         table = apply_h(j, table)
@@ -91,7 +96,7 @@ def c_I_operator_word(eta, index_set):
     for j in range(t1 - 1, 0, -1):
         cur = comb.swap_entries(cur, j)
         steps.append(cur)
-    cur = comb.phi_shift(cur)
+    cur = phi_shift(cur)
     steps.append(cur)
     in_set = set(ts)
     for i in range(n, t1, -1):
@@ -101,9 +106,10 @@ def c_I_operator_word(eta, index_set):
     return steps
 
 
-def delta_factor(eta, index_set, ctx=GENERIC):
-    """delta(eta, I), multiplied out: see ``istar._delta_factors``."""
-    factors, divisors = istar._delta_factors(eta, index_set, ctx)
+def delta_factor(eta, lam, index_set, ctx=GENERIC):
+    """delta(eta, I) for lam = c_I(eta), multiplied out: see
+    ``istar._delta_factors``."""
+    factors, divisors = istar._delta_factors(eta, lam, index_set, ctx)
     return ctx.product_sum([factors], divisors)
 
 

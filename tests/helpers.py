@@ -69,7 +69,7 @@ def successor_search(eta, lam):
 def maximal_sets_by_masks(eta):
     """The index sets maximal with respect to eta, found by filtering all
     2^n - 1 masks against the definition, in mask order: the reference
-    ``comb.maximal_sets`` is checked against."""
+    ``comb.one_step`` is checked against."""
     n = len(eta)
     out = []
     for mask in range(1, 1 << n):

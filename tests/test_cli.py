@@ -925,6 +925,21 @@ def test_pieri_tables_script_runs_outside_the_repo(tmp_path):
     assert proc.stdout.startswith("e_1 * E_0,0:\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--n", "0"], "compositions must have length >= 1"),
+    (["--n", "2", "--r", "3"], "r=3 out of range for n=2"),
+], ids=["no-parts", "r-above-n"])
+def test_pieri_tables_script_reports_bad_ranges_as_usage_errors(argv, message):
+    script = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          os.pardir, "scripts", "pieri_tables.py")
+    proc = subprocess.run([sys.executable, script, *argv],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: ")
+    assert proc.stderr.endswith(f"error: {message}\n")
+
+
 @pytest.mark.parametrize("suite", ["norms", "all"])
 def test_verify_params_rejected_for_symbolic_suites(suite, capsys):
     code, out, err = run_cli(

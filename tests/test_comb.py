@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 from qtmac.algebra import GENERIC, AlgebraError
 from qtmac import comb, emac
 
-from field_operators import c_I_operator_word
+from field_operators import c_I_operator_word, phi_shift
 from helpers import apply_perm, maximal_sets_by_masks, successor_search
 
 G = GENERIC
@@ -109,7 +109,7 @@ def test_generation_step_sources():
             mu, i = step
             if eta[-1] >= 1:
                 assert i is None
-                assert comb.phi_shift(mu) == eta
+                assert phi_shift(mu) == eta
             else:
                 assert eta[i - 1] > eta[i]
                 assert all(eta[j - 1] <= eta[j] for j in range(i + 1, n))
@@ -192,9 +192,9 @@ def test_successor_fast_path_matches_exhaustive_dense():
 @settings(max_examples=40, deadline=None)
 @given(comps3)
 def test_transitivity_witness_composition(eta):
-    for mu in comb.successors_one_step(eta):
+    for mu in comb.one_step(eta):
         sigma = comb.successor_test(eta, mu)
-        for lam in comb.successors_one_step(mu):
+        for lam in comb.one_step(mu):
             rho = comb.successor_test(mu, lam)
             assert comb.is_defining_permutation(
                 eta, lam, comb.perm_compose(rho, sigma))
@@ -249,39 +249,39 @@ def test_c_I_readers_refuse_the_same_index_sets(index_set, message):
         assert str(err.value) == message, read.__name__
 
 
-def test_maximal_sets_examples():
-    assert comb.maximal_sets((1, 1, 1)) == [(1,), (1, 2), (1, 2, 3)]
-    assert comb.maximal_sets((0, 0)) == [(1,), (1, 2)]
-    assert comb.maximal_sets((1, 0)) == [(1,), (2,), (1, 2)]
-    assert {comb.c_I_apply((1, 0), I) for I in comb.maximal_sets((1, 0))} == \
-        {(2, 0), (1, 1), (0, 2)}
+def test_one_step_examples():
+    assert list(comb.one_step((1, 1, 1)).values()) == [(1,), (1, 2), (1, 2, 3)]
+    assert list(comb.one_step((0, 0)).values()) == [(1,), (1, 2)]
+    assert comb.one_step((1, 0)) == {(2, 0): (1,), (1, 1): (2,), (0, 2): (1, 2)}
 
 
-def test_maximal_sets_biject_with_one_step_successors():
+def test_one_step_keys_are_the_one_step_successors():
+    # c_I is a bijection from the maximal sets onto the successors of
+    # modulus one more, so no two sets share a key
     for n in range(1, 5):
         for eta in comb.compositions_up_to(n, 4):
-            sets = comb.maximal_sets(eta)
-            images = [comb.c_I_apply(eta, I) for I in sets]
-            assert len(set(images)) == len(images), eta
+            graph = comb.one_step(eta)
+            assert len(graph) == len(maximal_sets_by_masks(eta)), eta
             filt = {lam for lam in comb.compositions(n, comb.modulus(eta) + 1)
                     if successor_search(eta, lam)}
-            assert set(images) == filt, eta
+            assert set(graph) == filt, eta
 
 
-def test_maximal_sets_walk_is_the_mask_filter():
+def test_one_step_walk_is_the_mask_filter():
     # every label of the sizes the Pieri route runs at: the same sets, in
     # the same (mask) order
     for n in range(1, 7):
         for eta in comb.compositions_up_to(n, 4):
-            assert comb.maximal_sets(eta) == maximal_sets_by_masks(eta), eta
+            assert list(comb.one_step(eta).values()) == \
+                maximal_sets_by_masks(eta), eta
 
 
 def test_c_I_equals_operator_word_for_maximal_sets():
     for n in range(1, 5):
         for eta in comb.compositions_up_to(n, 4):
-            for I in comb.maximal_sets(eta):
+            for lam, I in comb.one_step(eta).items():
                 steps = c_I_operator_word(eta, I)
-                assert steps[-1] == comb.c_I_apply(eta, I), (eta, I)
+                assert steps[-1] == lam, (eta, I)
 
 
 def test_successors_layered_matches_filter():
@@ -331,6 +331,20 @@ def test_comp_str_roundtrip():
         comb.parse_comp("1,-2")
     with pytest.raises(AlgebraError, match="cannot parse composition '1.5,0'"):
         comb.parse_comp("1.5,0")
+
+
+def test_compositions_at_the_edges():
+    assert list(comb.compositions(1, 0)) == [(0,)]
+    assert list(comb.compositions(3, 0)) == [(0, 0, 0)]
+    # a negative modulus has no composition, whatever the length
+    for n in (1, 2, 3):
+        assert list(comb.compositions(n, -1)) == [], n
+    assert list(comb.compositions_up_to(2, -1)) == []
+    # no label has no parts, as as_composition says
+    for n in (0, -1):
+        with pytest.raises(AlgebraError) as err:
+            list(comb.compositions(n, 0))
+        assert str(err.value) == "compositions must have length >= 1"
 
 
 def test_as_composition_normalises_and_keeps_labels():

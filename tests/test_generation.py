@@ -86,7 +86,8 @@ def test_stdout_matches_the_field_recursion(argv, golden, capsys):
     # were captured when E was still raised by z_n T_{n-1}^-1 ... T_1^-1,
     # and the two psi documents when P_kappa still summed T_w by a walk
     # over all n! permutations; the n = 6 pieri table was captured while
-    # comb.maximal_sets still filtered all 2^n - 1 masks and each Pieri
-    # coefficient scanned every earlier layer for the labels below it
+    # the maximal index sets were still found by filtering all 2^n - 1
+    # masks and each Pieri coefficient scanned every earlier layer for the
+    # labels below it
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()

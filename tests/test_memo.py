@@ -21,7 +21,7 @@ POINT = specialized(Fraction(-2, 3), Fraction(5, 7))
     (emac.common_form, ((1, 0, 2), True)),
     (emac.generate_E, ((1, 0, 2),)),
     (istar.spectral_evaluate, ((1, 0, 2), (2, 1, 2))),
-    (istar.c_I_ratio, ((1, 0, 2), (2, 3))),
+    (istar.one_step_ratio, ((1, 0, 2), (1, 2, 1))),
     (istar.binomial_recursive, ((0, 1, 0), (1, 1, 1))),
 ], ids=lambda x: x.__name__ if callable(x) else None)
 def test_a_memo_hit_reads_no_label(fn, args, ctx, monkeypatch):
@@ -41,7 +41,7 @@ def test_a_memo_hit_reads_no_label(fn, args, ctx, monkeypatch):
     (istar.spectral_evaluate, ((1, 0, 2), (2, 1, 2))),
     (istar.binomial_direct, ((0, 1, 0), (1, 1, 1))),
     (istar.binomial_recursive, ((0, 1, 0), (1, 1, 1))),
-    (istar.c_I_ratio, ((1, 0, 2), (2, 3))),
+    (istar.one_step_ratio, ((1, 0, 2), (1, 2, 1))),
 ], ids=lambda x: x.__name__ if callable(x) else None)
 def test_list_labels_and_keyword_calls_give_the_tuple_answer(fn, labels):
     want = fn(*labels, POINT)

@@ -85,7 +85,7 @@ def field_interpolation_expansion(eta, r, ctx, ceiling=None):
     layers = []
     front = {eta}
     for _ in range(r):
-        front = {lam for mu in front for lam in comb.successors_one_step(mu)}
+        front = {lam for mu in front for lam in comb.one_step(mu)}
         if ceiling is not None:
             front = {lam for lam in front if comb.is_successor(lam, ceiling)}
         layer = {}
@@ -288,15 +288,15 @@ def test_pieri_r1_closed_building_blocks():
     eb = comb.spectral_vector(eta)
     lb = comb.spectral_vector((0, 1))
     assert sum(lb, G.zero) - sum(eb, G.zero) == Q - 1
-    assert delta_factor(eta, (1, 2)) == T * (T - 1) / (1 - Q * T)
+    assert delta_factor(eta, (0, 1), (1, 2)) == T * (T - 1) / (1 - Q * T)
     assert beta_factor(eta, (1, 2)) == G.one
-    assert delta_factor(eta, (1,)) == (T - 1) / (1 - Q)
+    assert delta_factor(eta, (1, 0), (1,)) == (T - 1) / (1 - Q)
     assert beta_factor(eta, (1,)) == G.one
 
 
 @pytest.mark.parametrize("call, factor", [
     # delta's 1 - lam-bar/eta-bar and a-hat's 1 - y/x at q = 1
-    (lambda: delta_factor((0, 0), (1,), specialized(1, 5)), "1 - q"),
+    (lambda: delta_factor((0, 0), (1, 0), (1,), specialized(1, 5)), "1 - q"),
     (lambda: pieri.pieri_r1_product_form((0, 0), specialized(1, 5)), "1 - q"),
     # beta's (X - 1)^2 and b-hat's 1 - y/x at q t = 1
     (lambda: beta_factor((1, 0), (2,), specialized(2, Fraction(1, 2))),

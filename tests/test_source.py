@@ -119,6 +119,52 @@ def test_one_home_for_sums_in_parts():
         f"lcm_cofactors called from {sorted(callers)}"
 
 
+def test_one_home_for_the_successor_graph():
+    # the one-step successors c_I(eta), I maximal, are listed once, by
+    # comb.one_step with the index set of each; every sum over them and
+    # the one-step ratio read that map, so no caller raises by hand
+    callers = _callers("c_I_apply")
+    assert callers == {("comb.py", "one_step")}, \
+        f"c_I_apply called from {sorted(callers)}"
+    gone = {"maximal_sets", "successors_one_step", "c_I_ratio"}
+    defined = {(path.name, node.name) for path in MODULES
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name in gone}
+    assert not defined, f"defined again: {sorted(defined)}"
+
+
+def _names(node):
+    """Every name and attribute name read under node."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+# a function that only the tests call lives in the tests
+def test_every_package_function_is_used_by_the_package():
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = {alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    defined, readers = [], {}
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            own = (stmt.name if isinstance(stmt, (ast.FunctionDef,
+                                                  ast.AsyncFunctionDef))
+                   else None)
+            if own is not None:
+                defined.append((path.name, own))
+            for name in _names(stmt):
+                readers.setdefault(name, set()).add((path.name, own))
+    unused = [(module, name) for module, name in defined
+              if name not in exported
+              and not readers.get(name, set()) - {(module, name)}]
+    assert not unused, f"used by no package code: {unused}"
+
+
 # int() rounds 1.5 toward zero and so answers for another input; every part,
 # index or position read from a caller goes through comb._part instead
 @pytest.mark.parametrize("name", ["comb.py", "emac.py", "istar.py",
