@@ -13,7 +13,6 @@ from .algebra import (
     ZPolynomial,
     divided_difference,
     elementary_symmetric,
-    elementary_symmetric_at,
     specialized,
     subst_t_power,
 )

@@ -44,7 +44,6 @@ common denominator, operators and sums act on the ring numerators, and
 
 from __future__ import annotations
 
-import cmath
 import collections
 import functools
 import heapq
@@ -62,6 +61,26 @@ class AlgebraError(ValueError):
 
 class SpecializationError(AlgebraError):
     """A denominator vanishes at the chosen (q,t) point."""
+
+
+def memo(fn):
+    """Decorator memoising fn on each call's arguments as given, so a hit
+    runs no code of fn, which reads its labels in its body.  An unhashable
+    argument, such as a list label, is computed and not stored.  It is the
+    package's one cache."""
+    table = {}
+
+    @functools.wraps(fn)  # a function, not a cache object: tracers wrap it
+    def cached(*args, **kwargs):
+        key = (args, *kwargs.items()) if kwargs else args
+        try:
+            return table[key]
+        except KeyError:
+            return table.setdefault(key, fn(*args, **kwargs))
+        except TypeError:
+            return fn(*args, **kwargs)
+
+    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +146,6 @@ class Poly(dict):
             else:
                 del acc[k]
         return acc
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __neg__(self):
         return Poly({k: -c for k, c in self.items()})
@@ -261,11 +277,10 @@ class Factor:
     at x = x0 + k.  It is None for any other factor.
     """
 
-    __slots__ = ("poly", "line", "_powers")
+    __slots__ = ("poly", "line")
 
     def __init__(self, poly: Poly):
         self.poly = poly
-        self._powers = {1: poly}
         self.line = None
         if _on_one_line(poly):
             (k0, k1, *_) = poly
@@ -278,12 +293,6 @@ class Factor:
             for x, v in xs.items():
                 coeffs[x - x0] = v
             self.line = (a, b, c, d, x0, a * j0 - b * i0, coeffs)
-
-    def power(self, m: int) -> Poly:
-        p = self._powers.get(m)
-        if p is None:
-            p = self._powers[m] = self.poly ** m
-        return p
 
     def __repr__(self):
         return f"Factor({_ring_poly_text(self.poly)})"
@@ -298,16 +307,19 @@ def _on_one_line(p: Poly) -> bool:
                for k in others)
 
 
-_FACTORS: dict = {}         # frozenset of terms -> Factor
 _SYMPY_FOUND: list = []     # the factors that only sympy found, in order
 
 
+@memo
 def _intern(poly: Poly) -> Factor:
-    key = frozenset(poly.items())
-    f = _FACTORS.get(key)
-    if f is None:
-        f = _FACTORS[key] = Factor(poly)
-    return f
+    """The one Factor of poly; a Poly hashes by its terms, so equal
+    polynomials share it."""
+    return Factor(poly)
+
+
+@memo
+def _factor_power(f: Factor, m: int) -> Poly:
+    return f.poly ** m
 
 
 def _divide(p: Poly, f: Factor) -> Poly | None:
@@ -382,7 +394,7 @@ def _divide_general(p: Poly, f: Poly) -> Poly | None:
 # factoring by trial division
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
+@memo
 def _totient(e: int) -> int:
     result, m, p = e, e, 2
     while p * p <= m:
@@ -396,7 +408,7 @@ def _totient(e: int) -> int:
     return result
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def _cyclotomic_indices(degree: int) -> tuple[int, ...]:
     """Every e with totient(e) <= degree; totient(e) >= sqrt(e/2) bounds e."""
     return tuple(e for e in range(1, 2 * degree * degree + 3)
@@ -427,7 +439,7 @@ def _udiv(g: list, h) -> list | None:
     return quo
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def _cyclotomic(e: int) -> tuple[int, ...]:
     """The coefficients of the cyclotomic polynomial Phi_e, low to high."""
     g = [-1] + [0] * (e - 1) + [1]
@@ -437,21 +449,15 @@ def _cyclotomic(e: int) -> tuple[int, ...]:
     return tuple(g)
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def _cyclotomic_factors(coeffs: tuple) -> tuple:
     """((e, multiplicity), ...) for the cyclotomic Phi_e dividing the
-    univariate polynomial with these coefficients (low to high).  A root
-    test in floating point picks the candidates, exact division decides."""
+    univariate polynomial with these coefficients (low to high), found by
+    exact division."""
     g = list(coeffs)
     out = []
     for e in _cyclotomic_indices(len(g) - 1):
         if _totient(e) > len(g) - 1:
-            continue
-        z = cmath.exp(2j * math.pi / e)
-        value = 0
-        for c in reversed(g):
-            value = value * z + c
-        if abs(value) > 1e-7 * sum(map(abs, g)):
             continue
         m = 0
         while True:
@@ -464,7 +470,7 @@ def _cyclotomic_factors(coeffs: tuple) -> tuple:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def _line_factor(a: int, b: int, e: int) -> Factor:
     """Phi_e(q^a t^b) as a Factor (times the power of t that makes it a
     polynomial when b < 0)."""
@@ -526,7 +532,7 @@ def _edge_factors(p: Poly) -> list:
 FALLBACKS: collections.Counter = collections.Counter()
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def _sympy_ring():
     """sympy's ring Z[q,t] in grlex order, imported at the first fallback."""
     from sympy.polys.domains import ZZ
@@ -555,7 +561,7 @@ def _sympy_factors(p: Poly) -> list:
     return found
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def _binomial_factors(a: int, b: int, e: int, plus: bool):
     """({Phi_d(q^a t^b): 1}, the sum of their leading monomials) over the d
     with u^e - 1, or u^e + 1 when ``plus``, the product of the Phi_d(u)."""
@@ -645,7 +651,7 @@ class Factored:
         if self._terms is None:
             p = self.rest if self.rest is not None else _ONE_POLY
             for f, m in self.fac.items():
-                p = p * f.power(m)
+                p = p * _factor_power(f, m)
             mono, c = self.mono, self.c
             if mono or c != 1:
                 p = Poly({k + mono: v * c for k, v in p.items()})
@@ -704,9 +710,6 @@ class Factored:
     def __sub__(self, other):
         return self.expand() - other
 
-    def __rsub__(self, other):
-        return other - self.expand()
-
     def __bool__(self):
         return True
 
@@ -719,9 +722,6 @@ class Factored:
         if isinstance(other, (Factored, Poly, int)):
             return self.expand() == _expand(other)
         return NotImplemented
-
-    def __hash__(self):
-        return hash(self.expand())
 
     def __repr__(self):
         return f"Factored({_ring_poly_text(self.expand())})"
@@ -1090,30 +1090,6 @@ def scalar_eval(x: Scalar, qval, tval):
     return ev(_expand(x.num)) / den
 
 
-def memo(fn):
-    """Decorator memoising fn on each call's arguments as given, so a hit
-    runs no code of fn, which reads its labels in its body.  An unhashable
-    argument, such as a list label, is computed and not stored."""
-    table = {}
-
-    @functools.wraps(fn)  # not functools.cache: tracers wrap functions only
-    def cached(*args, **kwargs):
-        key = (args, *kwargs.items()) if kwargs else args
-        try:
-            return table[key]
-        except KeyError:
-            return table.setdefault(key, fn(*args, **kwargs))
-        except TypeError:
-            return fn(*args, **kwargs)
-
-    return cached
-
-
-@memo
-def _monomial(q, t, a: int, b: int):
-    return q ** a * t ** b
-
-
 def _exponents(x: Scalar) -> tuple[int, int]:
     """(i, j) with x == q^i t^j, for a Laurent monomial x of Q(q,t)."""
     (k, _), = _expand(x.num).items()
@@ -1186,9 +1162,10 @@ class ScalarContext:
     def t(self):
         return self.tval
 
+    @memo
     def monomial(self, a: int, b: int):
         """The scalar q^a * t^b (a, b may be negative)."""
-        return _monomial(self.qval, self.tval, a, b)
+        return self.qval ** a * self.tval ** b
 
     def one_minus(self, a: int, b: int):
         """The factor 1 - q^a t^b; raises SpecializationError naming it
@@ -1440,7 +1417,7 @@ def specialized(qval, tval) -> ScalarContext:
     return ScalarContext(qv, tv)
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def _powers(n: int, d: int, lo: int, hi: int) -> dict:
     """{k: n^(k - lo) d^(hi - k) for lo <= k <= hi}, each entry the last
     times n divided exactly by d; memoised."""
@@ -1561,9 +1538,6 @@ class ZPolynomial:
         if not isinstance(other, ZPolynomial):
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
         return f"ZPolynomial({self.nvars}, {len(self.terms)} terms)"
@@ -1731,20 +1705,6 @@ def elementary_symmetric(n: int, r: int, ctx: ScalarContext = GENERIC) -> ZPolyn
         exps = tuple(1 if i in subset else 0 for i in range(n))
         terms[exps] = ctx.one
     return ZPolynomial(n, terms)
-
-
-def elementary_symmetric_at(values, r: int, ctx: ScalarContext = GENERIC):
-    """e_r evaluated at a tuple of scalars, without building the polynomial."""
-    n = len(values)
-    if not 0 <= r <= n:
-        raise AlgebraError(f"elementary symmetric index r={r} out of range for n={n}")
-    total = ctx.zero
-    for subset in itertools.combinations(values, r):
-        v = ctx.one
-        for x in subset:
-            v = v * x
-        total = total + v
-    return total
 
 
 def divided_difference(p: ZPolynomial, i: int) -> ZPolynomial:

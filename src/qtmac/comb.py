@@ -409,6 +409,6 @@ def chi_r(eta: Composition, r: int) -> Composition:
     return tuple(eta[i] + (1 if lp[i] < r else 0) for i in range(n))
 
 
-def add_box_everywhere(eta: Composition, k: int = 1) -> Composition:
-    """eta + (k^n)."""
-    return tuple(x + k for x in eta)
+def add_box_everywhere(eta: Composition) -> Composition:
+    """eta + (1^n)."""
+    return tuple(x + 1 for x in eta)

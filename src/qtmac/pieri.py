@@ -22,7 +22,6 @@ from .algebra import (
     ScalarContext,
     ZPolynomial,
     elementary_symmetric,
-    elementary_symmetric_at,
     field_view,
     form_sum,
     memo,
@@ -137,9 +136,9 @@ def interpolation_residual(table: ExpansionTable,
     """(e_r(z) - e_r(eta-bar)) Estar_eta - sum of A Estar_lam; must be zero."""
     eta, r = table.base, table.r
     n = len(eta)
-    er_eta = elementary_symmetric_at(comb.spectral_vector(eta, ctx), r, ctx)
-    gap_den, gap = ring_form(elementary_symmetric(n, r, ctx)
-                             - ZPolynomial.constant(n, er_eta), ctx)
+    er = elementary_symmetric(n, r, ctx)
+    er_eta = er.at_point(comb.spectral_vector(eta, ctx), ctx)
+    gap_den, gap = ring_form(er - ZPolynomial.constant(n, er_eta), ctx)
     den, p = _label_form(eta, True, ctx)
     entries = [entry for layer in table.layers for entry in layer.items()]
     return _residual((gap_den * den, gap * p), entries,
@@ -151,7 +150,7 @@ def pieri_homogeneous(eta: Composition, r: int,
     """The coefficients of e_r(z) E_eta(z; 1/q, 1/t): the top layer of the
     interpolation expansion pruned to the ceiling eta + (1^n)."""
     eta = comb.as_composition(eta)
-    ceiling = comb.add_box_everywhere(eta, 1)
+    ceiling = comb.add_box_everywhere(eta)
     return interpolation_expansion(eta, r, ctx, ceiling).layers[r - 1]
 
 
@@ -254,7 +253,7 @@ def duality_transfer(eta: Composition, lam: Composition, r: int,
         raise AlgebraError("duality requires |lam| = |eta| + r")
     if not comb.is_successor(eta, lam):
         return ctx.zero
-    target = comb.add_box_everywhere(eta, 1)
+    target = comb.add_box_everywhere(eta)
     a_dual = pieri_homogeneous(lam, n - r, ctx.inverted()).get(target, ctx.zero)
     d, d_prime, e, e_prime = comb.hook_products(eta)
     ld, ld_prime, le, le_prime = comb.hook_products(lam)

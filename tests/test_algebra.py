@@ -15,7 +15,6 @@ from qtmac.algebra import (
     ZPolynomial,
     divided_difference,
     elementary_symmetric,
-    elementary_symmetric_at,
     field_view,
     form_sum,
     memo,
@@ -599,11 +598,3 @@ def test_divided_difference_is_exact_division(p, i):
     diff = swap_vars(p, i) - p
     mult = ZPolynomial(2, {(1, 0): G.one, (0, 1): -G.one})
     assert mult * divided_difference(p, i) == diff
-
-
-def test_elementary_symmetric_at_matches_polynomial():
-    pts = (Q, T, Q * T)
-    for r in range(4):
-        direct = elementary_symmetric_at(pts, r)
-        via_poly = elementary_symmetric(3, r).at_point(pts)
-        assert direct == via_poly

@@ -314,7 +314,7 @@ def test_chi_r_examples():
 
 def test_chi_n_adds_one_everywhere():
     for eta in comb.compositions_up_to(3, 3):
-        assert comb.chi_r(eta, len(eta)) == comb.add_box_everywhere(eta, 1)
+        assert comb.chi_r(eta, len(eta)) == comb.add_box_everywhere(eta)
 
 
 # ---------------------------------------------------------------------------

@@ -246,7 +246,7 @@ def test_norm_invariant_under_parameter_inversion():
 
 def test_norm_invariant_under_box_addition():
     for eta in comb.compositions_up_to(2, 2):
-        assert emac.norm_N(eta) == emac.norm_N(comb.add_box_everywhere(eta, 1))
+        assert emac.norm_N(eta) == emac.norm_N(comb.add_box_everywhere(eta))
 
 
 # ---------------------------------------------------------------------------
@@ -367,4 +367,4 @@ def test_er_times_E_shifts_by_one_box():
     # e_n E_eta = E_{eta+(1^n)} exactly
     for eta in comb.compositions_up_to(2, 2):
         lhs = elementary_symmetric(2, 2) * emac.generate_E(eta)
-        assert lhs == emac.generate_E(comb.add_box_everywhere(eta, 1))
+        assert lhs == emac.generate_E(comb.add_box_everywhere(eta))

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from qtmac.algebra import (GENERIC, AlgebraError, SpecializationError,
-                           ZPolynomial, elementary_symmetric,
-                           elementary_symmetric_at, scalar_eval, specialized)
+                           ZPolynomial, elementary_symmetric, scalar_eval,
+                           specialized)
 from qtmac import comb, emac, istar, pieri
 
 from field_operators import beta_factor, delta_factor
@@ -120,7 +120,7 @@ def test_expansion_is_the_field_recursion(ctx, sizes, max_mod):
     # the recursion that tests comb.is_successor for every pair
     for eta in (eta for n in sizes
                 for eta in comb.compositions_up_to(n, max_mod)):
-        ceiling = comb.add_box_everywhere(eta, 1)
+        ceiling = comb.add_box_everywhere(eta)
         for r in range(1, len(eta) + 1):
             for top in (None, ceiling):
                 got = pieri.interpolation_expansion(eta, r, ctx, top).layers
@@ -136,8 +136,9 @@ def test_expansion_is_the_field_recursion(ctx, sizes, max_mod):
 def field_interpolation_residual(table, ctx):
     eta, r = table.base, table.r
     n = len(eta)
-    er_eta = elementary_symmetric_at(comb.spectral_vector(eta, ctx), r, ctx)
-    lhs = ((elementary_symmetric(n, r, ctx) - ZPolynomial.constant(n, er_eta))
+    er = elementary_symmetric(n, r, ctx)
+    er_eta = er.at_point(comb.spectral_vector(eta, ctx), ctx)
+    lhs = ((er - ZPolynomial.constant(n, er_eta))
            * istar.generate_Estar(eta, ctx))
     for layer in table.layers:
         for lam, a in layer.items():
@@ -188,7 +189,7 @@ def test_top_layer_supports_the_ceiling_filter():
     # the pruned top layer is the full one restricted to lam <=' eta + (1^n),
     # and the full layer's labels above the ceiling carry zero
     eta = (1, 0)
-    ceiling = comb.add_box_everywhere(eta, 1)
+    ceiling = comb.add_box_everywhere(eta)
     full = pieri.interpolation_expansion(eta, 2).layers[1]
     homog = pieri.pieri_homogeneous(eta, 2)
     assert homog == _below(full, ceiling)
@@ -227,7 +228,7 @@ def _labels(max_n, max_mod):
 def test_pruned_expansion_is_the_full_one_below_the_ceiling(ctx, max_n,
                                                             max_mod):
     for eta in _labels(max_n, max_mod):
-        ceiling = comb.add_box_everywhere(eta, 1)
+        ceiling = comb.add_box_everywhere(eta)
         for r in range(1, len(eta) + 1):
             full = pieri.interpolation_expansion(eta, r, ctx)
             pruned = pieri.interpolation_expansion(eta, r, ctx, ceiling)
@@ -240,7 +241,7 @@ def test_labels_below_are_the_successor_filter(pruned):
     # the sets read off the layered front are the successor test over the
     # same layers, and the fronts are the layered successors, filtered
     for eta in _labels(4, 2):
-        ceiling = comb.add_box_everywhere(eta, 1) if pruned else None
+        ceiling = comb.add_box_everywhere(eta) if pruned else None
         for r in range(1, len(eta) + 1):
             earlier = [eta]
             fronts = list(pieri._kept_fronts(eta, r, ceiling))
@@ -264,11 +265,11 @@ def test_spectral_e_gap_is_a_difference_of_elementary_values(ctx, max_n,
         n = len(eta)
         eb = comb.spectral_vector(eta, ctx)
         for r in range(1, n + 1):
+            er = elementary_symmetric(n, r, ctx)
             for lam in comb.successors_layered(eta, r):
                 lb = comb.spectral_vector(lam, ctx)
                 assert comb.spectral_e_gap(eta, lam, r, ctx) == \
-                    elementary_symmetric_at(lb, r, ctx) \
-                    - elementary_symmetric_at(eb, r, ctx), (eta, lam, r)
+                    er.at_point(lb, ctx) - er.at_point(eb, ctx), (eta, lam, r)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +393,7 @@ def test_oracle_support_law():
     for eta in [(0, 0), (1, 0), (0, 1, 0)]:
         n = len(eta)
         for r in range(1, n + 1):
-            ceiling = comb.add_box_everywhere(eta, 1)
+            ceiling = comb.add_box_everywhere(eta)
             for lam, c in pieri.product_expand_oracle(eta, r).items():
                 assert comb.is_successor(eta, lam), (eta, r, lam)
                 assert comb.is_successor(lam, ceiling), (eta, r, lam)

@@ -331,3 +331,40 @@ def test_memo_is_a_bare_decorator():
     called = [(module, name) for module, name, dec in found
               if not (isinstance(dec, ast.Name) and dec.id == "memo")]
     assert found and not called, f"memo is not a bare @memo on {called}"
+
+
+
+# every cache is a memo table, so one decorator keeps what is cached; a
+# functools cache is an object, not a function, and tracers wrap functions
+FUNCTOOLS_CACHES = {"cache", "lru_cache", "cached_property"}
+
+
+def _cache_names(node):
+    if isinstance(node, ast.ImportFrom) and node.module == "functools":
+        return {alias.name for alias in node.names} & FUNCTOOLS_CACHES
+    if isinstance(node, ast.Attribute) \
+            and getattr(node.value, "id", None) == "functools":
+        return {node.attr} & FUNCTOOLS_CACHES
+    # a local variable may be called cache; these names are functools' only
+    name = getattr(node, "id", getattr(node, "attr", None))
+    return {name} & {"lru_cache", "cached_property"}
+
+
+def test_memo_is_the_only_cache():
+    found = [(path.name, node.lineno, name) for path in MODULES
+             for node in ast.walk(ast.parse(path.read_text()))
+             for name in _cache_names(node)]
+    assert not found, f"a cache other than memo: {found}"
+
+
+# comparisons stay exact: no floating-point value enters the package
+def test_no_floating_point():
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [(path.name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant)
+                  and isinstance(node.value, (float, complex))]
+        found += [(path.name, name) for name in _imported_modules(path)
+                  if name.split(".")[0] == "cmath"]
+    assert not found, f"floating point at {found}"
