@@ -1420,7 +1420,7 @@ def specialized(qval, tval) -> ScalarContext:
 @memo
 def _powers(n: int, d: int, lo: int, hi: int) -> dict:
     """{k: n^(k - lo) d^(hi - k) for lo <= k <= hi}, each entry the last
-    times n divided exactly by d; memoised."""
+    times n divided exactly by d."""
     table = [d ** (hi - lo)]
     for _ in range(hi - lo):
         table.append(table[-1] // d * n)

@@ -333,7 +333,6 @@ def test_memo_is_a_bare_decorator():
     assert found and not called, f"memo is not a bare @memo on {called}"
 
 
-
 # every cache is a memo table, so one decorator keeps what is cached; a
 # functools cache is an object, not a function, and tracers wrap functions
 FUNCTOOLS_CACHES = {"cache", "lru_cache", "cached_property"}
@@ -357,7 +356,7 @@ def test_memo_is_the_only_cache():
     assert not found, f"a cache other than memo: {found}"
 
 
-# comparisons stay exact: no floating-point value enters the package
+# comparisons stay exact: no float or complex constant, and no cmath
 def test_no_floating_point():
     found = []
     for path in MODULES:
