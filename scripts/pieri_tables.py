@@ -12,7 +12,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
-from qtmac.algebra import GENERIC, AlgebraError
+from qtmac.scalar import GENERIC, AlgebraError
 from qtmac import comb, pieri
 
 

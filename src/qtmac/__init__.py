@@ -5,17 +5,15 @@ generalized q,t-binomial coefficients and Pieri-type branching coefficients,
 all in exact rational-function arithmetic with brute-force cross-checks.
 """
 
-from .algebra import (
+from .scalar import (
     GENERIC,
     AlgebraError,
     ScalarContext,
     SpecializationError,
-    ZPolynomial,
-    divided_difference,
-    elementary_symmetric,
     specialized,
     subst_t_power,
 )
+from .algebra import ZPolynomial, divided_difference, elementary_symmetric
 from .comb import (
     Composition,
     c_I_apply,

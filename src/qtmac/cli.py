@@ -16,7 +16,7 @@ import sys
 import tempfile
 from fractions import Fraction
 
-from .algebra import (
+from .scalar import (
     GENERIC,
     AlgebraError,
     ScalarContext,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 
-from .algebra import GENERIC, AlgebraError, ScalarContext, memo
+from .scalar import GENERIC, AlgebraError, ScalarContext, memo
 
 Composition = tuple[int, ...]
 

@@ -10,13 +10,8 @@ and the closed-form norms.
 
 from __future__ import annotations
 
-from .algebra import (
-    GENERIC,
-    AlgebraError,
-    ScalarContext,
-    ZPolynomial,
-    subst_t_power,
-)
+from .scalar import GENERIC, AlgebraError, ScalarContext, subst_t_power
+from .algebra import ZPolynomial
 from . import emac
 from .comb import Composition
 

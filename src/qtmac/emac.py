@@ -22,16 +22,18 @@ branching coefficients used as a cross-check.
 
 from __future__ import annotations
 
-from .algebra import (
+from .scalar import (
     GENERIC,
     AlgebraError,
     ScalarContext,
     SpecializationError,
+    memo,
+)
+from .algebra import (
     ZPolynomial,
     demazure_lustig,
     elementary_symmetric,
     field_view,
-    memo,
 )
 from . import comb
 from .comb import Composition

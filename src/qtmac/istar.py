@@ -16,16 +16,14 @@ q,t-binomial coefficients.
 
 from __future__ import annotations
 
-from .algebra import (
+from .scalar import (
     GENERIC,
     AlgebraError,
-    ExponentLanes,
     ScalarContext,
     SpecializationError,
-    ZPolynomial,
-    field_view,
     memo,
 )
+from .algebra import ExponentLanes, ZPolynomial, field_view
 from . import comb, emac
 from .comb import Composition
 

@@ -16,15 +16,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from .scalar import GENERIC, AlgebraError, ScalarContext, memo
 from .algebra import (
-    GENERIC,
-    AlgebraError,
-    ScalarContext,
     ZPolynomial,
     elementary_symmetric,
     field_view,
     form_sum,
-    memo,
     ring_form,
 )
 from . import comb, emac, istar

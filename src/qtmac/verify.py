@@ -9,8 +9,14 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .algebra import (GENERIC, ScalarContext, SpecializationError,
-                      ZPolynomial, ring_form, scalar_eval, subst_t_power)
+from .scalar import (
+    GENERIC,
+    ScalarContext,
+    SpecializationError,
+    scalar_eval,
+    subst_t_power,
+)
+from .algebra import ZPolynomial, ring_form
 from . import comb, ctnorm, emac, istar, pieri
 
 # how far above a label's modulus the vanishing and binomial suites reach

@@ -5,7 +5,8 @@ successor c_I(eta) that only tests read: its operator word and the delta
 and beta factors of ``istar.one_step_ratio``."""
 
 from qtmac import comb, istar
-from qtmac.algebra import GENERIC, ZPolynomial, demazure_lustig
+from qtmac.scalar import GENERIC
+from qtmac.algebra import ZPolynomial, demazure_lustig
 
 
 def field_T(i, p, ctx):

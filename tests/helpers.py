@@ -9,7 +9,8 @@ import pathlib
 import subprocess
 import sys
 
-from qtmac.algebra import GENERIC, ZPolynomial, _expand
+from qtmac.scalar import GENERIC, _expand
+from qtmac.algebra import ZPolynomial
 from qtmac.comb import is_defining_permutation, perm_inverse
 
 

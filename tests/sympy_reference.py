@@ -1,6 +1,6 @@
 """The field Q(q,t) of sympy's ``polys`` layer, which kept qtmac's scalars
 before they kept their denominators factored: the reference that
-``qtmac.algebra.Scalar`` is checked against."""
+``qtmac.scalar.Scalar`` is checked against."""
 
 from fractions import Fraction
 

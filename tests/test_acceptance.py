@@ -12,7 +12,7 @@ import random
 import time
 from fractions import Fraction
 
-from qtmac.algebra import GENERIC, specialized
+from qtmac.scalar import GENERIC, specialized
 from qtmac import comb, ctnorm, emac, istar, pieri, verify
 
 from field_operators import c_I_operator_word

@@ -6,22 +6,24 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from qtmac.algebra import (
+from qtmac.scalar import (
     GENERIC,
     AlgebraError,
-    ExponentLanes,
     Factored,
     ScalarContext,
+    memo,
+    scalar_eval,
+    specialized,
+    subst_t_power,
+)
+from qtmac.algebra import (
+    ExponentLanes,
     ZPolynomial,
     divided_difference,
     elementary_symmetric,
     field_view,
     form_sum,
-    memo,
     ring_form,
-    scalar_eval,
-    specialized,
-    subst_t_power,
 )
 
 from helpers import constant_term, denom_terms, invert_vars, swap_vars, variable

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from qtmac import cli, emac, istar, pieri, verify
-from qtmac.algebra import GENERIC, ZPolynomial, specialized
+from qtmac import cli, comb, emac, istar, pieri, verify
+from qtmac.scalar import GENERIC, specialized
+from qtmac.algebra import ZPolynomial
 
 
 def run_cli(args, capsys):
@@ -888,6 +889,128 @@ def test_symmetric_pieri_suite_fails_a_perturbed_psi(params, monkeypatch,
     assert _verify("symmetric-pieri", 3, 1, params, capsys) == (
         "[FAIL] symmetric-pieri: 12 checks, 1 failures\n"
         "    counterexample: psi mismatch kappa=1,0 r=1 lam=1,1\n")
+
+
+@CONTROL_POINTS
+@pytest.mark.parametrize("change, failure", [
+    ({(0, 2): 1}, "non-vertical-strip term kappa=1,0 r=1 lam=0,2"),
+    ({(1, 1): None}, "missing vertical strip kappa=1,0 r=1 lam=1,1"),
+], ids=["extra", "missing"])
+def test_symmetric_pieri_suite_fails_a_perturbed_table(params, change, failure,
+                                                       monkeypatch, capsys):
+    # e_1 P_(1,0) gains a term off the vertical strips, or loses one on them
+    real = emac.symmetric_pieri_table
+
+    def perturbed(kappa, r, n, ctx=GENERIC):
+        table = real(kappa, r, n, ctx)
+        if (kappa, r, n) == ((1, 0), 1, 2):
+            table = dict(table)
+            for lam, value in change.items():
+                if value is None:
+                    del table[lam]
+                else:
+                    table[lam] = ctx.from_int(value)
+        return table
+
+    monkeypatch.setattr(emac, "symmetric_pieri_table", perturbed)
+    assert _verify("symmetric-pieri", 2, 1, params, capsys) == (
+        "[FAIL] symmetric-pieri: 6 checks, 1 failures\n"
+        f"    counterexample: {failure}\n")
+
+
+@CONTROL_POINTS
+def test_oracle_estar_suite_fails_a_perturbed_solve(params, monkeypatch,
+                                                    capsys):
+    real = istar.vanishing_solve_oracle
+
+    def perturbed(eta, ctx=GENERIC):
+        p = real(eta, ctx)
+        return p + ZPolynomial.constant(2, ctx.one) if eta == (1, 0) else p
+
+    monkeypatch.setattr(istar, "vanishing_solve_oracle", perturbed)
+    assert _verify("oracle-estar", 2, 2, params, capsys) == (
+        "[FAIL] oracle-estar: 9 checks, 1 failures\n"
+        "    counterexample: Estar mismatch at eta=1,0\n")
+
+
+@CONTROL_POINTS
+def test_oracle_e_suite_fails_a_perturbed_E(params, monkeypatch, capsys):
+    real = emac.generate_E
+
+    def perturbed(eta, ctx=GENERIC):
+        p = real(eta, ctx)
+        return p + ZPolynomial.constant(2, ctx.one) if eta == (1, 0) else p
+
+    monkeypatch.setattr(emac, "generate_E", perturbed)
+    assert _verify("oracle-e", 2, 2, params, capsys) == (
+        "[FAIL] oracle-e: 9 checks, 1 failures\n"
+        "    counterexample: top-degree bridge fails at eta=1,0\n")
+
+
+@CONTROL_POINTS
+def test_duality_suite_fails_a_perturbed_transfer(params, monkeypatch, capsys):
+    real = pieri.duality_transfer
+
+    def perturbed(eta, lam, r, ctx=GENERIC):
+        value = real(eta, lam, r, ctx)
+        return value + ctx.one if (eta, lam, r) == ((0, 1), (1, 1), 1) \
+            else value
+
+    monkeypatch.setattr(pieri, "duality_transfer", perturbed)
+    assert _verify("duality", 2, 2, params, capsys) == (
+        "[FAIL] duality: 6 checks, 1 failures\n"
+        "    counterexample: duality mismatch eta=0,1 lam=1,1 r=1\n")
+
+
+@CONTROL_POINTS
+def test_binomials_suite_fails_a_perturbed_direct_value(params, monkeypatch,
+                                                        capsys):
+    real = istar.binomial_direct
+
+    def perturbed(eta, nu, ctx=GENERIC):
+        value = real(eta, nu, ctx)
+        return value + ctx.one if (eta, nu) == ((0, 1), (1, 1)) else value
+
+    monkeypatch.setattr(istar, "binomial_direct", perturbed)
+    assert _verify("binomials", 2, 1, params, capsys) == (
+        "[FAIL] binomials: 5 checks, 1 failures\n"
+        "    counterexample: binomial mismatch eta=0,1 nu=1,1\n")
+
+
+@CONTROL_POINTS
+def test_pieri_general_suite_fails_a_table_without_its_unity_term(
+        params, monkeypatch, capsys):
+    # the table loses its coefficient 1 at eta + chi_r, so it also differs
+    # from the oracle and leaves a homogeneous residual
+    real = pieri.pieri_homogeneous
+
+    def perturbed(eta, r, ctx=GENERIC):
+        table = real(eta, r, ctx)
+        if (eta, r) == ((0, 1), 1):
+            table = dict(table)
+            del table[comb.chi_r(eta, r)]
+        return table
+
+    monkeypatch.setattr(pieri, "pieri_homogeneous", perturbed)
+    assert _verify("pieri-general", 2, 1, params, capsys) == (
+        "[FAIL] pieri-general: 3 checks, 3 failures\n"
+        "    counterexample: general-r mismatch eta=0,1 r=1\n"
+        "    counterexample: unity coefficient fails eta=0,1 r=1\n"
+        "    counterexample: homogeneous residual nonzero eta=0,1 r=1\n")
+
+
+def test_norms_suite_fails_a_perturbed_norm(monkeypatch, capsys):
+    real = emac.norm_N
+
+    def perturbed(eta, ctx=GENERIC):
+        value = real(eta, ctx)
+        return value * 2 if eta == (0, 1) else value
+
+    monkeypatch.setattr(emac, "norm_N", perturbed)
+    assert _verify("norms", 2, 1, ["--k", "1"], capsys) == (
+        "[FAIL] norms: 6 checks, 1 failures\n"
+        "    counterexample: norm mismatch n=2 k=1 eta=0,1 nu=0,1: "
+        "q + 1 != 2*q + 2\n")
 
 
 @pytest.mark.parametrize("argv", [

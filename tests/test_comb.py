@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from qtmac.algebra import GENERIC, AlgebraError
+from qtmac.scalar import GENERIC, AlgebraError
 from qtmac import comb, emac
 
 from field_operators import c_I_operator_word, phi_shift

@@ -2,7 +2,8 @@
 
 import pytest
 
-from qtmac.algebra import GENERIC, AlgebraError, ZPolynomial, subst_t_power
+from qtmac.scalar import GENERIC, AlgebraError, subst_t_power
+from qtmac.algebra import ZPolynomial
 from qtmac import comb, ctnorm, emac, verify
 
 from helpers import constant_term, denom_terms, invert_vars, numer_terms

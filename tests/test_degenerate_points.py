@@ -29,8 +29,8 @@ from fractions import Fraction
 import pytest
 
 from qtmac import comb, emac, istar, pieri
-from qtmac.algebra import (GENERIC, SpecializationError, ZPolynomial,
-                           scalar_eval, specialized)
+from qtmac.scalar import GENERIC, SpecializationError, scalar_eval, specialized
+from qtmac.algebra import ZPolynomial
 
 from test_emac import field_hecke_symmetrize
 

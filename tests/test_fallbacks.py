@@ -1,6 +1,6 @@
 """The command lines of the benchmark's three workloads never ask sympy for
 a factorisation: every denominator they divide by splits into factors that
-trial division finds.  So sympy, which ``algebra`` imports only at the first
+trial division finds.  So sympy, which ``scalar`` imports only at the first
 fallback, stays out of the process: after ``import qtmac.cli`` and after
 each of these command lines."""
 
@@ -57,7 +57,7 @@ VERIFY_BATTERY = tuple(
 RUN = """
 import contextlib, io, json, sys
 from qtmac import cli
-from qtmac.algebra import FALLBACKS
+from qtmac.scalar import FALLBACKS
 loaded = ["import"] if "sympy" in sys.modules else []
 for argv in {commands!r}:
     with contextlib.redirect_stdout(io.StringIO()):

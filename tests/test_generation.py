@@ -13,7 +13,8 @@ from fractions import Fraction
 import pytest
 
 from qtmac import cli, comb, emac, istar
-from qtmac.algebra import GENERIC, ZPolynomial, specialized
+from qtmac.scalar import GENERIC, specialized
+from qtmac.algebra import ZPolynomial
 
 from field_operators import (apply_phi_q, field_H, field_phi_q, field_phi_star,
                              field_T)

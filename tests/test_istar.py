@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from qtmac.algebra import (GENERIC, AlgebraError, ZPolynomial, field_view,
-                           ring_form, specialized)
+from qtmac.scalar import GENERIC, AlgebraError, specialized
+from qtmac.algebra import ZPolynomial, field_view, ring_form
 from qtmac import comb, emac, istar
 
 from field_operators import (beta_factor, delta_factor, expand_eigenword,

@@ -1,4 +1,4 @@
-"""Memo tables key on the arguments of a call as given (``algebra.memo``).
+"""Memo tables key on the arguments of a call as given (``scalar.memo``).
 
 A memoised function reads and checks its labels in its body, so a hit
 reads no label; a list label is computed and not stored, and a keyword
@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from qtmac import comb, emac, istar
-from qtmac.algebra import GENERIC, specialized
+from qtmac.scalar import GENERIC, specialized
 
 POINT = specialized(Fraction(-2, 3), Fraction(5, 7))
 

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from qtmac.algebra import (GENERIC, AlgebraError, SpecializationError,
-                           ZPolynomial, elementary_symmetric, scalar_eval,
-                           specialized)
+from qtmac.scalar import (GENERIC, AlgebraError, SpecializationError,
+                          scalar_eval, specialized)
+from qtmac.algebra import ZPolynomial, elementary_symmetric
 from qtmac import comb, emac, istar, pieri
 
 from field_operators import beta_factor, delta_factor

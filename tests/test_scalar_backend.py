@@ -10,7 +10,8 @@ from fractions import Fraction
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from qtmac.algebra import GENERIC, SpecializationError, scalar_eval
+from qtmac.scalar import (GENERIC, Poly, SpecializationError,
+                          _cyclotomic_indices, _factor_poly, scalar_eval)
 
 import sympy_reference as ref
 from helpers import run_python
@@ -146,12 +147,45 @@ def test_integers_and_ring_views_agree(expr, k):
     assert G.quotient(num * den, den * den) == ours
 
 
+def _totient(e):
+    """Euler's totient by trial division."""
+    result, m, p = e, e, 2
+    while p * p <= m:
+        if m % p == 0:
+            while m % p == 0:
+                m //= p
+            result -= result // p
+        p += 1
+    if m > 1:
+        result -= result // m
+    return result
+
+
+def test_cyclotomic_indices_are_the_bounded_scan():
+    # the scan up to 2 d^2 + 2, from the bound totient(e) >= sqrt(e / 2),
+    # finds no index that the sieve up to max(d^2, 6) misses
+    phi = [0] + [_totient(e) for e in range(1, 2 * 60 * 60 + 3)]
+    for d in range(61):
+        assert _cyclotomic_indices(d) == tuple(
+            (e, phi[e]) for e in range(1, 2 * d * d + 3) if phi[e] <= d)
+
+
+def test_a_poly_equals_the_factored_polynomial_it_expands_to():
+    # a Poly compares as a dict, and Factored answers the reflected ==
+    p = Poly({0: 1, 2 << 32 | 2: -1})  # 1 - q^2 t^2
+    f = _factor_poly(p)
+    assert len(f.fac) == 2
+    assert p == f and f == p and not p != f
+    other = _factor_poly(Poly({0: 1, 1 << 32 | 1: -1}))  # 1 - q t
+    assert p != other and not p == other
+
+
 def test_fallback_is_counted_once():
     # q^2 t + q - 1 is no line factor, so the first division by it imports
     # sympy and asks it for its factors; later ones find it by trial division
     code = (
         "import sys\n"
-        "from qtmac.algebra import GENERIC as G, FALLBACKS\n"
+        "from qtmac.scalar import GENERIC as G, FALLBACKS\n"
         "q, t = G.q, G.t\n"
         "p = q ** 2 * t + q - 1\n"
         "assert 'sympy' not in sys.modules\n"

@@ -2,9 +2,10 @@
 
 Invariants must be real errors, since ``python -O`` strips ``assert``; a
 name imported with ``from ... import`` must be used by its module, so that
-deleted code does not linger as dead imports; and reciprocal parameters are
-reached one way, by computing in ``ctx.inverted()``, so no module forks on
-the arithmetic mode to get there.
+deleted code does not linger as dead imports, and must come from the module
+that defines it; and reciprocal parameters are reached one way, by
+computing in ``ctx.inverted()``, so no module forks on the arithmetic mode
+to get there.
 """
 
 import ast
@@ -44,9 +45,41 @@ def test_no_unused_from_imports(path):
     assert not unused, f"{path.name}: unused imports {unused}"
 
 
+def _defined(path):
+    """The names that the top-level statements of a module bind other than
+    by import."""
+    names = set()
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names |= {sub.id for target in targets for sub in ast.walk(target)
+                      if isinstance(sub, ast.Name)}
+    return names
+
+
+# a name is imported from the module that defines it, so no module passes
+# on another's names and a moved name breaks every importer at once
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_names_come_from_their_defining_module(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    passed_on = [(node.lineno, node.module, alias.name)
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 1
+                 and node.module is not None
+                 for alias in node.names
+                 if alias.name not in _defined(PACKAGE / f"{node.module}.py")]
+    assert not passed_on, \
+        f"{path.name}: names imported from a module that does not define " \
+        f"them {passed_on}"
+
+
 # the scalar layer owns the mode; the CLI checks usage against it, and
 # ctnorm's substitution t = q^k exists for symbolic coefficients only
-READS_MODE = {"algebra.py", "cli.py", "ctnorm.py"}
+READS_MODE = {"scalar.py", "cli.py", "ctnorm.py"}
 
 
 @pytest.mark.parametrize("path", [path for path in MODULES
@@ -114,7 +147,7 @@ def test_one_home_for_sums_in_parts():
     # a sum of products over one divisor is ScalarContext.product_sum, and
     # a sum of forms algebra.form_sum: no other code runs a lcm by hand
     callers = _callers("lcm_cofactors")
-    assert callers <= {("algebra.py", "product_sum"),
+    assert callers <= {("scalar.py", "product_sum"),
                        ("algebra.py", "form_sum")}, \
         f"lcm_cofactors called from {sorted(callers)}"
 
@@ -263,7 +296,7 @@ def _imported_modules(path):
             yield from (f"{node.module}.{alias.name}" for alias in node.names)
 
 
-# Q(q,t) keeps its denominators factored in algebra.py, which alone asks
+# Q(q,t) keeps its denominators factored in scalar.py, which alone asks
 # sympy for factors it cannot find; sympy's field is the tests' reference
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_only_the_scalar_layer_imports_sympy(path):
@@ -272,7 +305,7 @@ def test_only_the_scalar_layer_imports_sympy(path):
     fields = {name for name in names if name == "sympy.polys.fields"
               or name.startswith("sympy.polys.fields.")}
     assert not fields, f"{path.name} imports {sorted(fields)}"
-    if path.name != "algebra.py":
+    if path.name != "scalar.py":
         assert not names, f"{path.name} imports {sorted(names)}"
 
 

@@ -14,7 +14,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from qtmac import comb, emac, istar, pieri
-from qtmac.algebra import GENERIC, scalar_eval, specialized
+from qtmac.scalar import GENERIC, scalar_eval, specialized
 
 PRIMES = (11, 13, 17, 19, 23, 29, 31, 37)
 
