@@ -69,32 +69,48 @@ def generate_Estar(eta: Composition, ctx: ScalarContext = GENERIC) -> ZPolynomia
     return field_view(*emac.common_form(eta, True, ctx), ctx)
 
 
+def lane_form(nvars: int, den, terms: dict):
+    """(D, numerators, lanes) for the polynomial P / D with P's terms
+    {exponents: N}: the numerators and their exponent vectors packed into
+    :class:`algebra.ExponentLanes`, in the same order."""
+    return den, list(terms.values()), ExponentLanes(nvars, terms)
+
+
 @memo
 def _lane_form(eta: Composition, ctx: ScalarContext = GENERIC):
-    """(D, numerators, lanes) for Estar_eta == P / D: the numerators of P
-    and their exponent vectors packed into :class:`algebra.ExponentLanes`,
-    in the same order; memoised."""
+    """The :func:`lane_form` of Estar_eta, memoised.  On the Pieri route
+    at a rational point only the base label is memoised here: the earlier
+    labels are taken together, in one merged form
+    (``ScalarContext.merge_forms``)."""
     den, p = emac.common_form(eta, True, ctx)
-    return den, list(p.terms.values()), ExponentLanes(p.nvars, p.terms)
+    return lane_form(p.nvars, den, p.terms)
+
+
+def spectral_value(form, mu: Composition, ctx: ScalarContext = GENERIC):
+    """The polynomial of the :func:`lane_form` ``form`` evaluated at the
+    spectral point of mu.
+
+    There z^e is the monomial q^(sum e_i mu_i) t^(-sum e_i l'_i(mu)).  The
+    lanes give both exponent sums of all the terms at once, one lane sum
+    per column of :func:`comb.spectral_weights`, and the value is one sum
+    of numerators times monomials over the common denominator, normalised
+    once.  ``at_point`` on the spectral vector is the general evaluator
+    that checks this one.
+    """
+    den, nums, lanes = form
+    qweights, tweights = comb.spectral_weights(mu)
+    return ctx.monomial_sum(den, nums, lanes.sums(qweights),
+                            lanes.sums(tweights))
 
 
 def spectral_evaluate(eta: Composition, mu: Composition,
                       ctx: ScalarContext = GENERIC):
-    """Estar_eta evaluated at the spectral point of mu.
-
-    There z^e is the monomial q^(sum e_i mu_i) t^(-sum e_i l'_i(mu)).  The
-    lanes of Estar_eta give both exponent sums of all its terms at once,
-    one lane sum per column of :func:`comb.spectral_weights`, and the value
-    is one sum of numerators times monomials over the common denominator
-    of Estar_eta (:func:`emac.common_form`), normalised once.  ``at_point``
-    on the spectral vector is the general evaluator that checks this one.
-    """
+    """Estar_eta evaluated at the spectral point of mu: the
+    :func:`spectral_value` of its form over the common denominator of
+    :func:`emac.common_form`."""
     if len(eta) != len(mu):
         raise AlgebraError("spectral_evaluate requires equal lengths")
-    den, nums, lanes = _lane_form(eta, ctx)
-    qweights, tweights = comb.spectral_weights(mu)
-    return ctx.monomial_sum(den, nums, lanes.sums(qweights),
-                            lanes.sums(tweights))
+    return spectral_value(_lane_form(eta, ctx), mu, ctx)
 
 
 def principal_value(eta: Composition, ctx: ScalarContext = GENERIC):

@@ -42,13 +42,23 @@ def interpolation_expansion(eta: Composition, r: int,
                             ceiling: Composition | None = None) -> ExpansionTable:
     """The layers of the expansion of (e_r(z) - e_r(eta-bar)) Estar_eta.
 
-    Layer one is a pure evaluation ratio; layer i subtracts the contributions
-    of every earlier layer that stays below the target.  Each coefficient is
-    one ``ScalarContext.product_sum``: the e_r gap times the spectral value,
-    less a_mu times the spectral value of every earlier mu below the target,
-    over the principal value of the target.  Every kept target's principal
-    value is taken, zero sum or not, so a point where one vanishes raises
-    instead of dropping coefficients.
+    Layer i holds the coefficients a_lam with |lam| = |eta| + i.  At the
+    spectral point lam-bar every Estar_mu with |mu| >= |lam| vanishes but
+    Estar_lam, whose value there is the principal value, and by extra
+    vanishing (Knop; Sahi) an Estar_mu with |mu| < |lam| vanishes unless
+    mu <=' lam (:func:`istar.extra_vanishing_test`).  So a_lam is the e_r
+    gap times Estar_eta(lam-bar), less G(lam-bar), over the principal
+    value, for G the sum of a_mu Estar_mu over all the earlier labels: one
+    ``ScalarContext.product_sum``.  Every kept target's principal value is
+    taken, zero sum or not, so a point where one vanishes raises instead
+    of dropping coefficients.
+
+    How G is taken is the scalar layer's choice
+    (``ScalarContext.merge_forms``).  At a rational point G is one
+    polynomial: after each layer but the last, the new labels' numerators
+    times a_mu are added into it over one lcm, and each target evaluates
+    it once.  Over Q(q,t) that merge would swell every numerator, so each
+    earlier mu below the target is evaluated on its own, times a_mu.
 
     With a ``ceiling``, only the targets lam <=' ceiling are kept.  This is
     exact for them: the successor order is transitive, so a label above the
@@ -61,22 +71,31 @@ def interpolation_expansion(eta: Composition, r: int,
     n = len(eta)
     if not 1 <= r <= n:
         raise AlgebraError(f"r={r} out of range for n={n}")
+
+    def star_terms(mu):
+        den, p = emac.common_form(mu, True, ctx)
+        return den, p.terms
+
     layers: list[dict] = []
-    earlier: dict = {}
+    merged, apart, lower = (1, {}), {}, []
     for below in _kept_fronts(eta, r, ceiling):
+        if layers:  # no layer is merged after the last
+            merged, more = ctx.merge_forms(merged, layers[-1], star_terms)
+            apart.update(more)
+            lower = [istar.lane_form(n, *merged)] if merged[1] else []
         layer = {}
         for lam in sorted(below):
             principal = istar.principal_value(lam, ctx)
             coeff = ctx.product_sum(
                 [(comb.spectral_e_gap(eta, lam, r, ctx),
                   istar.spectral_evaluate(eta, lam, ctx)),
-                 *((-earlier[mu], istar.spectral_evaluate(mu, lam, ctx))
-                   for mu in below[lam].intersection(earlier))],
+                 *((-istar.spectral_value(g, lam, ctx),) for g in lower),
+                 *((-apart[mu], istar.spectral_evaluate(mu, lam, ctx))
+                   for mu in below[lam].intersection(apart))],
                 [principal])
             if coeff:
                 layer[lam] = coeff
         layers.append(layer)
-        earlier.update(layer)
     return ExpansionTable(eta, r, tuple(layers))
 
 

@@ -13,7 +13,8 @@ The symmetric routes, ``symmetrize_P`` and ``psi_coefficient``, may also
 name a value over Q(q,t) that vanishes at the point: P_lam(t^delta), or the
 coefficient of z^kappa in the Hecke symmetrization of E_kappa.
 
-The labels are every composition with n <= 3 and |eta| <= 3, and for the
+The labels are every composition with n <= 3 and |eta| <= 3, and for
+``pieri_homogeneous`` also every one with n = 4 and |eta| <= 1; for the
 binomials every nu of the same length with |eta| < |nu| <= |eta| + 2; for
 ``duality_transfer`` with r = 1 every eta with n = 2 and |eta| <= 2, or
 n = 3 and |eta| <= 1, and every lam with |lam| = |eta| + 1; for the
@@ -64,6 +65,10 @@ def _cases():
         for eta in comb.compositions_up_to(n, size):
             for lam in comb.compositions(n, sum(eta) + 1):
                 yield pieri.duality_transfer, (eta, lam, 1)
+    # layers 3 and 4, where each coefficient takes G over earlier layers
+    for eta in comb.compositions_up_to(4, 1):
+        for r in range(1, 5):
+            yield pieri.pieri_homogeneous, (eta, r)
 
 
 CASES = list(_cases())

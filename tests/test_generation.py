@@ -80,6 +80,9 @@ def test_ring_generation_is_the_field_recursion(ctx):
       "q=11/13,t=17/19"], "psi_1-1-0-0-0-0_1-1-1-0-0-0_q11-13_t17-19.txt"),
     (["pieri", "--eta", "1,0,1,0,1,0", "--r", "3", "--params",
       "q=11/13,t=17/19"], "pieri_1-0-1-0-1-0_r3_q11-13_t17-19.txt"),
+    (["pieri", "--eta", "1,0,2,0,1,2", "--r", "3", "--params",
+      "q=11/13,t=17/19"], "pieri_1-0-2-0-1-2_r3_q11-13_t17-19.txt"),
+    (["pieri", "--eta", "1,0,1,0,1", "--r", "3"], "pieri_1-0-1-0-1_r3.txt"),
 ], ids=lambda value: value[0] if isinstance(value, list) else None)
 def test_stdout_matches_the_field_recursion(argv, golden, capsys):
     # stdout captured from the field recursion and the expanded
@@ -89,6 +92,8 @@ def test_stdout_matches_the_field_recursion(argv, golden, capsys):
     # over all n! permutations; the n = 6 pieri table was captured while
     # the maximal index sets were still found by filtering all 2^n - 1
     # masks and each Pieri coefficient scanned every earlier layer for the
-    # labels below it
+    # labels below it; the second n = 6 table and the symbolic n = 5 one
+    # while every coefficient at a point still took one spectral value per
+    # earlier label below it, not one value of the merged G
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()

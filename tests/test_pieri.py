@@ -103,23 +103,29 @@ def field_interpolation_expansion(eta, r, ctx, ceiling=None):
     return tuple(layers)
 
 
-# (ctx, sizes, max_mod): every eta with n in sizes and |eta| <= max_mod;
-# n = 4 symbolically to |eta| <= 1, since |eta| = 2 takes some 15 s more
+def _labels(sizes, max_mod):
+    return [eta for n in sizes for eta in comb.compositions_up_to(n, max_mod)]
+
+
+# (ctx, labels): every eta with n in sizes and |eta| <= max_mod; n = 4
+# symbolically to |eta| <= 1, since |eta| = 2 takes some 15 s more; at
+# n = 5 two labels whose layers 3 to 5 take G over several earlier layers
 FIELD_RANGES = [
-    *(pytest.param(ctx, range(1, 4), 3, id=ctx.params_label())
+    *(pytest.param(ctx, _labels(range(1, 4), 3), id=ctx.params_label())
       for ctx in (G, G.inverted(),
                   specialized(Fraction(-2, 3), Fraction(5, 7)),
                   specialized(3, Fraction(-1, 2)))),
-    pytest.param(G, (4,), 1, id="n=4,symbolic"),
-    pytest.param(specialized(Fraction(-2, 3), Fraction(5, 7)), (4,), 2,
-                 id="n=4,q=-2/3,t=5/7")]
+    pytest.param(G, _labels((4,), 1), id="n=4,symbolic"),
+    pytest.param(specialized(Fraction(-2, 3), Fraction(5, 7)),
+                 _labels((4,), 2), id="n=4,q=-2/3,t=5/7"),
+    pytest.param(specialized(Fraction(-2, 3), Fraction(5, 7)),
+                 [(0, 0, 0, 0, 0), (0, 0, 1, 0, 0)], id="n=5,q=-2/3,t=5/7")]
 
 
-@pytest.mark.parametrize("ctx, sizes, max_mod", FIELD_RANGES)
-def test_expansion_is_the_field_recursion(ctx, sizes, max_mod):
+@pytest.mark.parametrize("ctx, labels", FIELD_RANGES)
+def test_expansion_is_the_field_recursion(ctx, labels):
     # the recursion that tests comb.is_successor for every pair
-    for eta in (eta for n in sizes
-                for eta in comb.compositions_up_to(n, max_mod)):
+    for eta in labels:
         ceiling = comb.add_box_everywhere(eta)
         for r in range(1, len(eta) + 1):
             for top in (None, ceiling):
@@ -128,6 +134,27 @@ def test_expansion_is_the_field_recursion(ctx, sizes, max_mod):
                 for i, (layer, expected) in enumerate(zip(got, want)):
                     assert layer == expected, (eta, r, top, i + 1)
                 assert len(got) == len(want) == r
+
+
+@pytest.mark.parametrize("r", [1, 3])
+@pytest.mark.parametrize("ctx", [G, specialized(Fraction(-2, 3),
+                                                Fraction(5, 7))],
+                         ids=lambda ctx: ctx.params_label())
+def test_the_last_layer_builds_no_polynomial(ctx, r, monkeypatch):
+    # the targets of the last layer are only evaluated at: no polynomial
+    # of theirs is generated, so none is merged into G after that layer
+    eta = (1, 0, 1, 0)
+    asked = set()
+    common_form = emac.common_form
+
+    def recorder(mu, star=False, ctx=G):
+        asked.add(tuple(mu))
+        return common_form(mu, star, ctx)
+
+    monkeypatch.setattr(emac, "common_form", recorder)
+    assert pieri.pieri_homogeneous(eta, r, ctx)
+    last = {mu for mu in asked if sum(mu) == sum(eta) + r}
+    assert not last, sorted(last)
 
 
 # the two residuals in field arithmetic, normalising after every operation:
