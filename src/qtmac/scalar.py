@@ -1249,34 +1249,6 @@ class ScalarContext:
         return den, {k: c.numerator * (den // c.denominator)
                      for k, c in coeffs.items()}
 
-    def merge_forms(self, total, coeffs: dict, form) -> tuple:
-        """(total, apart): the form ``total`` plus a times the form of key
-        over the entries key: a of coeffs, each form (D, {exponents: N})
-        as ``form(key)`` returns it.
-
-        At a rational point every a N is added into total's numerators in
-        place, over one lcm, and apart is empty.  Over Q(q,t) that product
-        would swell every numerator, so total is returned as given and
-        apart is coeffs, each entry to be taken on its own."""
-        if self.generic:
-            return total, coeffs
-        den, nums = total
-        # form is asked twice, not held in a list: a list built while the
-        # forms are generated kept 0.1-0.3 MiB more resident at n = 5
-        lcm = math.lcm(den, *(a.denominator * form(key)[0]
-                              for key, a in coeffs.items()))
-        if lcm != den:
-            up = lcm // den
-            for e in nums:
-                nums[e] *= up
-        get = nums.get
-        for key, a in coeffs.items():
-            d, terms = form(key)
-            up = a.numerator * (lcm // (a.denominator * d))
-            for e, c in terms.items():
-                nums[e] = get(e, 0) + up * c
-        return (lcm, nums), {}
-
     def lcm_cofactors(self, a, b) -> tuple[object, object, object]:
         """(L, L / a, L / b) for L the lcm of the ring elements a and b, as
         :meth:`parts` returns them: symbolically from their factors, with
@@ -1383,6 +1355,28 @@ class ScalarContext:
             else:
                 den *= base ** -exp
         return Fraction(total, den)
+
+    def merge_forms(self, total, coeffs: dict, form) -> tuple:
+        """(total, apart) for total plus a * form(key) over the entries
+        key: a of coeffs, each form (D, {exponents: N}).  At a rational
+        point the sum is built in place over one lcm and apart is empty;
+        over Q(q,t), where it would swell every numerator, total is kept
+        as it is and apart is coeffs."""
+        if self.generic:
+            return total, coeffs
+        den, nums = total
+        lcm = math.lcm(den, *(a.denominator * form(key)[0]
+                              for key, a in coeffs.items()))
+        scale = lcm // den
+        for e in nums:
+            nums[e] *= scale
+        get = nums.get
+        for key, a in coeffs.items():
+            d, terms = form(key)
+            up = a.numerator * (lcm // (a.denominator * d))
+            for e, c in terms.items():
+                nums[e] = get(e, 0) + up * c
+        return (lcm, nums), {}
 
     def num_den_text(self, x) -> tuple[str, str]:
         x = self.coerce(x)

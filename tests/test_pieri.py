@@ -147,9 +147,9 @@ def test_the_last_layer_builds_no_polynomial(ctx, r, monkeypatch):
     asked = set()
     common_form = emac.common_form
 
-    def recorder(mu, star=False, ctx=G):
+    def recorder(mu, star=False, at=G):
         asked.add(tuple(mu))
-        return common_form(mu, star, ctx)
+        return common_form(mu, star, at)
 
     monkeypatch.setattr(emac, "common_form", recorder)
     assert pieri.pieri_homogeneous(eta, r, ctx)
