@@ -6,21 +6,19 @@ polynomials with no common factor and no common content, and the denominator
 has positive leading coefficient under the graded-lexicographic term order
 with q before t.
 
-Every denominator the paper's objects meet is a monomial times hook-type
-factors such as 1 - q^a t^b, so a :class:`Scalar` keeps its denominator
-factored (:class:`Factored`): an integer content, a monomial q^i t^j and a
-multiset of irreducible factors.  Products add the multisets, sums take
-their lcm, and a fraction is reduced by exact division of the numerator by
-each factor of the denominator, never by a polynomial gcd.  Most factors are
-*line factors* g(q^a t^b) with g univariate and gcd(a, b) = 1; after a
-unimodular change of variables, dividing by one is univariate synthetic
-division along each line of the numerator's support.  A polynomial that
-becomes a denominator is factored by trial division: by the cyclotomic
-factors of the edge polynomials of its Newton polygon (every line factor
-divides one of those), then by the factors sympy found before.  Only a
-cofactor left over after that goes to sympy's ``factor_list``, which is
-imported at the first such call; the calls are counted by reason in
-:data:`FALLBACKS`.
+Every denominator the paper's objects meet is a monomial times hook
+factors 1 - q^a t^b, so a :class:`Scalar` keeps its denominator factored
+(:class:`Factored`): an integer content, a monomial q^i t^j and a multiset
+of *line factors* Phi_e(q^a t^b), cyclotomic polynomials of a monomial with
+gcd(a, b) = 1.  Products add the multisets, sums take their lcm, and a
+fraction is reduced by exact division of the numerator by each factor of
+the denominator, never by a polynomial gcd; after a unimodular change of
+variables, dividing by a line factor is univariate synthetic division along
+each line of the numerator's support.  A polynomial that becomes a
+denominator is factored by trial division by the cyclotomic factors of the
+edge polynomials of its Newton polygon, one of which each of its line
+factors divides.  A cofactor left over is no product of cyclotomic line
+factors, and dividing by it raises :class:`AlgebraError` naming it.
 
 A "specialized" mode replaces the symbolic field by exact ``Fraction``
 arithmetic after substituting rational values for (q,t).  Both modes expose
@@ -38,9 +36,7 @@ its numerators, and ``ScalarContext.quotient`` normalises the result once.
 
 from __future__ import annotations
 
-import collections
 import functools
-import heapq
 import math
 import operator
 from fractions import Fraction
@@ -166,9 +162,6 @@ class Poly(dict):
                 base = base * base
         return result
 
-    def __hash__(self):
-        return hash(frozenset(self.items()))
-
     def terms(self) -> list:
         """[((i, j), c)] in grlex-descending order."""
         return [((k >> _SHIFT, k & _MASK), self[k])
@@ -246,54 +239,34 @@ def _direction(di: int, dj: int) -> tuple[int, int]:
 
 
 class Factor:
-    """An irreducible, primitive integer polynomial with no monomial factor
-    and positive leading coefficient, interned: one object per polynomial,
-    so factors compare and hash by identity.
+    """A cyclotomic line factor Phi_e(q^a t^b), as an integer polynomial
+    with no monomial factor and positive leading coefficient.
+    :func:`_line_factor` makes one object per polynomial, so factors compare
+    and hash by identity.
 
-    ``line`` is (a, b, c, d, x0, y0, g) for a line factor, whose terms all
-    lie on one line q^i t^j = q^(a x + c y) t^(b x + d y), y = y0: it is
-    q^(a x0 + c y0) t^(b x0 + d y0) g(q^a t^b) with g[k] the coefficient
-    at x = x0 + k.  It is None for any other factor.
+    ``line`` is (a, b, c, d, x0, y0, g): the terms all lie on one line
+    q^i t^j = q^(a x + c y) t^(b x + d y), y = y0, and the factor is
+    q^(a x0 + c y0) t^(b x0 + d y0) g(q^a t^b) with g[k] the coefficient at
+    x = x0 + k.
     """
 
     __slots__ = ("poly", "line")
 
     def __init__(self, poly: Poly):
         self.poly = poly
-        self.line = None
-        if _on_one_line(poly):
-            (k0, k1, *_) = poly
-            i0, j0 = k0 >> _SHIFT, k0 & _MASK
-            a, b = _direction((k1 >> _SHIFT) - i0, (k1 & _MASK) - j0)
-            c, d = _unimodular(a, b)
-            xs = {d * (k >> _SHIFT) - c * (k & _MASK): v for k, v in poly.items()}
-            x0 = min(xs)
-            coeffs = [0] * (max(xs) - x0 + 1)
-            for x, v in xs.items():
-                coeffs[x - x0] = v
-            self.line = (a, b, c, d, x0, a * j0 - b * i0, coeffs)
+        (k0, k1, *_) = poly
+        i0, j0 = k0 >> _SHIFT, k0 & _MASK
+        a, b = _direction((k1 >> _SHIFT) - i0, (k1 & _MASK) - j0)
+        c, d = _unimodular(a, b)
+        xs = {d * (k >> _SHIFT) - c * (k & _MASK): v for k, v in poly.items()}
+        x0 = min(xs)
+        coeffs = [0] * (max(xs) - x0 + 1)
+        for x, v in xs.items():
+            coeffs[x - x0] = v
+        self.line = (a, b, c, d, x0, a * j0 - b * i0, coeffs)
 
     def __repr__(self):
         return f"Factor({_ring_poly_text(self.poly)})"
-
-
-def _on_one_line(p: Poly) -> bool:
-    """Whether the terms of p, two or more, lie on one line."""
-    (k0, k1, *others) = p
-    i0, j0 = k0 >> _SHIFT, k0 & _MASK
-    di, dj = (k1 >> _SHIFT) - i0, (k1 & _MASK) - j0
-    return all(((k >> _SHIFT) - i0) * dj == ((k & _MASK) - j0) * di
-               for k in others)
-
-
-_SYMPY_FOUND: list = []     # the factors that only sympy found, in order
-
-
-@memo
-def _intern(poly: Poly) -> Factor:
-    """The one Factor of poly; a Poly hashes by its terms, so equal
-    polynomials share it."""
-    return Factor(poly)
 
 
 @memo
@@ -303,8 +276,6 @@ def _factor_power(f: Factor, m: int) -> Poly:
 
 def _divide(p: Poly, f: Factor) -> Poly | None:
     """p / f if f divides p exactly, else None."""
-    if f.line is None:
-        return _divide_general(p, f.poly)
     a, b, c, d, x0, y0, g = f.line
     lines: dict = {}
     for k, v in p.items():
@@ -329,43 +300,6 @@ def _divide(p: Poly, f: Factor) -> Poly | None:
         for s, qc in enumerate(quo, lo - x0):
             if qc:
                 out[(a * s + base_i) << _SHIFT | (b * s + base_j)] = qc
-    return out
-
-
-def _divide_general(p: Poly, f: Poly) -> Poly | None:
-    """p / f by division with remainder in grlex order, None unless exact."""
-    kf = max(f, key=_grlex_key)
-    cf = f[kf]
-    fi, fj = kf >> _SHIFT, kf & _MASK
-    tail = [(k - kf, c) for k, c in f.items() if k != kf]
-    rem = Poly(p)
-    heap = [-_grlex_key(k) for k in rem]
-    heapq.heapify(heap)
-    keys = {_grlex_key(k): k for k in rem}
-    out = Poly()
-    while rem:
-        k = keys[-heapq.heappop(heap)]
-        c = rem.pop(k, 0)
-        if not c:
-            continue
-        if (k >> _SHIFT) < fi or (k & _MASK) < fj:
-            return None
-        qc, r = divmod(c, cf)
-        if r:
-            return None
-        shift = k - kf
-        out[shift] = qc
-        for kk, cc in tail:
-            k2 = kk + k
-            v = rem.get(k2, 0) - qc * cc
-            if v:
-                if k2 not in rem:
-                    g2 = _grlex_key(k2)
-                    keys[g2] = k2
-                    heapq.heappush(heap, -g2)
-                rem[k2] = v
-            else:
-                rem.pop(k2, None)
     return out
 
 
@@ -445,13 +379,14 @@ def _cyclotomic_factors(coeffs: tuple) -> tuple:
 @memo
 def _line_factor(a: int, b: int, e: int) -> Factor:
     """Phi_e(q^a t^b) as a Factor (times the power of t that makes it a
-    polynomial when b < 0)."""
+    polynomial when b < 0), for (a, b) as :func:`_direction` gives it: the
+    memo makes this the one Factor of that polynomial."""
     g = _cyclotomic(e)
     shift = -b * (len(g) - 1) if b < 0 else 0
     poly = Poly({_pack(a * k, b * k + shift): c for k, c in enumerate(g) if c})
     if poly[max(poly, key=_grlex_key)] < 0:
         poly = -poly
-    return _intern(poly)
+    return Factor(poly)
 
 
 def _hull(points: list) -> list:
@@ -499,40 +434,6 @@ def _edge_factors(p: Poly) -> list:
     return found
 
 
-# sympy factor_list calls, by reason: a cofactor left after trial division
-# whose terms lie on one line ("line") or not ("general")
-FALLBACKS: collections.Counter = collections.Counter()
-
-
-@memo
-def _sympy_ring():
-    """sympy's ring Z[q,t] in grlex order, imported at the first fallback."""
-    from sympy.polys.domains import ZZ
-    from sympy.polys.orderings import grlex
-    from sympy.polys.rings import ring
-
-    return ring("q,t", ZZ, grlex)[0]
-
-
-def _sympy_factors(p: Poly) -> list:
-    """[(Factor, multiplicity)] of a primitive p with no monomial factor,
-    from sympy's factor_list, counted in FALLBACKS.  Each factor is kept in
-    _SYMPY_FOUND, so trial division finds it in any later cofactor."""
-    FALLBACKS["line" if _on_one_line(p) else "general"] += 1
-    _, pairs = _sympy_ring().from_dict(
-        {(k >> _SHIFT, k & _MASK): c for k, c in p.items()}).factor_list()
-    found = []
-    for f, m in pairs:
-        poly = Poly({_pack(i, j): int(c) for (i, j), c in f.items()})
-        if poly[max(poly, key=_grlex_key)] < 0:
-            poly = -poly
-        f = _intern(poly)
-        if f not in _SYMPY_FOUND:
-            _SYMPY_FOUND.append(f)
-        found.append((f, m))
-    return found
-
-
 @memo
 def _binomial_factors(a: int, b: int, e: int, plus: bool):
     """({Phi_d(q^a t^b): 1}, the sum of their leading monomials) over the d
@@ -565,23 +466,16 @@ def _factor_poly(p: Poly) -> "Factored":
         content = -content
     rest = Poly({k - mono: c // content for k, c in p.items()})
     fac: dict = {}
-
-    def peel(candidates):
-        nonlocal rest
-        for f in candidates:
-            while len(rest) > 1:
-                quo = _divide(rest, f)
-                if quo is None:
-                    break
-                rest = quo
-                fac[f] = fac.get(f, 0) + 1
-
-    peel(_edge_factors(rest))
+    for f in _edge_factors(rest):
+        while len(rest) > 1:
+            quo = _divide(rest, f)
+            if quo is None:
+                break
+            rest = quo
+            fac[f] = fac.get(f, 0) + 1
     if len(rest) > 1:
-        peel(list(_SYMPY_FOUND))
-    if len(rest) > 1:
-        for f, m in _sympy_factors(rest):
-            fac[f] = fac.get(f, 0) + m
+        raise AlgebraError(f"denominator factor {_ring_poly_text(rest)} is "
+                           f"not a product of cyclotomic line factors")
     return Factored(content, mono, fac)
 
 

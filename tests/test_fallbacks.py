@@ -1,8 +1,9 @@
-"""The command lines of the benchmark's three workloads never ask sympy for
-a factorisation: every denominator they divide by splits into factors that
-trial division finds.  So sympy, which ``scalar`` imports only at the first
-fallback, stays out of the process: after ``import qtmac.cli`` and after
-each of these command lines."""
+"""The command lines of the benchmark's three workloads divide only by
+products of cyclotomic line factors, which trial division finds: a
+denominator factor outside that class raises ``AlgebraError``, so each
+command line exits 0.  No module of the package imports sympy, so it stays
+out of the process: after ``import qtmac.cli`` and after each of these
+command lines."""
 
 import json
 
@@ -53,11 +54,10 @@ VERIFY_BATTERY = tuple(
     ))
 
 # prints, as JSON, the command lines after which sympy was loaded ("import"
-# standing for the import of qtmac.cli) and the fallback counts
+# standing for the import of qtmac.cli); a command line that fails exits
 RUN = """
 import contextlib, io, json, sys
 from qtmac import cli
-from qtmac.scalar import FALLBACKS
 loaded = ["import"] if "sympy" in sys.modules else []
 for argv in {commands!r}:
     with contextlib.redirect_stdout(io.StringIO()):
@@ -65,23 +65,22 @@ for argv in {commands!r}:
             sys.exit(f"{{argv}} failed")
     if "sympy" in sys.modules:
         loaded.append(" ".join(argv))
-print(json.dumps({{"loaded": loaded, "fallbacks": dict(FALLBACKS)}}))
+print(json.dumps(loaded))
 """
 
 
-def run_fresh(commands) -> dict:
+def run_fresh(commands) -> list:
     """Run the command lines one after another in a fresh process."""
     return json.loads(run_python(RUN.format(commands=commands)))
 
 
 def test_import_leaves_sympy_out():
-    assert run_fresh(()) == {"loaded": [], "fallbacks": {}}
+    assert run_fresh(()) == []
 
 
-def test_cli_workloads_never_fall_back_to_sympy():
-    assert run_fresh(CLI_SYMBOLIC + CLI_SPECIALIZED) == \
-        {"loaded": [], "fallbacks": {}}
+def test_cli_workloads_divide_only_by_line_factors():
+    assert run_fresh(CLI_SYMBOLIC + CLI_SPECIALIZED) == []
 
 
-def test_verify_battery_never_falls_back_to_sympy():
-    assert run_fresh(VERIFY_BATTERY) == {"loaded": [], "fallbacks": {}}
+def test_verify_battery_divides_only_by_line_factors():
+    assert run_fresh(VERIFY_BATTERY) == []

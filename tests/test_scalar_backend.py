@@ -5,13 +5,15 @@ symbolic context and once from ``tests/sympy_reference.py``.  The two must
 print the same canonical text, compare and hash alike and evaluate alike.
 """
 
+import math
 from fractions import Fraction
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from qtmac.scalar import (GENERIC, Poly, SpecializationError,
-                          _cyclotomic_indices, _factor_poly, scalar_eval)
+                          _cyclotomic_indices, _factor_poly, _line_factor,
+                          scalar_eval)
 
 import sympy_reference as ref
 from helpers import run_python
@@ -47,61 +49,64 @@ def not_a_line(q, t, one):
     return q ** 2 * t + q - 1
 
 
-leaves = st.one_of(
+# nonzero products of cyclotomic line factors, times Laurent monomials:
+# the only leaves a divisor or a negative power is built from
+hook_leaves = st.one_of(
     st.builds(lambda d, e: line_factor(*d, e), st.sampled_from(DIRECTIONS),
               st.sampled_from(sorted(CYCLOTOMIC))),
     st.builds(laurent_monomial, st.sampled_from([1, -1, 2, -3]),
               st.integers(-3, 3), st.integers(-3, 3)),
-    st.builds(binomial, st.integers(0, 4), st.integers(-2, 4)),
+    st.tuples(st.integers(0, 4), st.integers(-2, 4)).filter(any).map(
+        lambda ab: binomial(*ab)),
+)
+
+# not_a_line is no product of line factors, so it is a numerator only
+leaves = st.one_of(
+    hook_leaves,
     st.just(lambda q, t, one: 0 * one),
     st.just(not_a_line),
 )
 
-OPS = ("+", "-", "*", "/")
-
 # integer powers of leaves only, so that the degrees stay small
-powers = st.tuples(st.just("**"), leaves, st.integers(-2, 3))
+hook_powers = st.tuples(st.just("**"), hook_leaves, st.integers(-2, 3))
+powers = st.one_of(st.tuples(st.just("**"), leaves, st.integers(1, 3)),
+                   hook_powers)
+
+divisors = st.recursive(
+    st.one_of(hook_leaves, hook_powers),
+    lambda sub: st.tuples(st.just("*"), sub, sub),
+    max_leaves=3)
 
 expressions = st.recursive(
     st.one_of(leaves, powers),
-    lambda sub: st.tuples(st.sampled_from(OPS), sub, sub),
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from(("+", "-", "*")), sub, sub),
+        st.tuples(st.just("/"), sub, divisors)),
     max_leaves=8)
 
 
 def evaluate(expr, q, t, one):
-    """The value of expr in one backend, or None where it divides by 0."""
+    """The value of expr in one backend."""
     if callable(expr):
         return expr(q, t, one)
     op, left, right = expr
     x = evaluate(left, q, t, one)
-    if x is None:
-        return None
     if op == "**":
-        if not x and right <= 0:
-            return None
         return x ** right
     y = evaluate(right, q, t, one)
-    if y is None:
-        return None
     if op == "+":
         return x + y
     if op == "-":
         return x - y
     if op == "*":
         return x * y
-    try:
-        return x / y
-    except ZeroDivisionError:
-        return None
+    return x / y
 
 
 def both(expr):
     ours, theirs = (evaluate(expr, *backend) for backend in BACKENDS)
-    assert (ours is None) == (theirs is None)
-    if theirs is not None:
-        # a negative power in sympy's field leaves the denominator's sign
-        theirs = theirs.new(theirs.numer, theirs.denom)
-    return ours, theirs
+    # a negative power in sympy's field leaves the denominator's sign
+    return ours, theirs.new(theirs.numer, theirs.denom)
 
 
 POINTS = ((Fraction(2, 3), Fraction(5, 7)), (Fraction(-1), Fraction(3)),
@@ -111,7 +116,7 @@ POINTS = ((Fraction(2, 3), Fraction(5, 7)), (Fraction(-1), Fraction(3)),
 @settings(max_examples=120, deadline=None)
 @given(st.lists(expressions, min_size=1, max_size=4))
 def test_scalars_agree_with_the_sympy_field(exprs):
-    values = [pair for pair in map(both, exprs) if pair[0] is not None]
+    values = list(map(both, exprs))
     for ours, theirs in values:
         assert G.num_den_text(ours) == ref.num_den_text(theirs)
         assert bool(ours) == bool(theirs)
@@ -136,8 +141,6 @@ def test_scalars_agree_with_the_sympy_field(exprs):
 @given(expressions, st.integers(-3, 3))
 def test_integers_and_ring_views_agree(expr, k):
     ours, theirs = both(expr)
-    if ours is None:
-        return
     assert (ours == k) == (theirs == k)
     if ours == k:
         assert hash(ours) == hash(k)
@@ -180,20 +183,52 @@ def test_a_poly_equals_the_factored_polynomial_it_expands_to():
     assert p != other and not p == other
 
 
-def test_fallback_is_counted_once():
-    # q^2 t + q - 1 is no line factor, so the first division by it imports
-    # sympy and asks it for its factors; later ones find it by trial division
+def test_a_denominator_outside_the_hook_class_is_named():
+    # q^2 t + q - 1 is no line factor, and q - 2 is a line factor that is
+    # not cyclotomic: trial division finds neither, so dividing by either
+    # raises, naming it, and sympy is never loaded.  A division after the
+    # errors, by (1 - q)(1 - q t) multiplied out, is still exact
     code = (
         "import sys\n"
-        "from qtmac.scalar import GENERIC as G, FALLBACKS\n"
+        "from qtmac.scalar import GENERIC as G, AlgebraError\n"
         "q, t = G.q, G.t\n"
-        "p = q ** 2 * t + q - 1\n"
-        "assert 'sympy' not in sys.modules\n"
-        "x = (1 - q * t) / p\n"
-        "assert 'sympy' in sys.modules\n"
-        "y = x / p + 1 / (p * (1 - t))\n"
-        "z = y * (q - t) / (p ** 2 * (q * t + 1))\n"
-        "assert x * p == 1 - q * t\n"
-        "assert z * p ** 2 * (q * t + 1) == y * (q - t)\n"
-        "print(dict(FALLBACKS))\n")
-    assert run_python(code).strip() == "{'general': 1}"
+        "for num, den in ((1 - q * t, q ** 2 * t + q - 1), (1, q - 2)):\n"
+        "    try:\n"
+        "        num / den\n"
+        "    except AlgebraError as err:\n"
+        "        print(type(err).__name__, err)\n"
+        "den = 1 - q - q * t + q ** 2 * t\n"
+        "x = (1 - q ** 2 * t ** 2) / den\n"
+        "assert x * den == 1 - q ** 2 * t ** 2\n"
+        "print(G.text(x))\n"
+        "print('sympy' in sys.modules)\n")
+    assert run_python(code).splitlines() == [
+        "AlgebraError denominator factor q^2*t + q - 1 is not a product of "
+        "cyclotomic line factors",
+        "AlgebraError denominator factor q - 2 is not a product of "
+        "cyclotomic line factors",
+        "(-q*t - 1)/(q - 1)",
+        "False"]
+
+
+def test_line_factors_are_one_object_per_polynomial():
+    # 1 - q^2 t^2 = (1 - q t)(1 + q t): the binomial route and trial
+    # division of (1 - q^2 t^2)(1 - q), four terms, find the same objects
+    binomial = _factor_poly(Poly({0: 1, 2 << 32 | 2: -1}))
+    trial = _factor_poly(Poly({0: 1, 1 << 32: -1, 2 << 32 | 2: -1,
+                               3 << 32 | 2: 1}))
+    assert len(binomial.fac) == 2 and len(trial.fac) == 3
+    for f in binomial.fac:
+        assert sum(g is f for g in trial.fac) == 1
+    # and distinct primitive directions (a, b) and indices e give distinct
+    # polynomials
+    seen = {}
+    for a in range(4):
+        for b in range(-3, 4):
+            if math.gcd(a, b) != 1 or (a == 0 and b < 0):
+                continue
+            for e in range(1, 13):
+                key = frozenset(_line_factor(a, b, e).poly.items())
+                assert key not in seen, ((a, b, e), seen.get(key))
+                seen[key] = (a, b, e)
+    assert len(seen) == 16 * 12

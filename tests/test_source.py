@@ -296,42 +296,14 @@ def _imported_modules(path):
             yield from (f"{node.module}.{alias.name}" for alias in node.names)
 
 
-# Q(q,t) keeps its denominators factored in scalar.py, which alone asks
-# sympy for factors it cannot find; sympy's field is the tests' reference
+# every denominator is factored by trial division, so the package needs
+# sympy nowhere, and a process that never imports it starts faster and
+# smaller; sympy's field is the tests' reference
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
-def test_only_the_scalar_layer_imports_sympy(path):
-    names = {name for name in _imported_modules(path)
-             if name == "sympy" or name.startswith("sympy.")}
-    fields = {name for name in names if name == "sympy.polys.fields"
-              or name.startswith("sympy.polys.fields.")}
-    assert not fields, f"{path.name} imports {sorted(fields)}"
-    if path.name != "scalar.py":
-        assert not names, f"{path.name} imports {sorted(names)}"
-
-
-def _sympy_imports_outside_functions(node, inside=False):
-    """Line numbers of the sympy imports under node that no function body
-    encloses: those run when the module is imported."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        inside = True
-    elif isinstance(node, ast.Import) and not inside:
-        if any(alias.name.split(".")[0] == "sympy" for alias in node.names):
-            yield node.lineno
-    elif isinstance(node, ast.ImportFrom) and not inside:
-        if node.level == 0 and node.module.split(".")[0] == "sympy":
-            yield node.lineno
-    for child in ast.iter_child_nodes(node):
-        yield from _sympy_imports_outside_functions(child, inside)
-
-
-# sympy costs most of the start-up time and memory of a process, and no
-# benchmark query needs it, so it is imported at the first factorisation
-# fallback, inside the function that asks for it
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
-def test_no_sympy_import_at_module_level(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
-    lines = list(_sympy_imports_outside_functions(tree))
-    assert not lines, f"{path.name}: sympy imported at module level, lines {lines}"
+def test_no_module_imports_sympy(path):
+    names = sorted(name for name in _imported_modules(path)
+                   if name.split(".")[0] == "sympy")
+    assert not names, f"{path.name} imports {names}"
 
 
 # importing dataclasses costs every process several milliseconds of start-up
