@@ -60,14 +60,16 @@ hook_leaves = st.one_of(
         lambda ab: binomial(*ab)),
 )
 
-# not_a_line is no product of line factors, so it is a numerator only
+# zero and not_a_line, which is no product of line factors, are numerators
+# only
 leaves = st.one_of(
     hook_leaves,
     st.just(lambda q, t, one: 0 * one),
     st.just(not_a_line),
 )
 
-# integer powers of leaves only, so that the degrees stay small
+# integer powers of leaves only, so that the degrees stay small; a leaf
+# that may be zero takes positive powers, as sympy's ring refuses 0**0
 hook_powers = st.tuples(st.just("**"), hook_leaves, st.integers(-2, 3))
 powers = st.one_of(st.tuples(st.just("**"), leaves, st.integers(1, 3)),
                    hook_powers)
