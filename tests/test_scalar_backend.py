@@ -9,9 +9,10 @@ import math
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
-from qtmac.scalar import (GENERIC, Poly, SpecializationError,
+from qtmac.scalar import (GENERIC, AlgebraError, Poly, SpecializationError,
                           _cyclotomic_indices, _factor_poly, _line_factor,
                           scalar_eval)
 
@@ -211,6 +212,44 @@ def test_a_denominator_outside_the_hook_class_is_named():
         "cyclotomic line factors",
         "(-q*t - 1)/(q - 1)",
         "False"]
+
+
+# denominators outside the hook class, and the cofactor that trial
+# division leaves of each: content, monomial and every cyclotomic line
+# factor are taken off first, so the error names only what is left
+LEFTOVERS = {
+    "non-cyclotomic line": (lambda q, t: q - 2, "q - 2"),
+    "off every line": (lambda q, t: q ** 2 * t + q - 1, "q^2*t + q - 1"),
+    "integer coefficient on a line": (lambda q, t: 2 * q * t - 1,
+                                      "2*q*t - 1"),
+    "degree two on a line": (lambda q, t: q ** 2 - 2, "q^2 - 2"),
+    "three terms": (lambda q, t: 1 + q + t, "q + t + 1"),
+    "Laurent": (lambda q, t: q / t - 3, "q - 3*t"),
+    "content and monomial": (lambda q, t: 3 * q ** 2 * t * (q - 2), "q - 2"),
+    "after a hook factor": (lambda q, t: (1 - q * t) * (q - 2), "q - 2"),
+    "after a line factor": (lambda q, t: (q + t) * (q - 2), "q - 2"),
+    "along t after a hook": (lambda q, t: (1 - t ** 2) * (t - 3), "t - 3"),
+    "after a squared hook": (lambda q, t: (1 - q) ** 2 * (q ** 2 * t + q - 1),
+                             "q^2*t + q - 1"),
+}
+
+
+@pytest.mark.parametrize("case", LEFTOVERS)
+def test_the_error_names_the_cofactor_trial_division_leaves(case):
+    build, leftover = LEFTOVERS[case]
+    q, t = G.q, G.t
+    den = build(q, t)
+    message = (f"denominator factor {leftover} is not a product of "
+               f"cyclotomic line factors")
+    # division and a negative power both factor the denominator
+    with pytest.raises(AlgebraError) as division:
+        (1 - q * t) / den
+    with pytest.raises(AlgebraError) as power:
+        den ** -1
+    assert str(division.value) == str(power.value) == message
+    # as a numerator it needs no factors, and hook divisions stay exact
+    x = den * (1 + q) / (1 - q ** 2)
+    assert x * (1 - q) == den
 
 
 def test_line_factors_are_one_object_per_polynomial():
